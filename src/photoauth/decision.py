@@ -19,7 +19,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, MutableSequence, Optional
 
 from .domain import DomainName
 from .session import (
@@ -127,9 +127,10 @@ def _same_network(a: str, b: str, prefix_len: int) -> bool:
 class AuthEngine:
     """Binds the session store, user registry and verifier into one flow.
 
-    Notifications are appended to `outbox`; the transport that drains it
-    (SMS, push, email) is outside the engine and carries the same link
-    either way.
+    Notifications are appended to `outbox` (a list unless the caller
+    passes another sequence, such as a bounded deque); the transport that
+    drains it (SMS, push, email) is outside the engine and carries the
+    same link either way.
     """
 
     def __init__(
@@ -141,7 +142,7 @@ class AuthEngine:
         policy: ColocationPolicy = ColocationPolicy(),
         verify_cfg: VerifyConfig = VerifyConfig(),
         token_length: int = DEFAULT_TOKEN_LENGTH,
-        outbox: list[Notification] | None = None,
+        outbox: MutableSequence[Notification] | None = None,
     ):
         self.store = store
         self.users = dict(users)

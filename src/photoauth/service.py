@@ -13,6 +13,7 @@ import logging
 import os
 import random
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
@@ -47,6 +48,13 @@ logger = logging.getLogger("photoauth.service")
 
 ENV_PORT = "PHOTOAUTH_PORT"
 ENV_SEED = "PHOTOAUTH_SEED"
+
+# Nothing in the service delivers notifications; it keeps the latest few.
+NOTIFICATION_BACKLOG = 256
+# A photo analysis is a few KB; larger bodies are refused unread.
+MAX_BODY_BYTES = 64 * 1024
+# A kept-alive connection with no request for this long is closed.
+IDLE_TIMEOUT_S = 30.0
 
 _COLOCATION_MODES = {
     "cookie": ColocationMode.COOKIE_EQUALITY,
@@ -146,6 +154,8 @@ _COOKIE_MORSEL = re.compile(r"(?:^|;\s*)auth=([^;]*)")
 _TOKEN_PATH = re.compile(r"^/c/(\d+)$")
 _PHOTO_PATH = re.compile(r"^/c/(\d+)/photo$")
 _STATUS_PATH = re.compile(r"^/session/([0-9a-f]+)/status$")
+# Tokens and session ids inside a request line, replaced by their names.
+_PATH_SECRET = re.compile(r"(?<=/c/)(?P<token>\d+)|(?<=/session/)(?P<id>[0-9a-f]+)")
 
 
 def _cookie_from_headers(headers: dict) -> Optional[str]:
@@ -181,12 +191,15 @@ class App:
             ),
             verify_cfg=VerifyConfig(cr_threshold=config.cr_threshold),
             token_length=config.token_length,
+            outbox=deque(maxlen=NOTIFICATION_BACKLOG),
         )
 
     # -- endpoint handlers --
 
     def _login(self, req: WireRequest) -> WireResponse:
-        body = req.body or {}
+        body = req.body if req.body is not None else {}
+        if not isinstance(body, dict):
+            return WireResponse(400, {"status": "error", "reason": "bad-body"})
         username = body.get("username")
         if username is not None and not isinstance(username, str):
             return WireResponse(400, {"status": "error", "reason": "bad-username"})
@@ -210,9 +223,11 @@ class App:
             "session_id": decision.session_id,
             "link": f"/c/{session.token.digits}",
         }
-        if self.config.expose_notifications and self.engine.outbox:
-            note = self.engine.outbox[-1]
-            payload["notification"] = {"preference": note.preference.value, "link": note.link}
+        if self.config.expose_notifications:
+            payload["notification"] = {
+                "preference": session.preference.value,
+                "link": decision.link,
+            }
         return WireResponse(
             200,
             payload,
@@ -285,13 +300,14 @@ class App:
         return WireResponse(200, {"status": session.state.value})
 
     def handle(self, req: WireRequest) -> WireResponse:
-        response = self._route(req)
+        # The route template, never the raw path: that carries live tokens.
+        route, response = self._route(req)
         logger.info(
             "%s",
             json.dumps(
                 {
                     "method": req.method,
-                    "path": req.path,
+                    "path": route,
                     "status": response.status,
                     "body_status": response.body.get("status"),
                 },
@@ -300,19 +316,20 @@ class App:
         )
         return response
 
-    def _route(self, req: WireRequest) -> WireResponse:
+    def _route(self, req: WireRequest) -> tuple[Optional[str], WireResponse]:
+        """The matched route template (None if none matched) and the response."""
         if req.method == "POST" and req.path == "/login":
-            return self._login(req)
+            return "/login", self._login(req)
         m = _TOKEN_PATH.match(req.path)
         if req.method == "GET" and m:
-            return self._click(req, m.group(1))
+            return "/c/{token}", self._click(req, m.group(1))
         m = _PHOTO_PATH.match(req.path)
         if req.method == "POST" and m:
-            return self._photo(req, m.group(1))
+            return "/c/{token}/photo", self._photo(req, m.group(1))
         m = _STATUS_PATH.match(req.path)
         if req.method == "GET" and m:
-            return self._status(m.group(1))
-        return WireResponse(404, {"status": "error", "reason": "no-such-endpoint"})
+            return "/session/{id}/status", self._status(m.group(1))
+        return None, WireResponse(404, {"status": "error", "reason": "no-such-endpoint"})
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +337,48 @@ class App:
 # ---------------------------------------------------------------------------
 
 
+def _error(status: int, reason: str) -> WireResponse:
+    return WireResponse(status, {"status": "error", "reason": reason})
+
+
 def _make_handler(app: App):
     class Handler(BaseHTTPRequestHandler):
+        # Keep connections alive between requests. Responses go out in two
+        # writes (headers, body); with Nagle's algorithm on, the second
+        # waits for the client's delayed ACK, about 40 ms.
+        protocol_version = "HTTP/1.1"
+        timeout = IDLE_TIMEOUT_S
+        disable_nagle_algorithm = True
+
+        def _read_body(self):
+            """The parsed JSON body, None if empty, or an error response.
+
+            An error that leaves the body unread also marks the connection
+            for closing: its next bytes are not a request.
+            """
+            if "Transfer-Encoding" in self.headers:
+                self.close_connection = True
+                return _error(411, "length-required")
+            raw = self.headers.get("Content-Length") or "0"
+            if not (raw.isascii() and raw.isdigit()):
+                self.close_connection = True
+                return _error(400, "bad-content-length")
+            length = int(raw)
+            if length > MAX_BODY_BYTES:
+                self.close_connection = True
+                return _error(413, "body-too-large")
+            if not length:
+                return None
+            try:
+                return json.loads(self.rfile.read(length))
+            except (ValueError, RecursionError):
+                return _error(400, "bad-json")
+
         def _respond(self):
-            length = int(self.headers.get("Content-Length") or 0)
-            body = None
-            if length:
-                try:
-                    body = json.loads(self.rfile.read(length))
-                except json.JSONDecodeError:
-                    self._write(WireResponse(400, {"status": "error", "reason": "bad-json"}))
-                    return
+            body = self._read_body()
+            if isinstance(body, WireResponse):
+                self._write(body)
+                return
             req = WireRequest(
                 method=self.command,
                 path=self.path,
@@ -338,13 +386,20 @@ def _make_handler(app: App):
                 body=body,
                 source_address=self.client_address[0],
             )
-            self._write(app.handle(req))
+            try:
+                response = app.handle(req)
+            except Exception:
+                logger.exception("unhandled error in %s request", self.command)
+                response = _error(500, "internal-error")
+            self._write(response)
 
         def _write(self, response: WireResponse):
             payload = response.to_bytes()
             self.send_response(response.status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             for key, value in response.headers.items():
                 self.send_header(key, value)
             self.end_headers()
@@ -357,7 +412,9 @@ def _make_handler(app: App):
             self._respond()
 
         def log_message(self, fmt, *args):
-            logger.debug(fmt, *args)
+            if logger.isEnabledFor(logging.DEBUG):
+                line = _PATH_SECRET.sub(lambda m: "{%s}" % m.lastgroup, fmt % args)
+                logger.debug("%s", line)
 
     return Handler
 

@@ -12,6 +12,7 @@ import re
 import secrets
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Optional
@@ -145,8 +146,12 @@ class SessionStore:
     """Thread-safe session registry with token and cookie indexes.
 
     Sessions expire `ttl_s` after creation; expiry is applied lazily on
-    every lookup so dead tokens can never resolve. An optional seeded rng
-    makes every generated id, cookie and token reproducible.
+    every lookup so dead tokens can never resolve. Every session has the
+    same TTL and the clock is read under the lock, so creation order is
+    expiry order: expiry pops sessions from the front of the registry and
+    costs O(1) per call, however many sessions are live. The clock must
+    not run backwards. An optional seeded rng makes every generated id,
+    cookie and token reproducible.
     """
 
     def __init__(
@@ -170,20 +175,45 @@ class SessionStore:
         self._rng = rng
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
-        self._sessions: dict[str, Session] = {}
+        # Both registries are kept in the order their entries started, and
+        # expire from the front. OrderedDict rather than dict: a plain dict
+        # leaves a hole per deleted entry until it resizes, and finding its
+        # first entry skips every hole, which makes front pops O(n).
+        self._sessions: OrderedDict[str, Session] = OrderedDict()
         self._token_index: dict[str, str] = {}
         self._cookie_index: dict[str, str] = {}
-        self._lookup_windows: dict[str, tuple[float, int]] = {}
+        # source -> (window start, lookups in the window), by window start.
+        self._lookup_windows: OrderedDict[str, tuple[float, int]] = OrderedDict()
 
     # -- internal helpers, caller must hold the lock --
 
     def _expire_locked(self, now: float) -> None:
-        dead = [sid for sid, s in self._sessions.items() if now - s.created_at > self.ttl_s]
-        for sid in dead:
-            s = self._sessions.pop(sid)
+        # Updates reassign an existing key, which keeps its position.
+        sessions = self._sessions
+        while sessions:
+            s = next(iter(sessions.values()))
+            if now - s.created_at <= self.ttl_s:
+                return
+            sessions.popitem(last=False)
             if s.token is not None:
                 self._token_index.pop(s.token.digits, None)
             self._cookie_index.pop(s.cookie.value, None)
+
+    def _count_lookup_locked(self, source: str, now: float) -> None:
+        # Ended windows leave from the front, so a source whose window
+        # ended starts a new one at the back: the order stays start order.
+        windows = self._lookup_windows
+        while windows:
+            start, _ = next(iter(windows.values()))
+            if now - start < 1.0:
+                break
+            windows.popitem(last=False)
+        window_start, count = windows.get(source, (now, 0))
+        count += 1
+        windows[source] = (window_start, count)
+        if count > self.lookup_rate_limit:
+            raise RateLimited(f"token lookups from {source!r} exceed "
+                              f"{self.lookup_rate_limit}/s")
 
     def _replace_locked(self, session: Session, **changes) -> Session:
         updated = replace(session, **changes)
@@ -213,8 +243,8 @@ class SessionStore:
     ) -> Session:
         if not username:
             raise ValueError("username must be non-empty")
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             self._expire_locked(now)
             while True:
                 sid = draw_cookie_value(self._rng)
@@ -246,8 +276,8 @@ class SessionStore:
         The token is unique among live sessions; a collision with one is
         redrawn, never reused.
         """
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             session = self._get_locked(session_id, now)
             self._check_transition(session, SessionState.LINK_SENT)
             while True:
@@ -260,37 +290,30 @@ class SessionStore:
 
     def resolve_token(self, digits: str, *, source: str | None = None) -> Session | None:
         """Look up the live session behind a token, rate limited per source."""
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             if source is not None:
-                window_start, count = self._lookup_windows.get(source, (now, 0))
-                if now - window_start >= 1.0:
-                    window_start, count = now, 0
-                count += 1
-                self._lookup_windows[source] = (window_start, count)
-                if count > self.lookup_rate_limit:
-                    raise RateLimited(f"token lookups from {source!r} exceed "
-                                      f"{self.lookup_rate_limit}/s")
+                self._count_lookup_locked(source, now)
             self._expire_locked(now)
             sid = self._token_index.get(digits)
             return self._sessions.get(sid) if sid is not None else None
 
     def get(self, session_id: str) -> Session | None:
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             self._expire_locked(now)
             return self._sessions.get(session_id)
 
     def find_by_cookie(self, cookie_value: str) -> Session | None:
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             self._expire_locked(now)
             sid = self._cookie_index.get(cookie_value)
             return self._sessions.get(sid) if sid is not None else None
 
     def mark_awaiting_photo(self, session_id: str) -> Session:
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             session = self._get_locked(session_id, now)
             if session.state is SessionState.AWAITING_PHOTO:
                 return session
@@ -298,15 +321,15 @@ class SessionStore:
             return self._replace_locked(session, state=SessionState.AWAITING_PHOTO)
 
     def authorize(self, session_id: str) -> Session:
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             session = self._get_locked(session_id, now)
             self._check_transition(session, SessionState.AUTHORIZED)
             return self._replace_locked(session, state=SessionState.AUTHORIZED)
 
     def deny(self, session_id: str) -> Session:
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             session = self._get_locked(session_id, now)
             self._check_transition(session, SessionState.DENIED)
             return self._replace_locked(session, state=SessionState.DENIED)
@@ -317,8 +340,8 @@ class SessionStore:
         A retake caused by multiple detected address bars marks the
         session as phishing-warned.
         """
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             session = self._get_locked(session_id, now)
             if session.state is not SessionState.AWAITING_PHOTO:
                 raise InvalidState(f"retake requires awaiting-photo, session is {session.state.value}")
@@ -335,8 +358,8 @@ class SessionStore:
             )
 
     def live_count(self) -> int:
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             self._expire_locked(now)
             return len(self._sessions)
 

@@ -1,16 +1,21 @@
+import http.client
 import json
+import logging
+import socket
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from photoauth.decision import SAME_BROWSER_HINT
+from photoauth.decision import SAME_BROWSER_HINT, AuthRequest
 from photoauth.service import (
     App,
     Config,
     ENV_PORT,
     ENV_SEED,
+    MAX_BODY_BYTES,
+    NOTIFICATION_BACKLOG,
     WireRequest,
     WireResponse,
     _make_handler,
@@ -202,6 +207,35 @@ class TestLoginEndpoint:
         app = make_app()
         assert "notification" not in login(app).body
 
+    def test_notification_is_the_callers_own(self):
+        app = make_app(expose_notifications=True, users={"bob": "sms", "alice": "push"})
+        handle_auth_request = app.engine.handle_auth_request
+
+        def with_another_login_in_between(request):
+            decision = handle_auth_request(request)
+            handle_auth_request(AuthRequest("alice", None, PHONE))
+            return decision
+
+        app.engine.handle_auth_request = with_another_login_in_between
+        response = login(app)
+        assert response.body["notification"] == {
+            "preference": "sms",
+            "link": "microsoft.com" + response.body["link"],
+        }
+
+    def test_app_keeps_a_bounded_number_of_notifications(self):
+        app = make_app()
+        for _ in range(10_000):
+            assert login(app).status == 200
+        assert len(app.engine.outbox) <= NOTIFICATION_BACKLOG
+
+    @pytest.mark.parametrize("body", [[1], "x", 3, None])
+    def test_non_object_body(self, body):
+        # None is JSON null; an absent body reaches the app as None too.
+        response = make_app().handle(WireRequest("POST", "/login", body=body, source_address=PC))
+        assert response.status == 400
+        assert response.body["reason"] == ("missing-username" if body is None else "bad-body")
+
 
 class TestClickEndpoint:
     def test_unknown_token(self):
@@ -362,6 +396,19 @@ class TestMisc:
         assert {"method": "POST", "path": "/login", "status": 200,
                 "body_status": "link-sent"} in entries
 
+    def test_logs_route_templates(self, caplog):
+        app = make_app()
+        with caplog.at_level("INFO", logger="photoauth.service"):
+            first = login(app)
+            digits = first.body["link"].rsplit("/", 1)[-1]
+            click(app, digits)
+            submit_photo(app, digits, photo_dict("microsoft.com"))
+            app.handle(WireRequest("GET", f"/session/{first.body['session_id']}/status"))
+            app.handle(WireRequest("POST", f"/c/{digits}"))
+        paths = [json.loads(r.message)["path"] for r in caplog.records]
+        assert paths == ["/login", "/c/{token}", "/c/{token}/photo",
+                         "/session/{id}/status", None]
+
     def test_response_bytes_are_canonical_json(self):
         response = WireResponse(200, {"b": 1, "a": 2})
         assert response.to_bytes() == b'{"a":2,"b":1}'
@@ -395,17 +442,49 @@ class TestReplayDeterminism:
 
 class TestHttpShell:
     @pytest.fixture()
-    def server(self):
+    def live(self):
+        """The app and the port of a threaded HTTP server in front of it."""
         from http.server import ThreadingHTTPServer
 
         app = make_app(seed=33)
         httpd = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(app))
-        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         thread.start()
-        yield f"http://127.0.0.1:{httpd.server_address[1]}"
+        yield app, httpd.server_address[1]
         httpd.shutdown()
         httpd.server_close()
         thread.join(timeout=5)
+
+    @pytest.fixture()
+    def server(self, live):
+        return f"http://127.0.0.1:{live[1]}"
+
+    @pytest.fixture()
+    def conn(self, live):
+        conn = http.client.HTTPConnection("127.0.0.1", live[1], timeout=5)
+        yield conn
+        conn.close()
+
+    @staticmethod
+    def exchange(conn, method, path, body=None, headers=None):
+        conn.request(method, path, body=body, headers=headers or {})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read()), response
+
+    @staticmethod
+    def raw_exchange(port, request: bytes) -> bytes:
+        """Send raw bytes and read until the server closes the connection.
+
+        Fails with a timeout if the server keeps the connection open.
+        """
+        with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+            sock.sendall(request)
+            chunks = []
+            while chunk := sock.recv(4096):
+                chunks.append(chunk)
+        return b"".join(chunks)
 
     def request(self, url, method="GET", body=None, headers=None):
         data = json.dumps(body).encode() if body is not None else None
@@ -462,3 +541,88 @@ class TestHttpShell:
     def test_unknown_route_over_http(self, server):
         status, body, _ = self.request(f"{server}/it-does-not-exist")
         assert status == 404
+
+    def test_keep_alive_reuses_the_connection(self, conn):
+        status, body, _ = self.exchange(conn, "POST", "/login", json.dumps({"username": "bob"}))
+        assert status == 200
+        sock = conn.sock
+        assert sock is not None  # http.client drops a socket the server will close
+        status, _, response = self.exchange(conn, "GET", f"/session/{body['session_id']}/status")
+        assert status == 200
+        assert response.getheader("Connection") is None
+        assert conn.sock is sock
+
+    def test_connection_close_is_honoured(self, live):
+        reply = self.raw_exchange(
+            live[1], b"GET /nope HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
+        )
+        assert reply.startswith(b"HTTP/1.1 404 ")
+        assert b"\r\nConnection: close\r\n" in reply
+
+    def test_bad_bodies_answer_and_keep_the_connection(self, conn):
+        sock = None
+        for payload, reason in [
+            (b"[1]", "bad-body"),
+            (b'"x"', "bad-body"),
+            (b"3", "bad-body"),
+            (b"{not json", "bad-json"),
+            (b"\xff\xfe", "bad-json"),
+            (b"[" * 20_000, "bad-json"),
+        ]:
+            status, body, _ = self.exchange(conn, "POST", "/login", payload)
+            assert (status, body["reason"]) == (400, reason)
+            assert conn.sock is not None
+            assert sock is None or conn.sock is sock
+            sock = conn.sock
+        status, body, _ = self.exchange(conn, "POST", "/login", json.dumps({"username": "bob"}))
+        assert status == 200 and body["status"] == "link-sent"
+        assert conn.sock is sock
+
+    @pytest.mark.parametrize(
+        "headers, status, reason",
+        [
+            ("Content-Length: abc", 400, "bad-content-length"),
+            ("Content-Length: -5", 400, "bad-content-length"),
+            ("Content-Length: \u00b2", 400, "bad-content-length"),
+            (f"Content-Length: {MAX_BODY_BYTES + 1}", 413, "body-too-large"),
+            ("Transfer-Encoding: chunked", 411, "length-required"),
+        ],
+    )
+    def test_unframed_bodies_answer_and_close(self, live, headers, status, reason):
+        # No body follows: a server that tried to read it would time out.
+        reply = self.raw_exchange(
+            live[1], f"POST /login HTTP/1.1\r\nHost: x\r\n{headers}\r\n\r\n".encode("latin-1")
+        )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["reason"] == reason
+
+    def test_unhandled_error_answers_500(self, live, conn, monkeypatch):
+        app, _ = live
+
+        def broken(req, digits):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(app, "_click", broken)
+        status, body, _ = self.exchange(conn, "GET", "/c/1234567890")
+        assert (status, body["reason"]) == (500, "internal-error")
+        status, _, _ = self.exchange(conn, "GET", "/nope")
+        assert status == 404
+
+    def test_no_token_or_session_id_reaches_the_log(self, live, conn, caplog):
+        secrets = []
+        with caplog.at_level(logging.DEBUG, logger="photoauth.service"):
+            for _ in range(3):
+                _, body, _ = self.exchange(conn, "POST", "/login",
+                                           json.dumps({"username": "bob"}))
+                digits = body["link"].rsplit("/", 1)[-1]
+                secrets += [digits, body["session_id"]]
+                self.exchange(conn, "GET", f"/c/{digits}")
+                self.exchange(conn, "POST", f"/c/{digits}/photo",
+                              json.dumps(photo_dict("microsoft.com")))
+                self.exchange(conn, "GET", f"/session/{body['session_id']}/status")
+                self.exchange(conn, "GET", f"/c/{digits}/nope")
+        messages = [r.getMessage() for r in caplog.records]
+        assert any("/c/{token}" in m for m in messages)
+        assert not [m for m in messages for secret in secrets if secret in m]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import threading
 
 import pytest
@@ -249,6 +250,40 @@ class TestExpiry:
         with pytest.raises(ValueError):
             make_store(ttl_s=0.0)
 
+    def test_expiry_order_survives_state_changes(self):
+        clock = FakeClock()
+        store = make_store(clock=clock, ttl_s=10.0)
+        a = store.issue_short_link(store.create_session("alice", Preference.SMS).id)
+        clock.advance(5.0)
+        b = store.issue_short_link(store.create_session("bob", Preference.SMS).id)
+        store.authorize(a.id)  # rewrites A after B was created
+        clock.advance(6.0)  # A is 11 s old, B 6 s
+        assert store.get(a.id) is None
+        assert store.resolve_token(a.token.digits) is None
+        assert store.find_by_cookie(a.cookie.value) is None
+        assert store.get(b.id) == b
+        assert store.resolve_token(b.token.digits) == b
+        assert store.find_by_cookie(b.cookie.value) == b
+        assert store.live_count() == 1
+        assert store.check_token_index()
+
+    def test_bulk_expiry_pops_exactly_the_older_sessions(self):
+        clock = FakeClock()
+        store = make_store(clock=clock, ttl_s=10_000.0)
+        created = []
+        for i in range(10_000):
+            s = store.create_session(f"user{i}", Preference.SMS)
+            if i % 2:
+                s = store.issue_short_link(s.id)
+            created.append(s)
+            clock.advance(1.0)
+        # Now 11000 + 2500.5: sessions created before 3500.5 (i <= 2500) are dead.
+        clock.advance(2500.5)
+        assert store.live_count() == 10_000 - 2501
+        live = [s for s in created if store.get(s.id) is not None]
+        assert live == created[2501:]
+        assert store.check_token_index()
+
 
 class TestRateLimit:
     def test_eleventh_lookup_in_one_second_is_limited(self):
@@ -278,6 +313,38 @@ class TestRateLimit:
         store = make_store(lookup_rate_limit=1)
         for _ in range(50):
             store.resolve_token("0" * 10)
+
+    def test_ended_windows_are_dropped(self):
+        clock = FakeClock()
+        store = make_store(clock=clock)
+        for i in range(10_000):
+            store.resolve_token("0" * 10, source=f"10.0.{i // 256}.{i % 256}")
+        clock.advance(0.5)
+        store.resolve_token("0" * 10, source="203.0.113.1")
+        clock.advance(0.5)
+        store.resolve_token("0" * 10, source="203.0.113.2")
+        # The store keeps no other record of sources; this is its memory.
+        assert set(store._lookup_windows) == {"203.0.113.1", "203.0.113.2"}
+
+    def test_limiter_matches_a_limiter_that_forgets_nothing(self):
+        """Random traffic gets the verdicts of the one-entry-per-source limiter."""
+        rng = random.Random(5)
+        clock = FakeClock()
+        store = make_store(clock=clock, lookup_rate_limit=3)
+        windows = {}
+        for _ in range(5000):
+            clock.advance(rng.choice([0.0, 0.0, 0.05, 0.3, 1.0]))
+            source = f"198.51.100.{rng.randrange(12)}"
+            start, count = windows.get(source, (clock.t, 0))
+            if clock.t - start >= 1.0:
+                start, count = clock.t, 0
+            windows[source] = (start, count + 1)
+            try:
+                store.resolve_token("0" * 10, source=source)
+                limited = False
+            except RateLimited:
+                limited = True
+            assert limited == (count + 1 > 3)
 
 
 class TestUniqueness:
@@ -344,3 +411,42 @@ class TestConcurrency:
         assert not errors
         assert store.live_count() == 8 * 200
         assert store.check_token_index()
+
+    def test_parallel_creation_expires_in_time_order(self):
+        class TickClock:
+            """One distinct, larger reading per call, until frozen."""
+
+            def __init__(self):
+                self.ticks = itertools.count()
+                self.frozen_at = None
+
+            def __call__(self):
+                return float(next(self.ticks)) if self.frozen_at is None else self.frozen_at
+
+        n_threads, per_thread = 8, 500
+        n = n_threads * per_thread
+        clock = TickClock()
+        store = SessionStore(SERVER, clock=clock, ttl_s=float(n))  # none expire while created
+        created = []
+
+        def worker():
+            for _ in range(per_thread):
+                created.append(store.create_session("bob", Preference.SMS))
+
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside the store too
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        # Readings 0..n-1 went to the n creations; expire the older half.
+        clock.frozen_at = n + n / 2 - 0.5
+        dead = {s.id for s in created if s.created_at < n / 2 - 0.5}
+        assert len(dead) == n // 2
+        assert {s.id for s in created if store.get(s.id) is None} == dead
+        assert store.live_count() == n // 2
