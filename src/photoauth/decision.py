@@ -17,7 +17,7 @@ Implements the full login flow:
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, MutableSequence, Optional
 
@@ -96,6 +96,13 @@ class DecisionKind(Enum):
 
 @dataclass(frozen=True)
 class AuthDecision:
+    """What the engine decided.
+
+    A `LINK_SENT` decision also carries what the login response needs from
+    the new session: its short-link token digits, cookie value and the
+    user's notification preference.
+    """
+
     kind: DecisionKind
     reason: Optional[str] = None
     session_id: Optional[str] = None
@@ -103,6 +110,9 @@ class AuthDecision:
     message: Optional[str] = None
     warning: bool = False
     retakes_left: Optional[int] = None
+    token_digits: Optional[str] = None
+    cookie: Optional[str] = field(default=None, repr=False)
+    preference: Optional[Preference] = None
 
 
 @dataclass(frozen=True)
@@ -188,7 +198,14 @@ class AuthEngine:
                 session_id=session.id,
             )
         )
-        return AuthDecision(DecisionKind.LINK_SENT, session_id=session.id, link=link)
+        return AuthDecision(
+            DecisionKind.LINK_SENT,
+            session_id=session.id,
+            link=link,
+            token_digits=session.token.digits,
+            cookie=session.cookie.value,
+            preference=preference,
+        )
 
     def _colocated(self, click: LinkClick, session: Session) -> bool:
         mode = self.policy.mode

@@ -11,9 +11,13 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 HOSTNAME_MAX_LEN = 253
 LABEL_MAX_LEN = 63
+# Parsed hostnames kept by `extract_hostname`. A handful of names recur on
+# every photo; a bound keeps attacker-chosen OCR text from growing memory.
+HOSTNAME_CACHE_SIZE = 256
 
 _LDH_LABEL = re.compile(r"^[a-z0-9-]+$")
 _SCHEME = re.compile(r"^[a-z][a-z0-9+.-]*://", re.IGNORECASE)
@@ -163,12 +167,17 @@ def _parse_token(token: str) -> DomainName:
     return DomainName(labels=labels, original_text=raw)
 
 
+@lru_cache(maxsize=HOSTNAME_CACHE_SIZE)
 def extract_hostname(text: str) -> DomainName:
     """Pull a canonical hostname out of address-bar text.
 
     Strips scheme, userinfo, port, path, query and fragment, lowercases,
     and punycodes each label. When the text contains several whitespace
     separated tokens the first one that parses as a hostname wins.
+
+    Results are cached (`HOSTNAME_CACHE_SIZE` entries, least recently used
+    dropped first); they are frozen, so callers share them safely.
+    Exceptions are not cached.
 
     Raises:
         NoHostname: nothing parseable remains.
@@ -195,9 +204,10 @@ def domains_equal(found: DomainName, accepted: frozenset[DomainName] | set[Domai
 
     Label sequences must be identical; "www.example.com" and
     "example.com" are different names, so servers that answer on both
-    must register both.
+    must register both. Names hash and compare by labels alone, so this
+    is set membership.
     """
-    return any(found.labels == d.labels for d in accepted)
+    return found in accepted
 
 
 def load_confusable_rules(path: str) -> dict[str, str]:

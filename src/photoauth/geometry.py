@@ -7,8 +7,8 @@ not pixel grids.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import isfinite
 
 
 class BoxOutOfBounds(ValueError):
@@ -25,13 +25,14 @@ class BoundingBox:
     height: float
 
     def __post_init__(self):
-        for v in (self.x, self.y, self.width, self.height):
-            if not math.isfinite(v):
-                raise ValueError(f"box coordinates must be finite, got {v!r}")
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"box position must be non-negative, got ({self.x}, {self.y})")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"box size must be positive, got {self.width}x{self.height}")
+        x, y, w, h = self.x, self.y, self.width, self.height
+        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
+            bad = next(v for v in (x, y, w, h) if not isfinite(v))
+            raise ValueError(f"box coordinates must be finite, got {bad!r}")
+        if x < 0 or y < 0:
+            raise ValueError(f"box position must be non-negative, got ({x}, {y})")
+        if w <= 0 or h <= 0:
+            raise ValueError(f"box size must be positive, got {w}x{h}")
 
     @property
     def right(self) -> float:
@@ -43,11 +44,12 @@ class BoundingBox:
 
     def contains(self, other: "BoundingBox") -> bool:
         """True when `other` lies entirely inside this box."""
+        x, y, ox, oy = self.x, self.y, other.x, other.y
         return (
-            other.x >= self.x
-            and other.y >= self.y
-            and other.right <= self.right
-            and other.bottom <= self.bottom
+            ox >= x
+            and oy >= y
+            and ox + other.width <= x + self.width
+            and oy + other.height <= y + self.height
         )
 
 
@@ -61,9 +63,11 @@ class Resolution:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"resolution must be positive, got {self.width}x{self.height}")
+        # Built once: every photo and layout checks its boxes against it.
+        object.__setattr__(self, "_bounds", BoundingBox(0, 0, float(self.width), float(self.height)))
 
     def bounds(self) -> BoundingBox:
-        return BoundingBox(0, 0, float(self.width), float(self.height))
+        return self._bounds
 
 
 def area(box: BoundingBox) -> float:
@@ -73,9 +77,16 @@ def area(box: BoundingBox) -> float:
 
 def intersection_area(a: BoundingBox, b: BoundingBox) -> float:
     """Area of the overlap between two boxes, 0.0 when disjoint."""
-    dx = min(a.right, b.right) - max(a.x, b.x)
-    dy = min(a.bottom, b.bottom) - max(a.y, b.y)
-    if dx <= 0 or dy <= 0:
+    # min/max written out, each keeping the builtin's choice on ties.
+    ax, bx = a.x, b.x
+    ar, br = ax + a.width, bx + b.width
+    dx = (br if br < ar else ar) - (bx if bx > ax else ax)
+    if dx <= 0:
+        return 0.0
+    ay, by = a.y, b.y
+    ab, bb = ay + a.height, by + b.height
+    dy = (bb if bb < ab else ab) - (by if by > ay else ay)
+    if dy <= 0:
         return 0.0
     return dx * dy
 

@@ -215,23 +215,21 @@ class App:
             return WireResponse(200, {"status": "authorized", "session_id": decision.session_id})
         if decision.kind is DecisionKind.BAD_REQUEST:
             return WireResponse(400, {"status": "error", "reason": decision.reason})
-        assert decision.kind is DecisionKind.LINK_SENT and decision.session_id is not None
-        session = self.store.get(decision.session_id)
-        assert session is not None and session.token is not None
+        assert decision.kind is DecisionKind.LINK_SENT and decision.preference is not None
         payload = {
             "status": "link-sent",
             "session_id": decision.session_id,
-            "link": f"/c/{session.token.digits}",
+            "link": f"/c/{decision.token_digits}",
         }
         if self.config.expose_notifications:
             payload["notification"] = {
-                "preference": session.preference.value,
+                "preference": decision.preference.value,
                 "link": decision.link,
             }
         return WireResponse(
             200,
             payload,
-            headers={"Set-Cookie": f"auth={session.cookie.value}; Path=/; HttpOnly"},
+            headers={"Set-Cookie": f"auth={decision.cookie}; Path=/; HttpOnly"},
         )
 
     def _click(self, req: WireRequest, digits: str) -> WireResponse:

@@ -285,9 +285,8 @@ class World:
         )
         if decision.session_id:
             self.owners.setdefault(decision.session_id, owner)
-            session = self.store.get(decision.session_id)
-            if session is not None and decision.kind is DecisionKind.LINK_SENT:
-                browser.jar.store(self.server_name, session.cookie.value)
+            if decision.kind is DecisionKind.LINK_SENT:
+                browser.jar.store(self.server_name, decision.cookie)
                 self.log.emit(
                     self.clock.tick(), SERVER, browser.name, UNSAFE, "set-cookie",
                     {"origin": self.server_name},
@@ -314,17 +313,16 @@ class World:
         )
         if decision.session_id:
             self.owners.setdefault(decision.session_id, ADVERSARY)
-            session = self.store.get(decision.session_id)
-            if session is not None and decision.kind is DecisionKind.LINK_SENT:
+            if decision.kind is DecisionKind.LINK_SENT:
                 # The server's cookie lands in the proxy's jar under the real
                 # origin, then gets replayed to the victim who stores it under
                 # the fake origin.
-                proxy.jar.store(self.upstream_name(proxy), session.cookie.value)
+                proxy.jar.store(self.upstream_name(proxy), decision.cookie)
                 self.log.emit(
                     self.clock.tick(), SERVER, PROXY, UNSAFE, "set-cookie",
                     {"origin": self.upstream_name(proxy)},
                 )
-                browser.jar.store(proxy.fake_domain, session.cookie.value)
+                browser.jar.store(proxy.fake_domain, decision.cookie)
                 self.log.emit(
                     self.clock.tick(), PROXY, browser.name, UNSAFE, "set-cookie",
                     {"origin": proxy.fake_domain,

@@ -194,10 +194,18 @@ DEFAULT_CONFUSABLE_RULES: dict[str, str] = {"o": "0", "l": "1"}
 
 
 def _clamp_box(x: float, y: float, w: float, h: float, res: Resolution) -> BoundingBox:
-    w = min(max(w, 1.0), float(res.width))
-    h = min(max(h, 1.0), float(res.height))
-    x = min(max(x, 0.0), res.width - w)
-    y = min(max(y, 0.0), res.height - h)
+    # min(max(v, lo), hi) written out, each keeping the builtin's choice on ties.
+    rw, rh = float(res.width), float(res.height)
+    w = 1.0 if 1.0 > w else w
+    w = rw if rw < w else w
+    h = 1.0 if 1.0 > h else h
+    h = rh if rh < h else h
+    x = 0.0 if 0.0 > x else x
+    x_max = rw - w
+    x = x_max if x_max < x else x
+    y = 0.0 if 0.0 > y else y
+    y_max = rh - h
+    y = y_max if y_max < y else y
     return BoundingBox(x, y, w, h)
 
 
@@ -305,20 +313,21 @@ def apply_ocr_noise(text: str, ocr: OcrModel, theme: Theme, rng: random.Random) 
     """
     if ocr.oracle:
         return text
-    u_dot = rng.random()
+    draw = rng.random
+    u_dot = draw()
     if theme is Theme.DARK and text.startswith("www.") and u_dot < ocr.dot_drop_rate_dark:
         text = "www" + text[4:]
-    out = []
-    for ch in text:
-        u = rng.random()
-        if u < ocr.sub_rate:
+    sub_rate = ocr.sub_rate
+    out = None  # a copy of `text`, made on the first substitution
+    for i, ch in enumerate(text):
+        if draw() < sub_rate:
+            if out is None:
+                out = list(text)
             choices = CONFUSION_MAP.get(ch)
             if choices is None:
                 choices = _FALLBACK_ALPHABET.replace(ch, "")
-            out.append(choices[rng.randrange(len(choices))])
-        else:
-            out.append(ch)
-    return "".join(out)
+            out[i] = choices[rng.randrange(len(choices))]
+    return text if out is None else "".join(out)
 
 
 def _detect_bar(

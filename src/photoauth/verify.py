@@ -28,6 +28,8 @@ class TextRegion:
     text: str
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise ValueError(f"text region text must be a string, got {type(self.text).__name__}")
         if not self.text:
             raise ValueError("text region must carry non-empty text")
 
@@ -154,9 +156,10 @@ def verify_photo(
 
     Multiple detected bars ask for a retake and flag possible phishing;
     an unreadable photo asks for a plain retake. A readable photo either
-    matches or exposes the domain actually visited.
+    matches or exposes the domain actually visited. A set or frozenset
+    `accept_set` is used as passed; any other iterable is copied.
     """
-    accepted = set(accept_set)
+    accepted = accept_set if isinstance(accept_set, (set, frozenset)) else frozenset(accept_set)
     outcome = extract_domain(analysis, cfg)
     if outcome.kind is ExtractionKind.MULTIPLE_ADDRESS_BARS:
         return VerifyResult(
@@ -216,7 +219,7 @@ def analysis_from_dict(obj: dict) -> PhotoAnalysis:
         addrbars = tuple(
             AddressBarPrediction(_box_from(p), p["confidence"]) for p in obj["addrbars"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed photo analysis: {exc}") from exc
     return PhotoAnalysis(resolution=resolution, texts=texts, addrbars=addrbars)
 

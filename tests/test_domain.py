@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photoauth.domain import (
+    DomainError,
     DomainName,
     EncodingOverflow,
+    HOSTNAME_CACHE_SIZE,
     InvalidLabel,
     NoHostname,
     confusable_mutate,
@@ -150,6 +152,52 @@ class TestExtractHostname:
     def test_idempotence_property(self, labels):
         raw = ".".join(labels)
         assert str(extract_hostname(str(extract_hostname(raw)))) == str(extract_hostname(raw))
+
+
+def _parse_outcome(parse, text):
+    try:
+        name = parse(text)
+    except DomainError as exc:
+        return type(exc)
+    return name.labels, name.original_text
+
+
+class TestHostnameCache:
+    @given(
+        st.one_of(
+            st.text(max_size=30),
+            st.text(alphabet="abcü.:/@?#-_ ", max_size=30),
+            st.sampled_from(["microsoft.com", "bücher.de", "http://", "a..b", "x" * 64]),
+        )
+    )
+    @settings(max_examples=300)
+    def test_cached_agrees_with_uncached(self, text):
+        # Twice: the second call is the cache hit (or a repeated failure).
+        want = _parse_outcome(extract_hostname.__wrapped__, text)
+        assert _parse_outcome(extract_hostname, text) == want
+        assert _parse_outcome(extract_hostname, text) == want
+
+    def test_cache_is_bounded(self):
+        info = extract_hostname.cache_info()
+        assert info.maxsize is not None
+        assert info.maxsize == HOSTNAME_CACHE_SIZE <= 1024
+        for i in range(3 * HOSTNAME_CACHE_SIZE):
+            extract_hostname(f"host{i}.example")
+        assert extract_hostname.cache_info().currsize <= HOSTNAME_CACHE_SIZE
+
+    def test_hit_returns_the_same_frozen_name(self):
+        a = extract_hostname("https://Example.com/x")
+        assert extract_hostname("https://Example.com/x") is a
+        with pytest.raises(AttributeError):
+            a.labels = ("evil", "com")
+
+    def test_failures_are_not_cached(self):
+        before = extract_hostname.cache_info()
+        for _ in range(2):
+            with pytest.raises(InvalidLabel):
+                extract_hostname("a_b.com")
+        after = extract_hostname.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
 
 
 class TestDomainName:

@@ -16,7 +16,13 @@ from photoauth.geometry import (
     rescale_box,
 )
 
-from _oracles import pixel_cover_rate, pixel_intersection, pixel_iou
+from _oracles import (
+    pixel_cover_rate,
+    pixel_intersection,
+    pixel_iou,
+    plain_contains,
+    plain_intersection_area,
+)
 
 
 def int_box(max_pos=80, max_size=48):
@@ -113,6 +119,61 @@ class TestOverlapMetrics:
     def test_containment_means_full_cover(self, a, b):
         if b.contains(a):
             assert cover_rate(a, b) == 1.0
+
+
+# Mixed ints and floats, ties and negative zero included: the rewritten
+# arithmetic must pick the same operand as min/max on every tie.
+_coord = st.one_of(
+    st.integers(0, 2000),
+    st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+    st.floats(0, 2000, allow_nan=False, allow_infinity=False),
+)
+_size = st.one_of(
+    st.integers(1, 2000),
+    st.floats(1e-6, 2000, allow_nan=False, allow_infinity=False),
+)
+mixed_box = st.builds(BoundingBox, x=_coord, y=_coord, width=_size, height=_size)
+
+
+class TestPlainArithmeticEquivalence:
+    @given(a=mixed_box, b=mixed_box)
+    @settings(max_examples=200)
+    def test_intersection_area_matches_min_max(self, a, b):
+        # repr tells 0.0 from -0.0 and 50 from 50.0.
+        assert repr(intersection_area(a, b)) == repr(plain_intersection_area(a, b))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (BoundingBox(0, 0, 10, 10), BoundingBox(0.0, 0.0, 10.0, 10.0)),
+            (BoundingBox(0.0, 0.0, 10.0, 10.0), BoundingBox(0, 0, 10, 10)),
+            (BoundingBox(2, 3, 8, 7), BoundingBox(2.0, 1, 8.0, 9)),
+            (BoundingBox(-0.0, 0, 5, 5), BoundingBox(0.0, -0.0, 5, 5)),
+        ],
+    )
+    def test_ties_pick_what_min_and_max_pick(self, a, b):
+        assert repr(intersection_area(a, b)) == repr(plain_intersection_area(a, b))
+        assert repr(intersection_area(b, a)) == repr(plain_intersection_area(b, a))
+
+    @given(a=mixed_box, b=mixed_box)
+    @settings(max_examples=200)
+    def test_contains_matches_properties(self, a, b):
+        assert a.contains(b) == plain_contains(a, b)
+
+    def test_bounds_built_once(self):
+        res = Resolution(640, 480)
+        assert res.bounds() is res.bounds()
+        assert res.bounds() == BoundingBox(0.0, 0.0, 640.0, 480.0)
+
+    def test_invalid_box_messages_name_the_value(self):
+        with pytest.raises(ValueError, match="finite, got nan"):
+            BoundingBox(0, 0, float("nan"), 1)
+        with pytest.raises(ValueError, match=r"non-negative, got \(-1, 0\)"):
+            BoundingBox(-1, 0, 1, 1)
+        with pytest.raises(ValueError, match="positive, got 0x1"):
+            BoundingBox(0, 0, 0, 1)
+        with pytest.raises(TypeError):
+            BoundingBox(0, "1", 1, 1)
 
 
 class TestRescale:

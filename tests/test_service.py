@@ -196,6 +196,24 @@ class TestLoginEndpoint:
         )
         assert response.status == 400
 
+    def test_login_takes_two_store_calls(self):
+        app = make_app(expose_notifications=True)
+        calls = []
+        for op in ("create_session", "issue_short_link", "resolve_token", "get",
+                   "find_by_cookie", "mark_awaiting_photo", "authorize", "deny",
+                   "record_retake"):
+            def counted(*args, _op=op, _f=getattr(app.store, op), **kwargs):
+                calls.append(_op)
+                return _f(*args, **kwargs)
+            setattr(app.store, op, counted)
+        response = login(app)
+        assert calls == ["create_session", "issue_short_link"]
+        # The response still shows exactly what the store holds.
+        session = app.store.get(response.body["session_id"])
+        assert response.body["link"] == f"/c/{session.token.digits}"
+        assert response.body["notification"]["preference"] == session.preference.value
+        assert response.headers["Set-Cookie"] == f"auth={session.cookie.value}; Path=/; HttpOnly"
+
     def test_notification_exposed_when_configured(self):
         app = make_app(expose_notifications=True)
         response = login(app)
@@ -365,6 +383,31 @@ class TestPhotoEndpoint:
         app = make_app()
         _, digits = self.start_pending(app)
         response = submit_photo(app, digits, {"resolution": {"w": 10}})
+        assert response.status == 400
+        assert response.body["reason"].startswith("bad-analysis")
+
+    @pytest.mark.parametrize("text", [5, ["a"], {}, True, None])
+    def test_non_string_text_is_a_bad_analysis(self, text):
+        app = make_app()
+        _, digits = self.start_pending(app)
+        body = photo_dict("microsoft.com")
+        for region in body["texts"]:
+            region["text"] = text
+        response = submit_photo(app, digits, body)
+        assert isinstance(response, WireResponse)
+        assert response.status == 400
+        assert response.body["reason"].startswith("bad-analysis")
+
+    @pytest.mark.parametrize("where", ["resolution", "box"])
+    def test_integer_too_large_for_a_float_is_a_bad_analysis(self, where):
+        app = make_app()
+        _, digits = self.start_pending(app)
+        body = photo_dict("microsoft.com")
+        if where == "resolution":
+            body["resolution"]["w"] = 10**400
+        else:
+            body["texts"][0]["x"] = 10**400
+        response = submit_photo(app, digits, body)
         assert response.status == 400
         assert response.body["reason"].startswith("bad-analysis")
 

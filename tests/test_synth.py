@@ -1,7 +1,10 @@
 import json
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photoauth.domain import extract_hostname
 from photoauth.geometry import Resolution, cover_rate, intersection_area
@@ -21,6 +24,7 @@ from photoauth.synth import (
     OcrModel,
     ORACLE_PROFILE,
     Theme,
+    _clamp_box,
     apply_ocr_noise,
     char_errors,
     evaluate_corpus,
@@ -39,6 +43,8 @@ from photoauth.verify import (
     analysis_from_dict,
     verify_photo,
 )
+
+from _oracles import plain_clamp_box, plain_ocr_noise
 
 CFG = VerifyConfig()
 CORPUS_ACCEPT = frozenset(extract_hostname(d) for d in DOMAIN_CORPUS)
@@ -206,6 +212,53 @@ class TestOcrChannel:
             AddrbarModel(miss_prob=-0.1)
         with pytest.raises(ValueError):
             AddrbarModel(jitter_px=-1.0)
+
+
+_rate = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestOcrChannelEquivalence:
+    """`apply_ocr_noise` against the plain per-character loop it replaced."""
+
+    @given(
+        text=st.one_of(st.text(max_size=40), st.text(max_size=20).map(lambda t: "www." + t)),
+        sub_rate=_rate,
+        dot_drop=_rate,
+        oracle=st.booleans(),
+        theme=st.sampled_from(list(Theme)),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=200)
+    def test_same_output_and_same_draws(self, text, sub_rate, dot_drop, oracle, theme, seed):
+        ocr = OcrModel(oracle=oracle, sub_rate=sub_rate, dot_drop_rate_dark=dot_drop)
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got = apply_ocr_noise(text, ocr, theme, got_rng)
+        want = plain_ocr_noise(text, ocr, theme, want_rng)
+        assert got == want
+        assert got_rng.getstate() == want_rng.getstate()
+
+    def test_no_substitution_returns_the_input(self):
+        text = "login.live.com"
+        ocr = OcrModel(oracle=False)
+        assert apply_ocr_noise(text, ocr, Theme.LIGHT, random.Random(0)) is text
+
+
+class TestClampEquivalence:
+    @given(
+        x=st.floats(-3000, 5000),
+        y=st.floats(-3000, 5000),
+        w=st.one_of(st.sampled_from([0.0, 1.0, 640.0]), st.floats(-10, 5000)),
+        h=st.one_of(st.sampled_from([0.0, 1.0, 480.0]), st.floats(-10, 5000)),
+        res=st.builds(Resolution, st.integers(1, 4000), st.integers(1, 4000)),
+    )
+    @settings(max_examples=200)
+    def test_same_box_as_min_max(self, x, y, w, h, res):
+        assert repr(_clamp_box(x, y, w, h, res)) == repr(plain_clamp_box(x, y, w, h, res))
+
+    def test_ties_keep_the_first_operand(self):
+        res = Resolution(640, 480)
+        for args in [(-0.0, 0.0, 1.0, 1.0), (0.0, -0.0, 640, 480), (10, 10, 1, 1)]:
+            assert repr(_clamp_box(*args, res)) == repr(plain_clamp_box(*args, res))
 
 
 class TestNoisyOutcomes:
@@ -379,6 +432,43 @@ class TestCorpusEvaluation:
         assert obj["precision"] == pytest.approx(8 / 9)
         assert obj["recall"] == pytest.approx(8 / 9)
         assert obj["retake_rate"] == pytest.approx(0.2)
+
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "golden_corpus.json")
+
+
+class TestGoldenCorpus:
+    """The benchmark's recorded counts, reproduced from `evaluate_corpus`.
+
+    Cycle k of seed s is a one-item corpus with seed s * 10**6 + k whose
+    domain list is rotated to start at domain k mod 3, as the corpus
+    workload runs it. A change in any random draw or verdict of the
+    generate -> detect -> verify cycle shows here as a count mismatch.
+    """
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        with open(GOLDEN_PATH, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize("seed", [0, 101, 255])
+    def test_counts_reproduce(self, golden, seed):
+        domains = tuple(golden["domains"])
+        rotations = [
+            GeneratorParams(domains=domains[i:] + domains[:i]) for i in range(len(domains))
+        ]
+        accept_set = frozenset(extract_hostname(d) for d in domains)
+        got = {"tp": 0, "fp": 0, "fn": 0, "retakes": 0}
+        for k in range(golden["cycles"]):
+            counts = evaluate_corpus(
+                1, rotations[k % len(domains)], DEFAULT_NOISY_PROFILE, CFG, accept_set,
+                seed=seed * 10**6 + k,
+            ).counts
+            got["tp"] += counts.true_positives
+            got["fp"] += counts.false_positives
+            got["fn"] += counts.false_negatives
+            got["retakes"] += counts.retakes
+        assert got == golden["counts"][str(seed)]
 
 
 class TestExport:

@@ -37,6 +37,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             TextRegion(URL_BOX, "")
 
+    @pytest.mark.parametrize("text", [5, ["a"], {}, True, None, b"microsoft.com"])
+    def test_text_region_needs_a_string(self, text):
+        with pytest.raises(ValueError):
+            TextRegion(URL_BOX, text)
+
     def test_confidence_range(self):
         with pytest.raises(ValueError):
             AddressBarPrediction(BAR, 1.5)
@@ -154,6 +159,14 @@ class TestVerifyPhoto:
         assert result.kind is VerdictKind.RETAKE
         assert result.reason == RETAKE_UNREADABLE
         assert not result.warn_phishing
+
+    @pytest.mark.parametrize("container", [set, frozenset, list, tuple, iter])
+    def test_accept_set_any_iterable(self, container):
+        analysis = make_analysis(
+            [TextRegion(URL_BOX, "microsoft.com")], [AddressBarPrediction(BAR, 0.95)]
+        )
+        names = container([extract_hostname("example.com"), extract_hostname("microsoft.com")])
+        assert verify_photo(analysis, names).kind is VerdictKind.MATCH
 
     def test_accept_set_with_multiple_names(self):
         analysis = make_analysis(
