@@ -12,12 +12,17 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterable
 
 HOSTNAME_MAX_LEN = 253
 LABEL_MAX_LEN = 63
 # Parsed hostnames kept by `extract_hostname`. A handful of names recur on
-# every photo; a bound keeps attacker-chosen OCR text from growing memory.
+# every photo. Two bounds keep attacker-chosen OCR text from growing memory:
+# the number of entries, and the length of a cached text, that of a
+# full-length hostname with "https://", ":65535" and a trailing "/" and ".".
+# Longer texts are parsed every time.
 HOSTNAME_CACHE_SIZE = 256
+HOSTNAME_CACHE_TEXT_MAX_LEN = HOSTNAME_MAX_LEN + 16
 
 _LDH_LABEL = re.compile(r"^[a-z0-9-]+$")
 _SCHEME = re.compile(r"^[a-z][a-z0-9+.-]*://", re.IGNORECASE)
@@ -167,22 +172,7 @@ def _parse_token(token: str) -> DomainName:
     return DomainName(labels=labels, original_text=raw)
 
 
-@lru_cache(maxsize=HOSTNAME_CACHE_SIZE)
-def extract_hostname(text: str) -> DomainName:
-    """Pull a canonical hostname out of address-bar text.
-
-    Strips scheme, userinfo, port, path, query and fragment, lowercases,
-    and punycodes each label. When the text contains several whitespace
-    separated tokens the first one that parses as a hostname wins.
-
-    Results are cached (`HOSTNAME_CACHE_SIZE` entries, least recently used
-    dropped first); they are frozen, so callers share them safely.
-    Exceptions are not cached.
-
-    Raises:
-        NoHostname: nothing parseable remains.
-        InvalidLabel: a label breaks LDH or length rules.
-    """
+def _parse_hostname(text: str) -> DomainName:
     tokens = text.split()
     if not tokens:
         raise NoHostname("empty text")
@@ -199,13 +189,43 @@ def extract_hostname(text: str) -> DomainName:
     raise NoHostname(f"no parseable hostname in {text!r}")
 
 
-def domains_equal(found: DomainName, accepted: frozenset[DomainName] | set[DomainName]) -> bool:
+_parse_hostname_cached = lru_cache(maxsize=HOSTNAME_CACHE_SIZE)(_parse_hostname)
+
+
+def extract_hostname(text: str) -> DomainName:
+    """Pull a canonical hostname out of address-bar text.
+
+    Strips scheme, userinfo, port, path, query and fragment, lowercases,
+    and punycodes each label. When the text contains several whitespace
+    separated tokens the first one that parses as a hostname wins.
+
+    Results for texts of at most `HOSTNAME_CACHE_TEXT_MAX_LEN` characters
+    are cached (`HOSTNAME_CACHE_SIZE` entries, least recently used dropped
+    first); they are frozen, so callers share them safely. Exceptions are
+    not cached.
+
+    Raises:
+        NoHostname: nothing parseable remains.
+        InvalidLabel: a label breaks LDH or length rules.
+    """
+    if len(text) <= HOSTNAME_CACHE_TEXT_MAX_LEN:
+        return _parse_hostname_cached(text)
+    return _parse_hostname(text)
+
+
+# The uncached parser and the cache's counters, named as `lru_cache` names them.
+extract_hostname.__wrapped__ = _parse_hostname
+extract_hostname.cache_info = _parse_hostname_cached.cache_info
+extract_hostname.cache_clear = _parse_hostname_cached.cache_clear
+
+
+def domains_equal(found: DomainName, accepted: Iterable[DomainName]) -> bool:
     """True when the found name exactly matches one of the accepted names.
 
     Label sequences must be identical; "www.example.com" and
     "example.com" are different names, so servers that answer on both
     must register both. Names hash and compare by labels alone, so this
-    is set membership.
+    is a membership test: a hash lookup when `accepted` is a set.
     """
     return found in accepted
 

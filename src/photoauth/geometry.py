@@ -64,7 +64,11 @@ class Resolution:
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"resolution must be positive, got {self.width}x{self.height}")
         # Built once: every photo and layout checks its boxes against it.
-        object.__setattr__(self, "_bounds", BoundingBox(0, 0, float(self.width), float(self.height)))
+        try:
+            bounds = BoundingBox(0, 0, float(self.width), float(self.height))
+        except (OverflowError, ValueError) as exc:
+            raise ValueError("resolution must be finite and fit a float") from exc
+        object.__setattr__(self, "_bounds", bounds)
 
     def bounds(self) -> BoundingBox:
         return self._bounds

@@ -156,10 +156,8 @@ def verify_photo(
 
     Multiple detected bars ask for a retake and flag possible phishing;
     an unreadable photo asks for a plain retake. A readable photo either
-    matches or exposes the domain actually visited. A set or frozenset
-    `accept_set` is used as passed; any other iterable is copied.
+    matches or exposes the domain actually visited.
     """
-    accepted = accept_set if isinstance(accept_set, (set, frozenset)) else frozenset(accept_set)
     outcome = extract_domain(analysis, cfg)
     if outcome.kind is ExtractionKind.MULTIPLE_ADDRESS_BARS:
         return VerifyResult(
@@ -168,7 +166,7 @@ def verify_photo(
     if outcome.kind in (ExtractionKind.NO_ADDRESS_BAR, ExtractionKind.NO_QUALIFYING_TEXT):
         return VerifyResult(VerdictKind.RETAKE, reason=RETAKE_UNREADABLE)
     assert outcome.domain is not None
-    if domains_equal(outcome.domain, accepted):
+    if domains_equal(outcome.domain, accept_set):
         return VerifyResult(VerdictKind.MATCH, found=outcome.domain)
     return VerifyResult(VerdictKind.MISMATCH, found=outcome.domain)
 

@@ -131,6 +131,13 @@ class TestServe:
         code, _, err = run_cli(capsys, "serve", "--config", str(path))
         assert code == 2
 
+    def test_resolution_too_large_for_a_float_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text('{"target_resolution": {"w": 1%s, "h": 1080}}' % ("0" * 400), encoding="utf-8")
+        code, _, err = run_cli(capsys, "serve", "--config", str(path))
+        assert code == 2
+        assert "cannot load config" in err
+
 
 class TestParser:
     def test_requires_subcommand(self):

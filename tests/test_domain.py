@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 import urllib.parse
 
 import pytest
@@ -10,6 +11,7 @@ from photoauth.domain import (
     DomainName,
     EncodingOverflow,
     HOSTNAME_CACHE_SIZE,
+    HOSTNAME_CACHE_TEXT_MAX_LEN,
     InvalidLabel,
     NoHostname,
     confusable_mutate,
@@ -190,6 +192,45 @@ class TestHostnameCache:
         assert extract_hostname("https://Example.com/x") is a
         with pytest.raises(AttributeError):
             a.labels = ("evil", "com")
+
+    def test_long_texts_are_not_cached(self):
+        text = "a.com/" + "x" * HOSTNAME_CACHE_TEXT_MAX_LEN
+        before = extract_hostname.cache_info()
+        assert str(extract_hostname(text)) == "a.com"
+        after = extract_hostname.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert extract_hostname(text).original_text == text
+
+    def test_texts_up_to_the_limit_are_cached(self):
+        text = "b.com/" + "x" * (HOSTNAME_CACHE_TEXT_MAX_LEN - 6)
+        assert len(text) == HOSTNAME_CACHE_TEXT_MAX_LEN
+        first = extract_hostname(text)
+        assert extract_hostname(text) is first
+
+    @staticmethod
+    def _retained_after(texts) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for text in texts:
+                extract_hostname(text)
+            return tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_long_valid_texts_retain_no_memory(self):
+        # Near the HTTP body limit; caching them would keep ~30 MB alive.
+        texts = (f"h{i}.com/" + "x" * 60_000 for i in range(2 * HOSTNAME_CACHE_SIZE))
+        assert self._retained_after(texts) < 256 * 1024
+
+    def test_full_cache_of_worst_case_names_stays_small(self):
+        # A cacheable text with the most label objects: 127 one-letter labels.
+        extract_hostname.cache_clear()
+        texts = (
+            (f"{i:03d}" + ".a" * 130)[:253].rstrip(".") for i in range(HOSTNAME_CACHE_SIZE)
+        )
+        assert self._retained_after(texts) < 4 * 1024 * 1024
+        assert extract_hostname.cache_info().currsize == HOSTNAME_CACHE_SIZE
 
     def test_failures_are_not_cached(self):
         before = extract_hostname.cache_info()

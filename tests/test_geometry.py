@@ -69,6 +69,13 @@ class TestBoundingBox:
         with pytest.raises(ValueError):
             Resolution(100, -1)
 
+    @pytest.mark.parametrize(
+        "size", [(10**400, 100), (100, 10**400), (float("nan"), 100), (100, float("inf"))]
+    )
+    def test_resolution_must_fit_a_finite_float(self, size):
+        with pytest.raises(ValueError):
+            Resolution(*size)
+
 
 class TestOverlapMetrics:
     def test_half_overlap(self):

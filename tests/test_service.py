@@ -118,6 +118,10 @@ class TestConfig:
         assert config.port == 9000
         assert config.seed == 5
 
+    def test_from_dict_rejects_a_resolution_too_large_for_a_float(self):
+        with pytest.raises(ValueError):
+            config_from_dict({"target_resolution": {"w": 10**400, "h": 1080}})
+
     def test_load_config_file(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_PORT, raising=False)
         monkeypatch.delenv(ENV_SEED, raising=False)
