@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -23,7 +25,16 @@ from photoauth.simulator import (
     run_scenario,
     run_token_bruteforce,
 )
-from photoauth.synth import AddrbarModel, DetectorProfile, OcrModel, Theme
+from photoauth.cli import _ATTACK_PRESETS
+from photoauth.synth import (
+    DEFAULT_NOISY_PROFILE,
+    AddrbarModel,
+    DetectorProfile,
+    GeneratorParams,
+    OcrModel,
+    Theme,
+    export_corpus,
+)
 
 CUTOFF_PROFILE = DetectorProfile(
     ocr=OcrModel(oracle=False),
@@ -314,3 +325,93 @@ class TestScenarioFiles:
         assert matches_expectation(report, Outcome(OutcomeKind.AUTHORIZED, ADVERSARY))
         assert not matches_expectation(report, Outcome(OutcomeKind.ATTACK_BLOCKED))
         assert not matches_expectation(report, Outcome(OutcomeKind.AUTHORIZED, "user"))
+
+
+# ---------------------------------------------------------------------------
+# Golden transcripts, pinned across commits
+# ---------------------------------------------------------------------------
+
+_HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_PATH = os.path.join(_HERE, "golden_transcripts.json")
+SCENARIO_DIR = os.path.join(_HERE, "..", "scenarios")
+GOLDEN_SEEDS = (0, 29, 101)
+NOISE_SEEDS = range(20)
+PLACEMENTS = ("title", "page-content", "picture-in-picture")
+# Every detector fault at once, so a missed or spurious bar shows up in
+# the picture-in-picture and proxy runs.
+HARSH_PROFILE = DetectorProfile(
+    ocr=OcrModel(oracle=False, sub_rate=0.05, dot_drop_rate_dark=0.5, split_url=True),
+    addrbar=AddrbarModel(
+        oracle=False, jitter_px=12.0, cutoff_prob=0.3, miss_prob=0.3, spurious_prob=0.3
+    ),
+)
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _report_digests(report):
+    return {"report": _sha(report.to_json()), "log": _sha(report.log_jsonl())}
+
+
+def _golden_reports():
+    """Yield (key, report) for every pinned run."""
+    for seed in GOLDEN_SEEDS:
+        yield f"benign/{seed}", run_benign_login(seed)
+        yield f"rtp/{seed}", run_rtp_attack(seed)
+        yield f"redirect/{seed}", run_redirection_attack(seed)
+        for placement in PLACEMENTS:
+            yield f"inject-{placement}/{seed}", run_injection_attack(seed, placement)
+        yield f"bruteforce/{seed}", run_token_bruteforce(seed)
+        yield f"otp-baseline/{seed}", run_otp_baseline(seed)
+    for name in sorted(os.listdir(SCENARIO_DIR)):
+        yield f"scenario/{name}", run_scenario(load_scenario(os.path.join(SCENARIO_DIR, name)))
+    for preset, (kind, params, expected) in sorted(_ATTACK_PRESETS.items()):
+        scenario = Scenario(name=preset, kind=kind, seed=0, params=params, expected=expected)
+        yield f"preset/{preset}", run_scenario(scenario)
+    for label, profile in (("noisy", DEFAULT_NOISY_PROFILE), ("harsh", HARSH_PROFILE)):
+        for seed in NOISE_SEEDS:
+            yield f"{label}/rtp/{seed}", run_rtp_attack(seed, detector_profile=profile)
+            for placement in PLACEMENTS:
+                yield (
+                    f"{label}/inject-{placement}/{seed}",
+                    run_injection_attack(seed, placement, detector_profile=profile),
+                )
+
+
+def _golden_corpus_bytes(tmp_dir):
+    path = os.path.join(tmp_dir, "corpus.jsonl")
+    params = GeneratorParams(domains=("microsoft.com", "bücher.de", "login.live.com"))
+    export_corpus(path, 25, params, DEFAULT_NOISY_PROFILE, seed=9)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def golden_digests(tmp_dir):
+    digests = {key: _report_digests(report) for key, report in _golden_reports()}
+    digests["export_corpus"] = hashlib.sha256(_golden_corpus_bytes(tmp_dir)).hexdigest()
+    return digests
+
+
+class TestGoldenTranscripts:
+    """Reports and message logs hash as they did when the file was written."""
+
+    def test_digests_match_the_committed_file(self, tmp_path):
+        with open(GOLDEN_PATH, encoding="utf-8") as fh:
+            expected = json.load(fh)
+        actual = golden_digests(str(tmp_path))
+        assert sorted(actual) == sorted(expected)
+        changed = [key for key in expected if actual[key] != expected[key]]
+        assert changed == []
+
+
+if __name__ == "__main__":
+    # Rewrite the golden file: only for a deliberate change of transcripts.
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = golden_digests(tmp)
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump(digests, fh, indent=1, sort_keys=True)
+        fh.write("\n")
