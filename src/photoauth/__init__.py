@@ -24,13 +24,11 @@ from .domain import (
 )
 from .geometry import (
     BoundingBox,
-    BoxOutOfBounds,
     Resolution,
     area,
     cover_rate,
     intersection_area,
     iou,
-    rescale_box,
 )
 from .session import (
     Channel,

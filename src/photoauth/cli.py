@@ -8,7 +8,6 @@ they slot directly into shell-level checks.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 
@@ -49,12 +48,14 @@ _ATTACK_PRESETS: dict[str, tuple[str, dict, Outcome]] = {
 
 
 def _cmd_simulate(args) -> int:
+    # A param value the runner rejects (a bad domain or placement) is a
+    # bad file too, not a run that missed its expected outcome.
     try:
         scenario = load_scenario(args.scenario, seed_override=args.seed)
+        report = run_scenario(scenario)
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot load scenario: {exc}", file=sys.stderr)
         return 2
-    report = run_scenario(scenario)
     print(report.to_json())
     return 0 if matches_expectation(report, scenario.expected) else 1
 

@@ -230,26 +230,6 @@ def domains_equal(found: DomainName, accepted: Iterable[DomainName]) -> bool:
     return found in accepted
 
 
-def load_confusable_rules(path: str) -> dict[str, str]:
-    """Read lookalike substitution rules, one per line: "<char> <replacement>".
-
-    A line with a single field maps that character to the empty string
-    (deletion). Blank lines and lines starting with '#' are skipped.
-    """
-    rules: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) == 1:
-                rules[parts[0]] = ""
-            else:
-                rules[parts[0]] = parts[1]
-    return rules
-
-
 def confusable_mutate(
     domain: DomainName,
     rules: dict[str, str],

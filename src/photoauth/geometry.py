@@ -11,10 +11,6 @@ from dataclasses import dataclass
 from math import isfinite
 
 
-class BoxOutOfBounds(ValueError):
-    """Raised when a box does not fit inside the resolution it is scaled from."""
-
-
 @dataclass(frozen=True)
 class BoundingBox:
     """Rectangle with strictly positive size and non-negative position."""
@@ -117,21 +113,3 @@ def cover_rate(text_box: BoundingBox, addrbar_box: BoundingBox) -> float:
     ratio is clamped against one-ulp float spill past 1.0.
     """
     return min(intersection_area(text_box, addrbar_box) / area(text_box), 1.0)
-
-
-def rescale_box(box: BoundingBox, src: Resolution, dst: Resolution) -> BoundingBox:
-    """Map a box from one resolution into another.
-
-    Applies a single uniform scale factor min(dst.w/src.w, dst.h/src.h)
-    to both axes so aspect ratio is preserved.
-
-    Raises:
-        BoxOutOfBounds: the box does not fit inside `src`.
-    """
-    eps = 1e-9
-    if box.right > src.width + eps or box.bottom > src.height + eps:
-        raise BoxOutOfBounds(
-            f"box ({box.x}, {box.y}, {box.width}, {box.height}) exceeds {src.width}x{src.height}"
-        )
-    scale = min(dst.width / src.width, dst.height / src.height)
-    return BoundingBox(box.x * scale, box.y * scale, box.width * scale, box.height * scale)

@@ -19,7 +19,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Optional
 
 from .decision import (
-    AuthDecision,
     AuthEngine,
     AuthRequest,
     ColocationMode,
@@ -29,7 +28,6 @@ from .decision import (
     UnknownUser,
 )
 from .domain import extract_hostname
-from .geometry import Resolution
 from .session import (
     Channel,
     DEFAULT_RETAKE_CAP,
@@ -72,11 +70,9 @@ class Config:
     token_length: int = DEFAULT_TOKEN_LENGTH
     retake_cap: int = DEFAULT_RETAKE_CAP
     cr_threshold: float = 0.8
-    iou_threshold: float = 0.5
     colocation_mode: str = "cookie"
     colocation_prefix_len: int = 24
     session_ttl_s: float = DEFAULT_TTL_S
-    target_resolution: Resolution = Resolution(1920, 1080)
     port: int = 8443
     seed: Optional[int] = None
     expose_notifications: bool = False
@@ -84,14 +80,16 @@ class Config:
     def __post_init__(self):
         if not self.server_domains:
             raise ValueError("need at least one server domain")
+        for name in self.server_domains:
+            if not isinstance(name, str):
+                raise ValueError(f"server domain must be a string, got {name!r}")
+            extract_hostname(name)  # raises DomainError, a ValueError
         if not MIN_TOKEN_LENGTH <= self.token_length <= MAX_TOKEN_LENGTH:
             raise ValueError(
                 f"token_length must be in [{MIN_TOKEN_LENGTH}, {MAX_TOKEN_LENGTH}]"
             )
         if not 0.0 < self.cr_threshold <= 1.0:
             raise ValueError("cr_threshold must be in (0, 1]")
-        if not 0.0 < self.iou_threshold <= 1.0:
-            raise ValueError("iou_threshold must be in (0, 1]")
         if self.colocation_mode not in _COLOCATION_MODES:
             raise ValueError(f"unknown colocation_mode {self.colocation_mode!r}")
         if self.session_ttl_s <= 0:
@@ -104,18 +102,19 @@ class Config:
 
 
 def config_from_dict(obj: dict) -> Config:
-    res = obj.get("target_resolution", {"w": 1920, "h": 1080})
+    """Build a Config from parsed JSON; keys it does not know are ignored."""
+    domains = obj.get("server_domains", ["microsoft.com"])
+    if not isinstance(domains, list):
+        raise ValueError("server_domains must be a list of names")
     return Config(
-        server_domains=tuple(obj.get("server_domains", ("microsoft.com",))),
+        server_domains=tuple(domains),
         users=dict(obj.get("users", {"bob": "sms"})),
         token_length=obj.get("token_length", DEFAULT_TOKEN_LENGTH),
         retake_cap=obj.get("retake_cap", DEFAULT_RETAKE_CAP),
         cr_threshold=obj.get("cr_threshold", 0.8),
-        iou_threshold=obj.get("iou_threshold", 0.5),
         colocation_mode=obj.get("colocation_mode", "cookie"),
         colocation_prefix_len=obj.get("colocation_prefix_len", 24),
         session_ttl_s=obj.get("session_ttl_s", DEFAULT_TTL_S),
-        target_resolution=Resolution(res["w"], res["h"]),
         port=int(os.environ.get(ENV_PORT, obj.get("port", 8443))),
         seed=(
             int(os.environ[ENV_SEED])

@@ -18,11 +18,12 @@ across repeats.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .decision import (
     AuthDecision,
@@ -34,7 +35,7 @@ from .decision import (
     LinkClick,
     Notification,
 )
-from .domain import DomainName, extract_hostname
+from .domain import extract_hostname
 from .session import Channel, Preference, SessionStore, draw_token_digits
 from .synth import (
     DetectorProfile,
@@ -45,7 +46,6 @@ from .synth import (
     generate_layout,
     simulate_detection,
 )
-from .verify import VerifyConfig
 
 SAFE = "safe"
 UNSAFE = "unsafe"
@@ -55,6 +55,7 @@ PHONE = "phone"
 SERVER = "server"
 PROXY = "proxy"
 ADVERSARY = "adversary"
+PROXY_SOURCE = "192.0.2.66"
 
 
 class OutcomeKind(Enum):
@@ -97,11 +98,6 @@ class MessageLog:
             {"t": t, "from": sender, "to": recipient, "link": trust, "kind": kind, "data": data}
         )
 
-    def to_jsonl(self) -> str:
-        return "\n".join(
-            json.dumps(e, sort_keys=True, separators=(",", ":")) for e in self.entries
-        )
-
 
 class CookieJar:
     """Per-browser cookie storage honoring the same-origin policy."""
@@ -122,7 +118,6 @@ class Browser:
     name: str
     source: str
     jar: CookieJar = field(default_factory=CookieJar)
-    location: Optional[str] = None  # domain currently shown in the address bar
 
 
 class RtpProxy:
@@ -151,7 +146,6 @@ class Phone:
     source: str
     browser: Browser
     inbox: list[Notification] = field(default_factory=list)
-    otp_inbox: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -175,7 +169,9 @@ class ScenarioReport:
     photos_taken: int = 0
 
     def log_jsonl(self) -> str:
-        return self.log.to_jsonl()
+        return "\n".join(
+            json.dumps(e, sort_keys=True, separators=(",", ":")) for e in self.log.entries
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -196,41 +192,37 @@ class World:
 
     def __init__(
         self,
+        name: str,
         seed: int,
         *,
         server_domain: str = "microsoft.com",
         accept: tuple[str, ...] | None = None,
-        username: str = "bob",
-        preference: Preference = Preference.SMS,
         policy: ColocationPolicy = ColocationPolicy(ColocationMode.COOKIE_EQUALITY),
-        verify_cfg: VerifyConfig = VerifyConfig(),
         token_length: int = 10,
-        retake_cap: int = 5,
-        ttl_s: float = 1_000_000.0,
         profile: DetectorProfile = ORACLE_PROFILE,
         theme: Theme = Theme.LIGHT,
     ):
+        self.name = name
+        self.seed = seed
         self.rng = random.Random(seed)
         self.clock = LogicalClock()
         self.log = MessageLog()
         self.profile = profile
         self.theme = theme
-        self.username = username
+        self.username = "bob"
         accepted = accept if accept is not None else (server_domain,)
         self.server_name = str(extract_hostname(server_domain))
         self.store = SessionStore(
             extract_hostname(server_domain),
             rng=self.rng,
             clock=self.clock.now,
-            ttl_s=ttl_s,
-            retake_cap=retake_cap,
+            ttl_s=1_000_000.0,  # nothing expires within a scenario
         )
         self.engine = AuthEngine(
             self.store,
-            users={username: preference},
+            users={self.username: Preference.SMS},
             accept_set=[extract_hostname(a) for a in accepted],
             policy=policy,
-            verify_cfg=verify_cfg,
             token_length=token_length,
         )
         self.user_pc = Browser(USER, source="198.51.100.23")
@@ -241,7 +233,18 @@ class World:
 
     # -- bookkeeping --
 
+    def finish(self, kind: OutcomeKind, detail: str | None = None) -> ScenarioReport:
+        return ScenarioReport(
+            name=self.name,
+            seed=self.seed,
+            outcome=Outcome(kind, detail),
+            trail=self.trail,
+            log=self.log,
+            photos_taken=self.photos_taken,
+        )
+
     def record(self, decision: AuthDecision, acting: str) -> AuthDecision:
+        """Append a decision to the trail, owned by its session's creator if known."""
         owner = self.owners.get(decision.session_id or "", acting)
         self.trail.append(
             {
@@ -254,25 +257,25 @@ class World:
         )
         return decision
 
+    def send(self, sender: str, recipient: str, trust: str, kind: str, data: dict) -> None:
+        """Log one message; each message advances the logical clock by one."""
+        self.log.emit(self.clock.tick(), sender, recipient, trust, kind, data)
+
     def deliver_notifications(self) -> None:
         """Move queued short links to the phone over the safe channel."""
         while self.engine.outbox:
             note = self.engine.outbox.pop(0)
-            t = self.clock.tick()
-            self.log.emit(
-                t, SERVER, PHONE, SAFE, f"{note.preference.value}-link", {"link": note.link}
+            self.send(
+                SERVER, PHONE, SAFE, f"{note.preference.value}-link", {"link": note.link}
             )
             self.phone.inbox.append(note)
 
     # -- scripted actions --
 
-    def login_direct(self, browser: Browser, channel: Channel, owner: str = "user") -> AuthDecision:
+    def login_direct(self, browser: Browser, channel: Channel) -> AuthDecision:
         """Credentials sent straight to the real server."""
-        browser.location = self.server_name
         cookie = browser.jar.cookie_for(self.server_name)
-        t = self.clock.tick()
-        self.log.emit(
-            t,
+        self.send(
             browser.name,
             SERVER,
             UNSAFE,
@@ -284,31 +287,28 @@ class World:
             AuthRequest(self.username, cookie, browser.source, channel)
         )
         if decision.session_id:
-            self.owners.setdefault(decision.session_id, owner)
+            self.owners.setdefault(decision.session_id, "user")
             if decision.kind is DecisionKind.LINK_SENT:
                 browser.jar.store(self.server_name, decision.cookie)
-                self.log.emit(
-                    self.clock.tick(), SERVER, browser.name, UNSAFE, "set-cookie",
+                self.send(
+                    SERVER, browser.name, UNSAFE, "set-cookie",
                     {"origin": self.server_name},
                 )
         self.deliver_notifications()
-        return self.record(decision, owner)
+        return self.record(decision, "user")
 
     def login_via_proxy(self, proxy: RtpProxy, browser: Browser) -> AuthDecision:
         """Credentials typed into the phishing site and relayed upstream."""
-        browser.location = proxy.fake_domain
-        t = self.clock.tick()
-        self.log.emit(
-            t, browser.name, PROXY, UNSAFE, "login",
+        self.send(
+            browser.name, PROXY, UNSAFE, "login",
             {"username": self.username, "cookie_attached": False},
         )
-        t = self.clock.tick()
-        self.log.emit(
-            t, PROXY, SERVER, UNSAFE, "login-relayed",
+        self.send(
+            PROXY, SERVER, UNSAFE, "login-relayed",
             {"username": self.username, "page": proxy.rewrite_inbound(f"POST {proxy.fake_domain}/login")},
         )
         decision = self.engine.handle_auth_request(
-            AuthRequest(self.username, proxy.jar.cookie_for(self.upstream_name(proxy)),
+            AuthRequest(self.username, proxy.jar.cookie_for(self.server_name),
                         proxy.source, Channel.PC_BROWSER)
         )
         if decision.session_id:
@@ -317,80 +317,66 @@ class World:
                 # The server's cookie lands in the proxy's jar under the real
                 # origin, then gets replayed to the victim who stores it under
                 # the fake origin.
-                proxy.jar.store(self.upstream_name(proxy), decision.cookie)
-                self.log.emit(
-                    self.clock.tick(), SERVER, PROXY, UNSAFE, "set-cookie",
-                    {"origin": self.upstream_name(proxy)},
+                proxy.jar.store(self.server_name, decision.cookie)
+                self.send(
+                    SERVER, PROXY, UNSAFE, "set-cookie",
+                    {"origin": self.server_name},
                 )
                 browser.jar.store(proxy.fake_domain, decision.cookie)
-                self.log.emit(
-                    self.clock.tick(), PROXY, browser.name, UNSAFE, "set-cookie",
+                self.send(
+                    PROXY, browser.name, UNSAFE, "set-cookie",
                     {"origin": proxy.fake_domain,
-                     "page": proxy.rewrite_outbound(f"Welcome to {self.upstream_name(proxy)}")},
+                     "page": proxy.rewrite_outbound(f"Welcome to {self.server_name}")},
                 )
         self.deliver_notifications()
         return self.record(decision, ADVERSARY)
 
-    def upstream_name(self, proxy: RtpProxy) -> str:
-        return str(extract_hostname(proxy.upstream_domain))
+    def newest_link_digits(self) -> str:
+        """Token digits of the newest short link on the phone."""
+        if not self.phone.inbox:
+            raise RuntimeError("no short link on the phone")
+        return self.phone.inbox[-1].link.rsplit("/", 1)[-1]
 
     def click_link(self) -> AuthDecision:
         """The phone opens the newest short link in its own browser."""
-        if not self.phone.inbox:
-            raise RuntimeError("no link to click")
-        note = self.phone.inbox[-1]
-        digits = note.link.rsplit("/", 1)[-1]
+        digits = self.newest_link_digits()
         cookie = self.phone.browser.jar.cookie_for(self.server_name)
-        t = self.clock.tick()
-        self.log.emit(
-            t, PHONE, SERVER, SAFE, "link-click",
+        self.send(
+            PHONE, SERVER, SAFE, "link-click",
             {"token": digits, "cookie_attached": cookie is not None},
         )
         decision = self.engine.handle_link_click(
             LinkClick(digits, cookie, self.phone.source)
         )
-        return self.record(decision, self.owners.get(decision.session_id or "", "user"))
+        return self.record(decision, "user")
 
-    def take_photo(
-        self,
-        display_domain: str,
-        *,
-        variant: LayoutVariant = LayoutVariant.DEFAULT,
-        injected_text: str | None = None,
-        injected_placement: InjectionPlacement | None = None,
-    ) -> AuthDecision:
-        """Photograph the PC screen and upload the analysis."""
-        if not self.phone.inbox:
-            raise RuntimeError("no pending session to photograph for")
-        note = self.phone.inbox[-1]
-        digits = note.link.rsplit("/", 1)[-1]
+    def take_photo(self, display_domain: str, **layout_args) -> AuthDecision:
+        """Photograph the PC screen and upload the analysis.
+
+        `layout_args` (variant, injected text and placement) go to `generate_layout`.
+        """
+        digits = self.newest_link_digits()
         self.photos_taken += 1
         shown = str(extract_hostname(display_domain))
         layout = generate_layout(
-            shown,
-            theme=self.theme,
-            variant=variant,
-            seed=self.rng.getrandbits(32),
-            injected_text=injected_text,
-            injected_placement=injected_placement,
+            shown, theme=self.theme, seed=self.rng.getrandbits(32), **layout_args
         )
         analysis = simulate_detection(layout, self.profile, self.rng)
-        t = self.clock.tick()
-        self.log.emit(
-            t, PHONE, SERVER, SAFE, "photo",
+        self.send(
+            PHONE, SERVER, SAFE, "photo",
             {"token": digits, "displayed": shown, "texts": len(analysis.texts),
              "addrbars": len(analysis.addrbars)},
         )
         decision = self.engine.handle_photo_submission(digits, analysis, source=self.phone.source)
-        return self.record(decision, self.owners.get(decision.session_id or "", "user"))
+        return self.record(decision, "user")
 
-    def photo_flow(self, display_domain: str, max_attempts: int | None = None, **kwargs) -> AuthDecision:
+    def photo_flow(self, display_domain: str, **layout_args) -> AuthDecision:
         """Keep photographing until the server stops asking for retakes."""
-        cap = max_attempts if max_attempts is not None else self.store.retake_cap + 2
-        decision = self.take_photo(display_domain, **kwargs)
+        cap = self.store.retake_cap + 2
+        decision = self.take_photo(display_domain, **layout_args)
         attempts = 1
         while decision.kind is DecisionKind.REQUEST_RETAKE and attempts < cap:
-            decision = self.take_photo(display_domain, **kwargs)
+            decision = self.take_photo(display_domain, **layout_args)
             attempts += 1
         return decision
 
@@ -402,15 +388,65 @@ def _adversary_authorized(world: World) -> bool:
     )
 
 
-def _finish(world: World, scenario_name: str, seed: int, outcome: Outcome) -> ScenarioReport:
-    return ScenarioReport(
-        name=scenario_name,
-        seed=seed,
-        outcome=outcome,
-        trail=world.trail,
-        log=world.log,
-        photos_taken=world.photos_taken,
+# How a proxy attack that authorized nobody ends; None when it authorized the adversary.
+_Ending = Optional[tuple[OutcomeKind, Optional[str]]]
+
+
+def _proxy_attack(
+    world: World, fake_domain: str, upstream: str, victim: Callable[[RtpProxy], _Ending]
+) -> ScenarioReport:
+    """Relay the victim's login through a phishing proxy, then let `victim` play the rest."""
+    proxy = RtpProxy(str(extract_hostname(fake_domain)), upstream, source=PROXY_SOURCE)
+    decision = world.login_via_proxy(proxy, world.user_pc)
+    if decision.kind is not DecisionKind.LINK_SENT:
+        return world.finish(OutcomeKind.ATTACK_BLOCKED, decision.reason)
+    ending = victim(proxy)
+    if ending is None or _adversary_authorized(world):
+        return world.finish(OutcomeKind.AUTHORIZED, ADVERSARY)
+    return world.finish(*ending)
+
+
+def _photograph_fake_site(
+    world: World, proxy: RtpProxy, placement: InjectionPlacement | LayoutVariant | None
+) -> _Ending:
+    """The victim clicks the link on the phone and photographs the fake site.
+
+    With a `placement` the page also carries the real domain as decoy
+    text. A picture-in-picture page gets exactly one photo: its second
+    bar is the attack, so the run ends on that photo's decision.
+    """
+    if world.click_link().kind is DecisionKind.AUTHORIZE:
+        return None
+    if placement is LayoutVariant.PICTURE_IN_PICTURE:
+        decision = world.take_photo(
+            proxy.fake_domain, variant=placement, injected_text=world.server_name
+        )
+        return OutcomeKind.ATTACK_BLOCKED, decision.reason or "multiple-addrbars"
+    decision = world.photo_flow(
+        proxy.fake_domain,
+        injected_text=world.server_name if placement is not None else None,
+        injected_placement=placement,
     )
+    if decision.kind is DecisionKind.DENY:
+        return OutcomeKind.ATTACK_DETECTED, decision.reason
+    return OutcomeKind.ATTACK_BLOCKED, "retake-cap"
+
+
+def _redirect_and_resume(world: World) -> _Ending:
+    """The proxy bounces the victim to the real site, where the browser tries to resume."""
+    world.send(PROXY, USER, UNSAFE, "redirect", {"to": world.server_name})
+    attached = world.user_pc.jar.cookie_for(world.server_name)
+    world.send(
+        USER, SERVER, UNSAFE, "resume",
+        {"cookie_attached": attached is not None},
+    )
+    resume = world.engine.handle_auth_request(
+        AuthRequest(None, attached, world.user_pc.source, Channel.PC_BROWSER)
+    )
+    world.record(resume, "user")
+    if resume.kind is DecisionKind.AUTHORIZE:
+        return None
+    return OutcomeKind.ATTACK_BLOCKED, "no-valid-cookie"
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +474,7 @@ def run_benign_login(
     retrying after a false alarm.
     """
     world = World(
+        "benign-login",
         seed,
         server_domain=server_domain,
         accept=accept,
@@ -451,21 +488,21 @@ def run_benign_login(
     for _ in range(max_logins):
         decision = world.login_direct(browser, channel)
         if decision.kind is DecisionKind.AUTHORIZE:
-            return _finish(world, "benign-login", seed, Outcome(OutcomeKind.AUTHORIZED, "user"))
+            return world.finish(OutcomeKind.AUTHORIZED, "user")
         if decision.kind is not DecisionKind.LINK_SENT:
             break
         decision = world.click_link()
         if decision.kind is DecisionKind.AUTHORIZE:
-            return _finish(world, "benign-login", seed, Outcome(OutcomeKind.AUTHORIZED, "user"))
+            return world.finish(OutcomeKind.AUTHORIZED, "user")
         if decision.kind is not DecisionKind.REQUIRE_PHOTO:
             break
         decision = world.photo_flow(world.server_name)
         if decision.kind is DecisionKind.AUTHORIZE:
-            return _finish(world, "benign-login", seed, Outcome(OutcomeKind.AUTHORIZED, "user"))
+            return world.finish(OutcomeKind.AUTHORIZED, "user")
         if decision.kind is DecisionKind.FALLBACK:
-            return _finish(world, "benign-login", seed, Outcome(OutcomeKind.FALLBACK, None))
+            return world.finish(OutcomeKind.FALLBACK)
         # Denied by a misread photo: loop around and log in again.
-    return _finish(world, "benign-login", seed, Outcome(OutcomeKind.DENIED, "photo-verification"))
+    return world.finish(OutcomeKind.DENIED, "photo-verification")
 
 
 def run_rtp_attack(
@@ -482,22 +519,12 @@ def run_rtp_attack(
     spoof uses lookalike Unicode), so the photo exposes it and the
     pending session is denied.
     """
-    world = World(seed, server_domain=upstream, profile=detector_profile, theme=theme)
-    proxy = RtpProxy(
-        str(extract_hostname(fake_domain)), upstream, source="192.0.2.66"
+    world = World(
+        "rtp-attack", seed, server_domain=upstream, profile=detector_profile, theme=theme
     )
-    decision = world.login_via_proxy(proxy, world.user_pc)
-    if decision.kind is not DecisionKind.LINK_SENT:
-        return _finish(world, "rtp-attack", seed, Outcome(OutcomeKind.ATTACK_BLOCKED, decision.reason))
-    decision = world.click_link()
-    if decision.kind is DecisionKind.AUTHORIZE:
-        return _finish(world, "rtp-attack", seed, Outcome(OutcomeKind.AUTHORIZED, ADVERSARY))
-    decision = world.photo_flow(world.user_pc.location or proxy.fake_domain)
-    if _adversary_authorized(world):
-        return _finish(world, "rtp-attack", seed, Outcome(OutcomeKind.AUTHORIZED, ADVERSARY))
-    if decision.kind is DecisionKind.DENY:
-        return _finish(world, "rtp-attack", seed, Outcome(OutcomeKind.ATTACK_DETECTED, decision.reason))
-    return _finish(world, "rtp-attack", seed, Outcome(OutcomeKind.ATTACK_BLOCKED, "retake-cap"))
+    return _proxy_attack(
+        world, fake_domain, upstream, lambda proxy: _photograph_fake_site(world, proxy, None)
+    )
 
 
 def run_redirection_attack(
@@ -512,37 +539,15 @@ def run_redirection_attack(
     origin, so the browser never presents it to the real server and the
     pending session cannot be continued from the victim's side.
     """
-    world = World(seed, server_domain=upstream)
-    proxy = RtpProxy(str(extract_hostname(fake_domain)), upstream, source="192.0.2.66")
-    decision = world.login_via_proxy(proxy, world.user_pc)
-    if decision.kind is not DecisionKind.LINK_SENT:
-        return _finish(
-            world, "redirection-attack", seed, Outcome(OutcomeKind.ATTACK_BLOCKED, decision.reason)
-        )
-
-    t = world.clock.tick()
-    world.log.emit(t, PROXY, USER, UNSAFE, "redirect", {"to": world.server_name})
-    world.user_pc.location = world.server_name
-    attached = world.user_pc.jar.cookie_for(world.server_name)
-    t = world.clock.tick()
-    world.log.emit(
-        t, USER, SERVER, UNSAFE, "resume",
-        {"cookie_attached": attached is not None},
-    )
-    resume = world.engine.handle_auth_request(
-        AuthRequest(None, attached, world.user_pc.source, Channel.PC_BROWSER)
-    )
-    world.record(resume, "user")
-    if resume.kind is DecisionKind.AUTHORIZE or _adversary_authorized(world):
-        return _finish(world, "redirection-attack", seed, Outcome(OutcomeKind.AUTHORIZED, ADVERSARY))
-    return _finish(
-        world, "redirection-attack", seed, Outcome(OutcomeKind.ATTACK_BLOCKED, "no-valid-cookie")
+    world = World("redirection-attack", seed, server_domain=upstream)
+    return _proxy_attack(
+        world, fake_domain, upstream, lambda proxy: _redirect_and_resume(world)
     )
 
 
 def run_injection_attack(
     seed: int,
-    placement: InjectionPlacement | LayoutVariant | str,
+    placement: InjectionPlacement | LayoutVariant | str = "title",
     *,
     fake_domain: str = "rnicrosoft.com",
     upstream: str = "microsoft.com",
@@ -556,47 +561,11 @@ def run_injection_attack(
     address bar, which trips the multiple-bars rejection instead.
     """
     if isinstance(placement, str):
-        placement = {
-            "title": InjectionPlacement.TITLE,
-            "page-content": InjectionPlacement.PAGE_CONTENT,
-            "picture-in-picture": LayoutVariant.PICTURE_IN_PICTURE,
-        }[placement]
-    world = World(seed, server_domain=upstream, profile=detector_profile)
-    proxy = RtpProxy(str(extract_hostname(fake_domain)), upstream, source="192.0.2.66")
-    decision = world.login_via_proxy(proxy, world.user_pc)
-    if decision.kind is not DecisionKind.LINK_SENT:
-        return _finish(
-            world, "injection-attack", seed, Outcome(OutcomeKind.ATTACK_BLOCKED, decision.reason)
-        )
-    decision = world.click_link()
-    if decision.kind is DecisionKind.AUTHORIZE:
-        return _finish(world, "injection-attack", seed, Outcome(OutcomeKind.AUTHORIZED, ADVERSARY))
-
-    if placement is LayoutVariant.PICTURE_IN_PICTURE:
-        decision = world.take_photo(
-            proxy.fake_domain,
-            variant=LayoutVariant.PICTURE_IN_PICTURE,
-            injected_text=world.server_name,
-        )
-        if _adversary_authorized(world):
-            return _finish(world, "injection-attack", seed, Outcome(OutcomeKind.AUTHORIZED, ADVERSARY))
-        return _finish(
-            world, "injection-attack", seed,
-            Outcome(OutcomeKind.ATTACK_BLOCKED, decision.reason or "multiple-addrbars"),
-        )
-
-    decision = world.photo_flow(
-        proxy.fake_domain,
-        injected_text=world.server_name,
-        injected_placement=placement,
+        placement = _PLACEMENTS[placement]
+    world = World("injection-attack", seed, server_domain=upstream, profile=detector_profile)
+    return _proxy_attack(
+        world, fake_domain, upstream, lambda proxy: _photograph_fake_site(world, proxy, placement)
     )
-    if _adversary_authorized(world):
-        return _finish(world, "injection-attack", seed, Outcome(OutcomeKind.AUTHORIZED, ADVERSARY))
-    if decision.kind is DecisionKind.DENY:
-        return _finish(
-            world, "injection-attack", seed, Outcome(OutcomeKind.ATTACK_DETECTED, decision.reason)
-        )
-    return _finish(world, "injection-attack", seed, Outcome(OutcomeKind.ATTACK_BLOCKED, "retake-cap"))
 
 
 def run_token_bruteforce(
@@ -612,7 +581,7 @@ def run_token_bruteforce(
     scenario succeeds for the adversary only if a guess lands on the one
     live token.
     """
-    world = World(seed, server_domain=upstream, token_length=token_length)
+    world = World("token-bruteforce", seed, server_domain=upstream, token_length=token_length)
     decision = world.login_direct(world.user_pc, Channel.PC_BROWSER)
     assert decision.kind is DecisionKind.LINK_SENT
     guess_rng = random.Random(seed ^ 0x5EED)
@@ -620,19 +589,16 @@ def run_token_bruteforce(
     for _ in range(guesses):
         digits = draw_token_digits(token_length, guess_rng)
         t = world.clock.tick()
-        result = world.engine.handle_link_click(LinkClick(digits, None, "192.0.2.66"))
+        result = world.engine.handle_link_click(LinkClick(digits, None, PROXY_SOURCE))
         if result.kind is not DecisionKind.DENY:
             world.log.emit(t, ADVERSARY, SERVER, UNSAFE, "token-guess-hit", {"token": digits})
             world.record(result, ADVERSARY)
             hit = True
             break
-    t = world.clock.tick()
-    world.log.emit(t, ADVERSARY, SERVER, UNSAFE, "token-guessing-done", {"guesses": guesses, "hit": hit})
+    world.send(ADVERSARY, SERVER, UNSAFE, "token-guessing-done", {"guesses": guesses, "hit": hit})
     if hit or _adversary_authorized(world):
-        return _finish(world, "token-bruteforce", seed, Outcome(OutcomeKind.AUTHORIZED, ADVERSARY))
-    return _finish(
-        world, "token-bruteforce", seed, Outcome(OutcomeKind.ATTACK_BLOCKED, "unknown-token")
-    )
+        return world.finish(OutcomeKind.AUTHORIZED, ADVERSARY)
+    return world.finish(OutcomeKind.ATTACK_BLOCKED, "unknown-token")
 
 
 def run_otp_baseline(seed: int, *, upstream: str = "microsoft.com") -> ScenarioReport:
@@ -641,38 +607,31 @@ def run_otp_baseline(seed: int, *, upstream: str = "microsoft.com") -> ScenarioR
     The code travels safely to the phone, but the user types it into the
     page in front of them, which belongs to the proxy. Relaying it wins.
     """
-    world = World(seed, server_domain=upstream)
-    proxy = RtpProxy("rnicrosoft.com", upstream, source="192.0.2.66")
-    world.user_pc.location = proxy.fake_domain
+    world = World("otp-baseline", seed, server_domain=upstream)
 
     # Credentials relayed; the baseline server answers with a code, not a link.
-    t = world.clock.tick()
-    world.log.emit(t, USER, PROXY, UNSAFE, "login", {"username": world.username})
-    t = world.clock.tick()
-    world.log.emit(t, PROXY, SERVER, UNSAFE, "login-relayed", {"username": world.username})
+    world.send(USER, PROXY, UNSAFE, "login", {"username": world.username})
+    world.send(PROXY, SERVER, UNSAFE, "login-relayed", {"username": world.username})
     otp = f"{world.rng.randrange(10**6):06d}"
-    t = world.clock.tick()
-    world.log.emit(t, SERVER, PHONE, SAFE, "otp", {"code": otp})
-    world.phone.otp_inbox.append(otp)
+    world.send(SERVER, PHONE, SAFE, "otp", {"code": otp})
 
-    # The user reads the code and types it into the fake page.
-    typed = world.phone.otp_inbox[-1]
-    t = world.clock.tick()
-    world.log.emit(t, USER, PROXY, UNSAFE, "otp-entry", {"code": typed})
-    t = world.clock.tick()
-    world.log.emit(t, PROXY, SERVER, UNSAFE, "otp-relayed", {"code": typed})
-    if typed == otp:
-        world.trail.append(
-            {"kind": DecisionKind.AUTHORIZE.value, "reason": None, "session": None,
-             "owner": ADVERSARY, "warning": False}
-        )
-        return _finish(world, "otp-baseline", seed, Outcome(OutcomeKind.AUTHORIZED, ADVERSARY))
-    return _finish(world, "otp-baseline", seed, Outcome(OutcomeKind.ATTACK_BLOCKED, "otp-mismatch"))
+    # The user reads the code off the phone and types it into the fake
+    # page; the relayed code is the one the server sent, so it is accepted.
+    world.send(USER, PROXY, UNSAFE, "otp-entry", {"code": otp})
+    world.send(PROXY, SERVER, UNSAFE, "otp-relayed", {"code": otp})
+    world.record(AuthDecision(DecisionKind.AUTHORIZE), ADVERSARY)
+    return world.finish(OutcomeKind.AUTHORIZED, ADVERSARY)
 
 
 # ---------------------------------------------------------------------------
 # Declarative scenario files
 # ---------------------------------------------------------------------------
+
+_PLACEMENTS = {
+    "title": InjectionPlacement.TITLE,
+    "page-content": InjectionPlacement.PAGE_CONTENT,
+    "picture-in-picture": LayoutVariant.PICTURE_IN_PICTURE,
+}
 
 _RUNNERS = {
     "benign": run_benign_login,
@@ -684,32 +643,41 @@ _RUNNERS = {
 }
 
 
+def _runner(kind: str) -> Callable[..., ScenarioReport]:
+    if not isinstance(kind, str) or kind not in _RUNNERS:
+        raise ValueError(f"unknown scenario kind {kind!r}")
+    return _RUNNERS[kind]
+
+
 def run_scenario(scenario: Scenario) -> ScenarioReport:
-    runner = _RUNNERS.get(scenario.kind)
-    if runner is None:
-        raise ValueError(f"unknown scenario kind {scenario.kind!r}")
-    params = dict(scenario.params)
-    if scenario.kind == "inject":
-        placement = params.pop("placement", "title")
-        report = run_injection_attack(scenario.seed, placement, **params)
-    else:
-        report = runner(scenario.seed, **params)
+    report = _runner(scenario.kind)(scenario.seed, **scenario.params)
     report.name = scenario.name
     return report
 
 
 def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
-    """Read a scenario file: {"name", "kind", "seed", "params", "expected"}."""
+    """Read a scenario file: {"name", "kind", "seed", "params", "expected"}.
+
+    Raises ValueError for an unknown kind or a param its runner does not take.
+    """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
+    if not isinstance(obj, dict) or not isinstance(obj.get("params", {}), dict):
+        raise ValueError("a scenario and its params must be JSON objects")
+    kind = obj["kind"]
+    params = obj.get("params", {})
+    accepted = inspect.signature(_runner(kind)).parameters
+    for key in params:
+        if key == "seed" or key not in accepted:
+            raise ValueError(f"scenario kind {kind!r} takes no param {key!r}")
     expected = None
     if "expected" in obj and obj["expected"] is not None:
         expected = Outcome(OutcomeKind(obj["expected"]["kind"]), obj["expected"].get("detail"))
     return Scenario(
         name=obj.get("name", path),
-        kind=obj["kind"],
+        kind=kind,
         seed=seed_override if seed_override is not None else obj.get("seed", 0),
-        params=obj.get("params", {}),
+        params=params,
         expected=expected,
     )
 

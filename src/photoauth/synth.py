@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from enum import Enum
+from typing import Iterator
 
 from .domain import DomainName, confusable_mutate, extract_hostname
 from .geometry import BoundingBox, Resolution, intersection_area
@@ -85,22 +86,6 @@ class BrowserLayout:
                 raise ValueError("text region outside the screenshot")
             if intersection_area(region.box, genuine) > 0:
                 raise ValueError("title/content text may not overlap the genuine bar")
-
-    @property
-    def addrbar_truth(self) -> BoundingBox:
-        return self.bars[0].box
-
-    @property
-    def url_text_box(self) -> BoundingBox:
-        return self.bars[0].url_text_box
-
-    @property
-    def url_string(self) -> str:
-        return self.bars[0].url_string
-
-    @property
-    def n_addrbars(self) -> int:
-        return len(self.bars)
 
 
 @dataclass(frozen=True)
@@ -481,6 +466,25 @@ def _item_seed(seed: int, index: int) -> int:
     return seed * 1_000_003 + index
 
 
+def _corpus_items(
+    n: int, params: GeneratorParams, profile: DetectorProfile, seed: int | None
+) -> Iterator[PhotoAnalysis]:
+    """Generate and detect n genuine screenshots, yielding one analysis per cycle."""
+    base = profile.seed if seed is None else seed
+    for i in range(n):
+        rng = random.Random(_item_seed(base, i))
+        domain = params.domains[i % len(params.domains)]
+        theme = Theme.DARK if rng.random() < params.dark_fraction else Theme.LIGHT
+        layout = generate_layout(
+            domain,
+            theme=theme,
+            variant=params.variant,
+            seed=rng.getrandbits(32),
+            resolution=params.resolution,
+        )
+        yield simulate_detection(layout, profile, rng)
+
+
 def evaluate_corpus(
     n: int,
     params: GeneratorParams,
@@ -496,20 +500,8 @@ def evaluate_corpus(
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    base = profile.seed if seed is None else seed
     tp = fp = fn = retakes = 0
-    for i in range(n):
-        rng = random.Random(_item_seed(base, i))
-        domain = params.domains[i % len(params.domains)]
-        theme = Theme.DARK if rng.random() < params.dark_fraction else Theme.LIGHT
-        layout = generate_layout(
-            domain,
-            theme=theme,
-            variant=params.variant,
-            seed=rng.getrandbits(32),
-            resolution=params.resolution,
-        )
-        analysis = simulate_detection(layout, profile, rng)
+    for analysis in _corpus_items(n, params, profile, seed):
         result = verify_photo(analysis, accept_set, verify_cfg)
         if result.kind is VerdictKind.MATCH:
             tp += 1
@@ -530,20 +522,8 @@ def export_corpus(
     seed: int | None = None,
 ) -> None:
     """Write n detection records as JSON lines for offline replay."""
-    base = profile.seed if seed is None else seed
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(n):
-            rng = random.Random(_item_seed(base, i))
-            domain = params.domains[i % len(params.domains)]
-            theme = Theme.DARK if rng.random() < params.dark_fraction else Theme.LIGHT
-            layout = generate_layout(
-                domain,
-                theme=theme,
-                variant=params.variant,
-                seed=rng.getrandbits(32),
-                resolution=params.resolution,
-            )
-            analysis = simulate_detection(layout, profile, rng)
+        for analysis in _corpus_items(n, params, profile, seed):
             fh.write(json.dumps(analysis_to_dict(analysis), sort_keys=True, separators=(",", ":")))
             fh.write("\n")
 

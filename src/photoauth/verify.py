@@ -8,7 +8,6 @@ server's accepted names.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -220,15 +219,3 @@ def analysis_from_dict(obj: dict) -> PhotoAnalysis:
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed photo analysis: {exc}") from exc
     return PhotoAnalysis(resolution=resolution, texts=texts, addrbars=addrbars)
-
-
-def analysis_to_json(analysis: PhotoAnalysis) -> str:
-    return json.dumps(analysis_to_dict(analysis), sort_keys=True, separators=(",", ":"))
-
-
-def analysis_from_json(payload: str) -> PhotoAnalysis:
-    try:
-        obj = json.loads(payload)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed photo analysis: {exc}") from exc
-    return analysis_from_dict(obj)

@@ -1,8 +1,11 @@
 import json
+import os
 
 import pytest
 
 from photoauth.cli import main
+
+SCENARIO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios")
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +63,43 @@ class TestSimulate:
         path.write_text("{no json", encoding="utf-8")
         code, _, err = run_cli(capsys, "simulate", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            {"kind": "teleport"},
+            {"kind": "inject", "params": {"placement": "footer"}},
+            {"kind": "rtp", "params": {"bogus": 1}},
+            {"kind": "rtp", "params": {"fake_domain": "a_b.com"}},
+            {"kind": "rtp", "params": {"seed": 4}},
+            {"kind": ["rtp"]},
+            {"kind": "rtp", "params": ["fake_domain"]},
+            ["rtp"],
+        ],
+        ids=[
+            "unknown-kind",
+            "unknown-placement",
+            "unexpected-param",
+            "invalid-domain",
+            "seed-as-param",
+            "kind-not-a-string",
+            "params-not-an-object",
+            "not-an-object",
+        ],
+    )
+    def test_unusable_scenario_exits_two(self, tmp_path, capsys, scenario):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        code, out, err = run_cli(capsys, "simulate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "cannot load scenario" in err
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(SCENARIO_DIR)))
+    def test_shipped_scenarios_hold(self, capsys, name):
+        code, out, _ = run_cli(capsys, "simulate", os.path.join(SCENARIO_DIR, name))
+        assert code == 0
+        assert json.loads(out)["name"] == name[: -len(".json")]
 
 
 class TestAttack:
@@ -131,9 +171,10 @@ class TestServe:
         code, _, err = run_cli(capsys, "serve", "--config", str(path))
         assert code == 2
 
-    def test_resolution_too_large_for_a_float_exits_two(self, tmp_path, capsys):
-        path = tmp_path / "huge.json"
-        path.write_text('{"target_resolution": {"w": 1%s, "h": 1080}}' % ("0" * 400), encoding="utf-8")
+    @pytest.mark.parametrize("domains", [["a_b.com"], [5], "microsoft.com"])
+    def test_bad_server_domains_exit_two(self, tmp_path, capsys, domains):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"server_domains": domains}), encoding="utf-8")
         code, _, err = run_cli(capsys, "serve", "--config", str(path))
         assert code == 2
         assert "cannot load config" in err

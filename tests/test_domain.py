@@ -17,7 +17,6 @@ from photoauth.domain import (
     confusable_mutate,
     domains_equal,
     extract_hostname,
-    load_confusable_rules,
     to_punycode,
 )
 
@@ -306,10 +305,3 @@ class TestConfusableMutate:
         second = str(confusable_mutate(name, {"o": "0"}, rng))
         both = {first, second}
         assert both <= {"g0ogle.com", "go0gle.com", "google.c0m"}
-
-
-def test_load_confusable_rules(tmp_path):
-    path = tmp_path / "rules.txt"
-    path.write_text("# lookalikes\no 0\nl 1\n.\n\n", encoding="utf-8")
-    rules = load_confusable_rules(str(path))
-    assert rules == {"o": "0", "l": "1", ".": ""}

@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from photoauth.geometry import (
     BoundingBox,
-    BoxOutOfBounds,
     Resolution,
     area,
     cover_rate,
     intersection_area,
     iou,
-    rescale_box,
 )
 
 from _oracles import (
@@ -181,46 +179,6 @@ class TestPlainArithmeticEquivalence:
             BoundingBox(0, 0, 0, 1)
         with pytest.raises(TypeError):
             BoundingBox(0, "1", 1, 1)
-
-
-class TestRescale:
-    def test_photo_to_target(self):
-        box = BoundingBox(400, 300, 400, 300)
-        out = rescale_box(box, Resolution(4000, 3000), Resolution(1920, 1440))
-        assert (out.x, out.y, out.width, out.height) == (192.0, 144.0, 192.0, 144.0)
-
-    def test_identity_when_same_resolution(self):
-        box = BoundingBox(5, 6, 7, 8)
-        res = Resolution(100, 100)
-        assert rescale_box(box, res, res) == box
-
-    def test_uniform_factor_under_aspect_change(self):
-        # Factor is min of the two ratios, applied to both axes.
-        box = BoundingBox(0, 0, 100, 100)
-        out = rescale_box(box, Resolution(100, 100), Resolution(200, 300))
-        assert (out.width, out.height) == (200.0, 200.0)
-
-    def test_out_of_bounds(self):
-        with pytest.raises(BoxOutOfBounds):
-            rescale_box(BoundingBox(50, 0, 100, 10), Resolution(100, 100), Resolution(50, 50))
-
-    @given(
-        box=int_box(max_pos=40, max_size=40),
-        f1=st.integers(1, 5),
-        f2=st.integers(1, 5),
-    )
-    @settings(max_examples=60)
-    def test_composition_over_proportional_resolutions(self, box, f1, f2):
-        # Chaining through proportional resolutions equals the direct hop.
-        r1 = Resolution(100, 80)
-        r2 = Resolution(100 * f1, 80 * f1)
-        r3 = Resolution(100 * f2, 80 * f2)
-        two_hops = rescale_box(rescale_box(box, r1, r2), r2, r3)
-        direct = rescale_box(box, r1, r3)
-        assert two_hops.x == pytest.approx(direct.x, abs=1e-6)
-        assert two_hops.y == pytest.approx(direct.y, abs=1e-6)
-        assert two_hops.width == pytest.approx(direct.width, abs=1e-6)
-        assert two_hops.height == pytest.approx(direct.height, abs=1e-6)
 
 
 def test_random_boxes_against_oracle_small():

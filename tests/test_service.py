@@ -93,11 +93,13 @@ class TestConfig:
             {"token_length": 5},
             {"token_length": 13},
             {"cr_threshold": 0.0},
-            {"iou_threshold": 1.5},
             {"colocation_mode": "telepathy"},
             {"session_ttl_s": 0},
             {"retake_cap": -1},
             {"users": {"bob": "carrier-pigeon"}},
+            {"server_domains": ("a_b.com",)},
+            {"server_domains": (5,)},
+            {"server_domains": ("microsoft.com", ".")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -118,9 +120,10 @@ class TestConfig:
         assert config.port == 9000
         assert config.seed == 5
 
-    def test_from_dict_rejects_a_resolution_too_large_for_a_float(self):
+    @pytest.mark.parametrize("domains", ["microsoft.com", {"microsoft.com": 1}, 5, None])
+    def test_from_dict_rejects_server_domains_that_are_not_a_list(self, domains):
         with pytest.raises(ValueError):
-            config_from_dict({"target_resolution": {"w": 10**400, "h": 1080}})
+            config_from_dict({"server_domains": domains})
 
     def test_load_config_file(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_PORT, raising=False)
@@ -133,7 +136,9 @@ class TestConfig:
                     "users": {"alice": "push"},
                     "port": 9100,
                     "seed": 3,
+                    # Retired settings: loaded and ignored like any unknown key.
                     "target_resolution": {"w": 1280, "h": 720},
+                    "iou_threshold": 1.5,
                 }
             ),
             encoding="utf-8",
@@ -142,7 +147,6 @@ class TestConfig:
         assert config.server_domains == ("example.com", "www.example.com")
         assert config.users == {"alice": "push"}
         assert config.port == 9100
-        assert config.target_resolution.width == 1280
 
 
 class TestLoginEndpoint:

@@ -62,14 +62,14 @@ class TestLayoutGeneration:
             layout = generate_layout("microsoft.com", theme=theme, variant=variant, seed=seed)
             bounds = layout.resolution.bounds()
             expected_bars = 2 if variant is LayoutVariant.PICTURE_IN_PICTURE else 1
-            assert layout.n_addrbars == expected_bars
+            assert len(layout.bars) == expected_bars
             for bar in layout.bars:
                 assert bounds.contains(bar.box)
                 assert bar.box.contains(bar.url_text_box)
             for region in layout.title_boxes + layout.content_boxes:
                 assert bounds.contains(region.box)
-                assert intersection_area(region.box, layout.addrbar_truth) == 0.0
-            assert layout.url_string == "microsoft.com"
+                assert intersection_area(region.box, layout.bars[0].box) == 0.0
+            assert layout.bars[0].url_string == "microsoft.com"
 
     def test_same_seed_same_layout(self):
         a = generate_layout("github.com", seed=99)
@@ -91,7 +91,7 @@ class TestLayoutGeneration:
             injected_placement=InjectionPlacement.TITLE,
         )
         assert layout.title_boxes[0].text == "microsoft.com"
-        assert layout.url_string == "rnicrosoft.com"
+        assert layout.bars[0].url_string == "rnicrosoft.com"
 
     def test_injected_content(self):
         layout = generate_layout(
@@ -156,7 +156,7 @@ class TestOracleDetection:
         layout = generate_layout("microsoft.com", seed=1)
         analysis = simulate_detection(layout, ORACLE_PROFILE)
         assert len(analysis.addrbars) == 1
-        assert analysis.addrbars[0].box == layout.addrbar_truth
+        assert analysis.addrbars[0].box == layout.bars[0].box
         assert analysis.addrbars[0].confidence == 1.0
 
     def test_detection_is_pure_function_of_layout_and_profile(self):
@@ -281,7 +281,7 @@ class TestNoisyOutcomes:
         profile = DetectorProfile(ocr=OcrModel(oracle=False, split_url=True))
         layout = generate_layout("microsoft.com", seed=12)
         analysis = simulate_detection(layout, profile)
-        inside = [t for t in analysis.texts if cover_rate(t.box, layout.addrbar_truth) >= 0.8]
+        inside = [t for t in analysis.texts if cover_rate(t.box, layout.bars[0].box) >= 0.8]
         assert len(inside) == 2
         result = verify_photo(analysis, accept("microsoft.com"), CFG)
         assert result.kind is VerdictKind.MISMATCH
@@ -300,7 +300,7 @@ class TestNoisyOutcomes:
             layout = generate_layout("microsoft.com", seed=seed)
             analysis = simulate_detection(layout, profile)
             assert len(analysis.addrbars) == 1
-            cr = cover_rate(layout.url_text_box, analysis.addrbars[0].box)
+            cr = cover_rate(layout.bars[0].url_text_box, analysis.addrbars[0].box)
             assert cr < CFG.cr_threshold
             result = verify_photo(analysis, accept("microsoft.com"), CFG)
             assert result.kind is VerdictKind.RETAKE

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from photoauth.domain import extract_hostname
@@ -12,8 +14,8 @@ from photoauth.verify import (
     TextRegion,
     VerdictKind,
     VerifyConfig,
-    analysis_from_json,
-    analysis_to_json,
+    analysis_from_dict,
+    analysis_to_dict,
     extract_domain,
     score_detection,
     verify_photo,
@@ -207,16 +209,14 @@ class TestWireFormat:
             [TextRegion(URL_BOX, "microsoft.com")],
             [AddressBarPrediction(BAR, 0.97)],
         )
-        again = analysis_from_json(analysis_to_json(analysis))
+        again = analysis_from_dict(json.loads(json.dumps(analysis_to_dict(analysis))))
         assert again == analysis
 
     def test_schema_keys(self):
-        import json
-
         analysis = make_analysis(
             [TextRegion(URL_BOX, "a.com")], [AddressBarPrediction(BAR, 0.9)]
         )
-        obj = json.loads(analysis_to_json(analysis))
+        obj = json.loads(json.dumps(analysis_to_dict(analysis)))
         assert set(obj) == {"resolution", "texts", "addrbars"}
         assert set(obj["resolution"]) == {"w", "h"}
         assert set(obj["texts"][0]) == {"x", "y", "w", "h", "text"}
@@ -225,7 +225,6 @@ class TestWireFormat:
     @pytest.mark.parametrize(
         "payload",
         [
-            "not json",
             "{}",
             '{"resolution": {"w": 100}, "texts": [], "addrbars": []}',
             '{"resolution": {"w": 100, "h": 100}, "texts": [{"x": 0}], "addrbars": []}',
@@ -233,4 +232,4 @@ class TestWireFormat:
     )
     def test_malformed_payloads(self, payload):
         with pytest.raises(ValueError):
-            analysis_from_json(payload)
+            analysis_from_dict(json.loads(payload))
