@@ -27,16 +27,7 @@ HOSTNAME_CACHE_TEXT_MAX_LEN = HOSTNAME_MAX_LEN + 16
 _LDH_LABEL = re.compile(r"^[a-z0-9-]+$")
 _SCHEME = re.compile(r"^[a-z][a-z0-9+.-]*://", re.IGNORECASE)
 _PORT_SUFFIX = re.compile(r":\d*$")
-
-# Bootstring parameters for punycode.
-_BASE = 36
-_TMIN = 1
-_TMAX = 26
-_SKEW = 38
-_DAMP = 700
-_INITIAL_BIAS = 72
-_INITIAL_N = 0x80
-_MAXINT = 2**31 - 1
+_PATH_START = re.compile(r"[/?#]")
 
 
 class DomainError(ValueError):
@@ -49,10 +40,6 @@ class NoHostname(DomainError):
 
 class InvalidLabel(DomainError):
     """Raised when a hostname label violates length or charset rules."""
-
-
-class EncodingOverflow(DomainError):
-    """Raised when punycode delta arithmetic exceeds the allowed integer range."""
 
 
 @dataclass(frozen=True)
@@ -82,92 +69,39 @@ class DomainName:
         return ".".join(self.labels)
 
 
-def _adapt(delta: int, numpoints: int, firsttime: bool) -> int:
-    delta = delta // _DAMP if firsttime else delta // 2
-    delta += delta // numpoints
-    k = 0
-    while delta > ((_BASE - _TMIN) * _TMAX) // 2:
-        delta //= _BASE - _TMIN
-        k += _BASE
-    return k + (((_BASE - _TMIN + 1) * delta) // (delta + _SKEW))
-
-
-def _digit_char(d: int) -> str:
-    # 0..25 -> a..z, 26..35 -> 0..9
-    return chr(d + ord("a")) if d < 26 else chr(d - 26 + ord("0"))
-
-
 def to_punycode(label: str) -> str:
     """Encode one hostname label to its ASCII form.
 
     Pure-ASCII labels come back unchanged (lowercased). Labels with any
-    other code point are bootstring-encoded and prefixed with "xn--".
+    other code point go through the stdlib's raw Punycode codec (RFC 3492)
+    and are prefixed with "xn--". The "idna" codec is not used: its
+    nameprep step (NFKC, "ß" -> "ss") would change which names match.
 
     Raises:
-        EncodingOverflow: delta arithmetic left the 32-bit range.
+        InvalidLabel: the label is empty or longer than `LABEL_MAX_LEN`.
     """
-    if not label:
-        raise InvalidLabel("empty label")
+    # Lowercasing never shortens a label and encoding never shortens one,
+    # so checking first rejects nothing that used to pass and keeps the
+    # codec, quadratic in label length, off long attacker-chosen text.
+    if not label or len(label) > LABEL_MAX_LEN:
+        raise InvalidLabel(f"label length out of range: {len(label)}")
     label = label.lower()
-    if all(ord(c) < 0x80 for c in label):
+    if label.isascii():
         return label
-
-    codepoints = [ord(c) for c in label]
-    basic = [c for c in label if ord(c) < 0x80]
-    out = basic + ["-"] if basic else []
-
-    n = _INITIAL_N
-    delta = 0
-    bias = _INITIAL_BIAS
-    h = b = len(basic)
-    while h < len(codepoints):
-        m = min(cp for cp in codepoints if cp >= n)
-        delta += (m - n) * (h + 1)
-        if delta > _MAXINT:
-            raise EncodingOverflow(f"label too costly to encode: {label!r}")
-        n = m
-        for cp in codepoints:
-            if cp < n:
-                delta += 1
-                if delta > _MAXINT:
-                    raise EncodingOverflow(f"label too costly to encode: {label!r}")
-            elif cp == n:
-                q = delta
-                k = _BASE
-                while True:
-                    t = _TMIN if k <= bias else (_TMAX if k >= bias + _TMAX else k - bias)
-                    if q < t:
-                        break
-                    out.append(_digit_char(t + (q - t) % (_BASE - t)))
-                    q = (q - t) // (_BASE - t)
-                    k += _BASE
-                out.append(_digit_char(q))
-                bias = _adapt(delta, h + 1, h == b)
-                delta = 0
-                h += 1
-        delta += 1
-        n += 1
-    return "xn--" + "".join(out)
+    return "xn--" + label.encode("punycode").decode("ascii")
 
 
 def _parse_token(token: str) -> DomainName:
     raw = token
     token = _SCHEME.sub("", token)
     # Userinfo only appears before the first path separator.
-    authority_end = len(token)
-    for sep in "/?#":
-        idx = token.find(sep)
-        if idx != -1:
-            authority_end = min(authority_end, idx)
-    authority = token[:authority_end]
-    at = authority.rfind("@")
-    if at != -1:
-        authority = authority[at + 1 :]
-    authority = _PORT_SUFFIX.sub("", authority)
-    if authority.endswith("."):
-        authority = authority[:-1]
+    authority = _PATH_START.split(token, maxsplit=1)[0]
+    authority = authority.rpartition("@")[2]
+    authority = _PORT_SUFFIX.sub("", authority).removesuffix(".")
     if not authority:
         raise NoHostname(f"no hostname in {raw!r}")
+    if len(authority) > HOSTNAME_MAX_LEN:
+        raise InvalidLabel(f"hostname longer than {HOSTNAME_MAX_LEN} chars")
     labels = tuple(to_punycode(label) for label in authority.split("."))
     return DomainName(labels=labels, original_text=raw)
 

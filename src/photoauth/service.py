@@ -28,6 +28,7 @@ from .decision import (
     UnknownUser,
 )
 from .domain import extract_hostname
+from .jsonread import from_json
 from .session import (
     Channel,
     DEFAULT_RETAKE_CAP,
@@ -53,13 +54,6 @@ NOTIFICATION_BACKLOG = 256
 MAX_BODY_BYTES = 64 * 1024
 # A kept-alive connection with no request for this long is closed.
 IDLE_TIMEOUT_S = 30.0
-
-_COLOCATION_MODES = {
-    "cookie": ColocationMode.COOKIE_EQUALITY,
-    "ip": ColocationMode.IP_EQUALITY,
-    "same-network": ColocationMode.SAME_NETWORK,
-}
-
 
 @dataclass(frozen=True)
 class Config:
@@ -90,39 +84,31 @@ class Config:
             )
         if not 0.0 < self.cr_threshold <= 1.0:
             raise ValueError("cr_threshold must be in (0, 1]")
-        if self.colocation_mode not in _COLOCATION_MODES:
-            raise ValueError(f"unknown colocation_mode {self.colocation_mode!r}")
-        if self.session_ttl_s <= 0:
+        self.policy  # checks colocation_mode and colocation_prefix_len
+        if not self.session_ttl_s > 0:  # NaN too
             raise ValueError("session_ttl_s must be positive")
         if self.retake_cap < 0:
             raise ValueError("retake_cap must be non-negative")
-        for name, pref in self.users.items():
-            if pref not in ("sms", "push", "email"):
-                raise ValueError(f"user {name!r} has unknown preference {pref!r}")
+        if not 0 <= self.port <= 65535:
+            raise ValueError("port must be in [0, 65535]")
+        for pref in self.users.values():
+            Preference(pref)
+
+    @property
+    def policy(self) -> ColocationPolicy:
+        return ColocationPolicy(ColocationMode(self.colocation_mode), self.colocation_prefix_len)
 
 
 def config_from_dict(obj: dict) -> Config:
-    """Build a Config from parsed JSON; keys it does not know are ignored."""
-    domains = obj.get("server_domains", ["microsoft.com"])
-    if not isinstance(domains, list):
-        raise ValueError("server_domains must be a list of names")
-    return Config(
-        server_domains=tuple(domains),
-        users=dict(obj.get("users", {"bob": "sms"})),
-        token_length=obj.get("token_length", DEFAULT_TOKEN_LENGTH),
-        retake_cap=obj.get("retake_cap", DEFAULT_RETAKE_CAP),
-        cr_threshold=obj.get("cr_threshold", 0.8),
-        colocation_mode=obj.get("colocation_mode", "cookie"),
-        colocation_prefix_len=obj.get("colocation_prefix_len", 24),
-        session_ttl_s=obj.get("session_ttl_s", DEFAULT_TTL_S),
-        port=int(os.environ.get(ENV_PORT, obj.get("port", 8443))),
-        seed=(
-            int(os.environ[ENV_SEED])
-            if ENV_SEED in os.environ
-            else obj.get("seed")
-        ),
-        expose_notifications=obj.get("expose_notifications", False),
-    )
+    """Build a Config from parsed JSON; keys it does not know are ignored.
+
+    `PHOTOAUTH_PORT` and `PHOTOAUTH_SEED`, when set, override the file.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("a config must be a JSON object")
+    env = {key: int(os.environ[name])
+           for key, name in (("port", ENV_PORT), ("seed", ENV_SEED)) if name in os.environ}
+    return from_json(Config, {**obj, **env}, "config")
 
 
 def load_config(path: str) -> Config:
@@ -185,9 +171,7 @@ class App:
             self.store,
             users={u: Preference(p) for u, p in config.users.items()},
             accept_set=names,
-            policy=ColocationPolicy(
-                _COLOCATION_MODES[config.colocation_mode], config.colocation_prefix_len
-            ),
+            policy=config.policy,
             verify_cfg=VerifyConfig(cr_threshold=config.cr_threshold),
             token_length=config.token_length,
             outbox=deque(maxlen=NOTIFICATION_BACKLOG),

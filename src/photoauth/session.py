@@ -164,7 +164,7 @@ class SessionStore:
         retake_cap: int = DEFAULT_RETAKE_CAP,
         lookup_rate_limit: int = DEFAULT_LOOKUP_RATE_LIMIT,
     ):
-        if ttl_s <= 0:
+        if not ttl_s > 0:  # NaN too
             raise ValueError("ttl_s must be positive")
         if retake_cap < 0:
             raise ValueError("retake_cap must be non-negative")

@@ -18,6 +18,7 @@ across repeats.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import json
 import random
@@ -36,6 +37,7 @@ from .decision import (
     Notification,
 )
 from .domain import extract_hostname
+from .jsonread import from_json
 from .session import Channel, Preference, SessionStore, draw_token_digits
 from .synth import (
     DetectorProfile,
@@ -658,28 +660,27 @@ def run_scenario(scenario: Scenario) -> ScenarioReport:
 def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
     """Read a scenario file: {"name", "kind", "seed", "params", "expected"}.
 
-    Raises ValueError for an unknown kind or a param its runner does not take.
+    Each param is read as its runner's annotation types it. Raises
+    ValueError for an unknown kind, a param its runner does not take or a
+    value of the wrong type.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    if not isinstance(obj, dict) or not isinstance(obj.get("params", {}), dict):
-        raise ValueError("a scenario and its params must be JSON objects")
-    kind = obj["kind"]
-    params = obj.get("params", {})
-    accepted = inspect.signature(_runner(kind)).parameters
-    for key in params:
+    if not isinstance(obj, dict):
+        raise ValueError("a scenario must be a JSON object")
+    if seed_override is not None:
+        obj["seed"] = seed_override
+    scenario = from_json(Scenario, {"name": path, "seed": 0, **obj}, "scenario")
+    accepted = inspect.signature(_runner(scenario.kind), eval_str=True).parameters
+    params = {}
+    for key, value in scenario.params.items():
         if key == "seed" or key not in accepted:
-            raise ValueError(f"scenario kind {kind!r} takes no param {key!r}")
-    expected = None
-    if "expected" in obj and obj["expected"] is not None:
-        expected = Outcome(OutcomeKind(obj["expected"]["kind"]), obj["expected"].get("detail"))
-    return Scenario(
-        name=obj.get("name", path),
-        kind=kind,
-        seed=seed_override if seed_override is not None else obj.get("seed", 0),
-        params=params,
-        expected=expected,
-    )
+            raise ValueError(f"scenario kind {scenario.kind!r} takes no param {key!r}")
+        tp = accepted[key].annotation
+        if dataclasses.is_dataclass(tp):
+            raise ValueError(f"param {key!r} cannot be set from a scenario file")
+        params[key] = from_json(tp, value, f"scenario.params.{key}")
+    return dataclasses.replace(scenario, params=params)
 
 
 def matches_expectation(report: ScenarioReport, expected: Outcome | None) -> bool:

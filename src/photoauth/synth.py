@@ -18,6 +18,7 @@ from typing import Iterator
 
 from .domain import DomainName, confusable_mutate, extract_hostname
 from .geometry import BoundingBox, Resolution, intersection_area
+from .jsonread import from_json
 from .verify import (
     AddressBarPrediction,
     PhotoAnalysis,
@@ -573,22 +574,22 @@ def homograph_stress(
 
 
 def profile_from_dict(obj: dict) -> DetectorProfile:
-    ocr_obj = obj.get("ocr", {})
-    bar_obj = obj.get("addrbar", {})
-    ocr = OcrModel(
-        oracle=ocr_obj.get("mode", "oracle") == "oracle",
-        sub_rate=ocr_obj.get("sub_rate", 0.0),
-        dot_drop_rate_dark=ocr_obj.get("dot_drop_rate_dark", 0.0),
-        split_url=ocr_obj.get("split_url", False),
-    )
-    addrbar = AddrbarModel(
-        oracle=bar_obj.get("mode", "oracle") == "oracle",
-        jitter_px=bar_obj.get("jitter_px", 0.0),
-        cutoff_prob=bar_obj.get("cutoff_prob", 0.0),
-        miss_prob=bar_obj.get("miss_prob", 0.0),
-        spurious_prob=bar_obj.get("spurious_prob", 0.0),
-    )
-    return DetectorProfile(ocr=ocr, addrbar=addrbar, seed=obj.get("seed", 0))
+    """Build a DetectorProfile from parsed JSON; keys it does not know are ignored.
+
+    Each model's "mode", "oracle" (the default) or "noisy", sets its `oracle` field.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("a profile must be a JSON object")
+    obj = dict(obj)
+    for key in ("ocr", "addrbar"):
+        model = obj.get(key, {})
+        if not isinstance(model, dict):
+            raise ValueError(f"profile.{key}: expected an object, got {type(model).__name__}")
+        mode = model.get("mode", "oracle")
+        if mode not in ("oracle", "noisy"):
+            raise ValueError(f'profile.{key}.mode: expected "oracle" or "noisy", got {mode!r}')
+        obj[key] = {**model, "oracle": mode == "oracle"}
+    return from_json(DetectorProfile, obj, "profile")
 
 
 def load_profile(path: str) -> DetectorProfile:

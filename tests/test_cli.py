@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from photoauth import cli
 from photoauth.cli import main
+from photoauth.service import ENV_PORT, ENV_SEED
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios")
 
@@ -178,6 +180,70 @@ class TestServe:
         code, _, err = run_cli(capsys, "serve", "--config", str(path))
         assert code == 2
         assert "cannot load config" in err
+
+
+def _scenario(**fields):
+    return json.dumps({"kind": "rtp", "seed": 1, **fields})
+
+
+def _profile(**ocr):
+    return json.dumps({"ocr": {"mode": "noisy", **ocr}})
+
+
+# (command, file text, error prefix): each file is refused before any run.
+_MALFORMED_INPUTS = {
+    "config-not-an-object": ("serve", "[]", "cannot load config"),
+    "config-string-int": ("serve", '{"token_length": "10"}', "cannot load config"),
+    "config-string-bool": ("serve", '{"expose_notifications": "no"}', "cannot load config"),
+    "config-bool-float": ("serve", '{"cr_threshold": true}', "cannot load config"),
+    "config-string-seed": ("serve", '{"seed": "abc"}', "cannot load config"),
+    "config-nan-ttl": ("serve", '{"session_ttl_s": NaN}', "cannot load config"),
+    "config-port-range": ("serve", '{"port": 70000}', "cannot load config"),
+    "config-prefix-len": ("serve", '{"colocation_prefix_len": 500}', "cannot load config"),
+    "scenario-string-int": (
+        "simulate",
+        json.dumps({"kind": "bruteforce", "params": {"guesses": "many"}}),
+        "cannot load scenario",
+    ),
+    "scenario-string-seed": ("simulate", _scenario(seed="x"), "cannot load scenario"),
+    "scenario-string-expected": (
+        "simulate", _scenario(expected="authorized"), "cannot load scenario"
+    ),
+    "scenario-dataclass-param": (
+        "simulate", _scenario(params={"detector_profile": {}}), "cannot load scenario"
+    ),
+    "profile-string-float": ("evaluate", _profile(sub_rate="x"), "cannot load profile"),
+    "profile-bool-float": ("evaluate", _profile(sub_rate=True), "cannot load profile"),
+    "profile-not-an-object": ("evaluate", "[1]", "cannot load profile"),
+    "profile-model-not-an-object": ("evaluate", '{"ocr": []}', "cannot load profile"),
+    "profile-string-seed": ("evaluate", '{"seed": "a"}', "cannot load profile"),
+    "profile-unknown-mode": ("evaluate", _profile(mode="Oracle"), "cannot load profile"),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+    def test_exits_two_without_a_traceback(self, tmp_path, capsys, monkeypatch, case):
+        command, text, message = _MALFORMED_INPUTS[case]
+        monkeypatch.delenv(ENV_PORT, raising=False)
+        monkeypatch.delenv(ENV_SEED, raising=False)
+
+        def no_serve(config):
+            raise AssertionError(f"server started with {config}")
+
+        monkeypatch.setattr(cli, "serve", no_serve)
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        argv = {
+            "serve": ["serve", "--config", str(path)],
+            "simulate": ["simulate", str(path)],
+            "evaluate": ["evaluate", "--n", "5", "--profile", str(path)],
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
+        assert "Traceback" not in err
 
 
 class TestParser:

@@ -1,3 +1,4 @@
+import encodings.punycode
 import random
 import tracemalloc
 import urllib.parse
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 from photoauth.domain import (
     DomainError,
     DomainName,
-    EncodingOverflow,
     HOSTNAME_CACHE_SIZE,
     HOSTNAME_CACHE_TEXT_MAX_LEN,
+    HOSTNAME_MAX_LEN,
     InvalidLabel,
+    LABEL_MAX_LEN,
     NoHostname,
     confusable_mutate,
     domains_equal,
@@ -47,8 +49,26 @@ class TestPunycode:
 
     def test_overflow(self):
         label = "\u0081" * 2100 + "\U0010FFFF"
-        with pytest.raises(EncodingOverflow):
+        with pytest.raises(InvalidLabel):
             to_punycode(label)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "".join(chr(0x4E00 + i) for i in range(LABEL_MAX_LEN + 1)),
+            ".".join(chr(0x4E00 + i) * 3 for i in range(HOSTNAME_MAX_LEN // 4 + 1)),
+        ],
+        ids=["label", "hostname"],
+    )
+    def test_overlong_text_never_reaches_the_codec(self, monkeypatch, text):
+        encoded = []
+        encode = encodings.punycode.punycode_encode
+        monkeypatch.setattr(
+            encodings.punycode, "punycode_encode", lambda s: encoded.append(s) or encode(s)
+        )
+        with pytest.raises(InvalidLabel):
+            extract_hostname.__wrapped__(text)
+        assert encoded == []
 
     def test_matches_stdlib_codec(self):
         for label in ("аpple", "bücher", "münchen", "你好world"):

@@ -250,6 +250,10 @@ class TestExpiry:
         with pytest.raises(ValueError):
             make_store(ttl_s=0.0)
 
+    def test_nan_ttl_rejected(self):
+        with pytest.raises(ValueError):
+            make_store(ttl_s=float("nan"))
+
     def test_expiry_order_survives_state_changes(self):
         clock = FakeClock()
         store = make_store(clock=clock, ttl_s=10.0)

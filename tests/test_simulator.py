@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import json
 import os
 
 import pytest
 
+from photoauth import simulator
 from photoauth.simulator import (
     ADVERSARY,
     CookieJar,
@@ -306,6 +308,21 @@ class TestScenarioFiles:
         path.write_text('{"kind": "benign", "seed": 1}', encoding="utf-8")
         assert load_scenario(str(path)).seed == 1
         assert load_scenario(str(path), seed_override=42).seed == 42
+
+    def test_params_reach_the_runner_typed(self, tmp_path, monkeypatch):
+        seen = {}
+        runner = simulator._RUNNERS["rtp"]
+
+        @functools.wraps(runner)
+        def spy(seed, **params):
+            seen.update(params)
+            return runner(seed, **params)
+
+        monkeypatch.setitem(simulator._RUNNERS, "rtp", spy)
+        path = tmp_path / "dark.json"
+        path.write_text('{"kind": "rtp", "seed": 1, "params": {"theme": "dark"}}', encoding="utf-8")
+        run_scenario(load_scenario(str(path)))
+        assert seen == {"theme": Theme.DARK}
 
     def test_inject_placement_routing(self):
         scenario = Scenario(
