@@ -17,6 +17,7 @@ Implements the full login flow:
 from __future__ import annotations
 
 import ipaddress
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, MutableSequence, Optional
@@ -141,6 +142,10 @@ class AuthEngine:
     passes another sequence, such as a bounded deque); the transport that
     drains it (SMS, push, email) is outside the engine and carries the
     same link either way.
+
+    Each `handle_*` call runs whole under one engine-wide lock, so a
+    decision is always applied to the session state it was made from:
+    two clicks or two photos for one link never interleave.
     """
 
     def __init__(
@@ -161,51 +166,53 @@ class AuthEngine:
         self.verify_cfg = verify_cfg
         self.token_length = token_length
         self.outbox = outbox if outbox is not None else []
+        self._lock = threading.Lock()
 
     # -- flow steps --
 
     def handle_auth_request(self, request: AuthRequest) -> AuthDecision:
         """First contact: cookie shortcut, else start a new session."""
-        cookie = request.presented_cookie
-        if cookie is not None:
-            if not cookie_value_well_formed(cookie):
-                return AuthDecision(DecisionKind.BAD_REQUEST, reason="malformed-cookie")
-            session = self.store.find_by_cookie(cookie)
-            if session is not None and session.state is SessionState.AUTHORIZED:
-                return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
-            # Well-formed but not an authorized session: treat as a fresh login.
+        with self._lock:
+            cookie = request.presented_cookie
+            if cookie is not None:
+                if not cookie_value_well_formed(cookie):
+                    return AuthDecision(DecisionKind.BAD_REQUEST, reason="malformed-cookie")
+                session = self.store.find_by_cookie(cookie)
+                if session is not None and session.state is SessionState.AUTHORIZED:
+                    return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
+                # Well-formed but not an authorized session: treat as a fresh login.
 
-        if not request.username:
-            return AuthDecision(DecisionKind.BAD_REQUEST, reason="missing-username")
-        preference = self.users.get(request.username)
-        if preference is None:
-            raise UnknownUser(request.username)
+            if not request.username:
+                return AuthDecision(DecisionKind.BAD_REQUEST, reason="missing-username")
+            preference = self.users.get(request.username)
+            if preference is None:
+                raise UnknownUser(request.username)
 
-        session = self.store.create_session(
-            request.username,
-            preference,
-            source=request.source_address,
-            channel=request.channel,
-        )
-        session = self.store.issue_short_link(session.id, self.token_length)
-        assert session.token is not None
-        link = session.token.link(self.store.server_domain)
-        self.outbox.append(
-            Notification(
-                username=session.username,
-                preference=preference,
-                link=link,
-                session_id=session.id,
+            session = self.store.create_session(
+                request.username,
+                preference,
+                source=request.source_address,
+                channel=request.channel,
             )
-        )
-        return AuthDecision(
-            DecisionKind.LINK_SENT,
-            session_id=session.id,
-            link=link,
-            token_digits=session.token.digits,
-            cookie=session.cookie.value,
-            preference=preference,
-        )
+            session = self.store.issue_short_link(session.id, self.token_length)
+            assert session.token is not None
+            link = session.token.link(self.store.server_domain)
+            self.outbox.append(
+                Notification(
+                    username=session.username,
+                    preference=preference,
+                    link=link,
+                    session_id=session.id,
+                )
+            )
+            return AuthDecision(
+                DecisionKind.LINK_SENT,
+                session_id=session.id,
+                link=link,
+                token_digits=session.token.digits,
+                cookie=session.cookie.value,
+                preference=preference,
+            )
 
     def _colocated(self, click: LinkClick, session: Session) -> bool:
         mode = self.policy.mode
@@ -222,34 +229,35 @@ class AuthEngine:
 
     def handle_link_click(self, click: LinkClick) -> AuthDecision:
         """Short-link visit: skip the photo when the click is colocated."""
-        session = self.store.resolve_token(click.token_digits, source=click.source_address)
-        if session is None:
-            return AuthDecision(DecisionKind.DENY, reason=REASON_UNKNOWN_TOKEN)
-        if session.state is SessionState.AUTHORIZED:
-            # Replayed click on a finished session changes nothing.
-            return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
-        if session.state is SessionState.DENIED:
-            return AuthDecision(
-                DecisionKind.DENY, reason=REASON_SESSION_DENIED, session_id=session.id
-            )
-        if session.state is SessionState.FALLBACK_OFFERED:
-            return AuthDecision(DecisionKind.FALLBACK, session_id=session.id, warning=True)
-        if session.state is SessionState.AWAITING_PHOTO:
-            return AuthDecision(DecisionKind.REQUIRE_PHOTO, session_id=session.id)
+        with self._lock:
+            session = self.store.resolve_token(click.token_digits, source=click.source_address)
+            if session is None:
+                return AuthDecision(DecisionKind.DENY, reason=REASON_UNKNOWN_TOKEN)
+            if session.state is SessionState.AUTHORIZED:
+                # Replayed click on a finished session changes nothing.
+                return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
+            if session.state is SessionState.DENIED:
+                return AuthDecision(
+                    DecisionKind.DENY, reason=REASON_SESSION_DENIED, session_id=session.id
+                )
+            if session.state is SessionState.FALLBACK_OFFERED:
+                return AuthDecision(DecisionKind.FALLBACK, session_id=session.id, warning=True)
+            if session.state is SessionState.AWAITING_PHOTO:
+                return AuthDecision(DecisionKind.REQUIRE_PHOTO, session_id=session.id)
 
-        if self._colocated(click, session):
-            self.store.authorize(session.id)
-            return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
-        self.store.mark_awaiting_photo(session.id)
-        hint = None
-        if (
-            self.policy.mode is ColocationMode.COOKIE_EQUALITY
-            and session.login_channel is Channel.PHONE_BROWSER
-        ):
-            # The login came from a phone browser; the click arrived from a
-            # different one, otherwise the cookie would have matched.
-            hint = SAME_BROWSER_HINT
-        return AuthDecision(DecisionKind.REQUIRE_PHOTO, session_id=session.id, message=hint)
+            if self._colocated(click, session):
+                self.store.authorize(session.id)
+                return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
+            self.store.mark_awaiting_photo(session.id)
+            hint = None
+            if (
+                self.policy.mode is ColocationMode.COOKIE_EQUALITY
+                and session.login_channel is Channel.PHONE_BROWSER
+            ):
+                # The login came from a phone browser; the click arrived from a
+                # different one, otherwise the cookie would have matched.
+                hint = SAME_BROWSER_HINT
+            return AuthDecision(DecisionKind.REQUIRE_PHOTO, session_id=session.id, message=hint)
 
     def handle_photo_submission(
         self, token_digits: str, analysis: PhotoAnalysis, *, source: str | None = None
@@ -259,41 +267,42 @@ class AuthEngine:
         Raises:
             InvalidState: the session exists but is not awaiting a photo.
         """
-        session = self.store.resolve_token(token_digits, source=source)
-        if session is None:
-            return AuthDecision(DecisionKind.DENY, reason=REASON_UNKNOWN_TOKEN)
-        if session.state is not SessionState.AWAITING_PHOTO:
-            raise InvalidState(
-                f"photo submitted while session is {session.state.value}"
-            )
+        with self._lock:
+            session = self.store.resolve_token(token_digits, source=source)
+            if session is None:
+                return AuthDecision(DecisionKind.DENY, reason=REASON_UNKNOWN_TOKEN)
+            if session.state is not SessionState.AWAITING_PHOTO:
+                raise InvalidState(
+                    f"photo submitted while session is {session.state.value}"
+                )
 
-        result = verify_photo(analysis, self.accept_set, self.verify_cfg)
-        if result.kind is VerdictKind.MATCH:
-            self.store.authorize(session.id)
-            return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
-        if result.kind is VerdictKind.MISMATCH:
-            self.store.deny(session.id)
-            found = str(result.found) if result.found else "unknown"
-            return AuthDecision(
-                DecisionKind.DENY,
-                reason=REASON_PHISHING,
-                session_id=session.id,
-                message=f"photographed address bar shows {found}",
-                warning=True,
-            )
+            result = verify_photo(analysis, self.accept_set, self.verify_cfg)
+            if result.kind is VerdictKind.MATCH:
+                self.store.authorize(session.id)
+                return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
+            if result.kind is VerdictKind.MISMATCH:
+                self.store.deny(session.id)
+                found = str(result.found) if result.found else "unknown"
+                return AuthDecision(
+                    DecisionKind.DENY,
+                    reason=REASON_PHISHING,
+                    session_id=session.id,
+                    message=f"photographed address bar shows {found}",
+                    warning=True,
+                )
 
-        assert result.reason is not None
-        updated = self.store.record_retake(session.id, result.reason)
-        if updated.state is SessionState.FALLBACK_OFFERED:
+            assert result.reason is not None
+            updated = self.store.record_retake(session.id, result.reason)
+            if updated.state is SessionState.FALLBACK_OFFERED:
+                return AuthDecision(
+                    DecisionKind.FALLBACK,
+                    session_id=session.id,
+                    warning=updated.phishing_warned,
+                )
             return AuthDecision(
-                DecisionKind.FALLBACK,
+                DecisionKind.REQUEST_RETAKE,
+                reason=result.reason,
                 session_id=session.id,
-                warning=updated.phishing_warned,
+                warning=result.reason == RETAKE_MULTIPLE_ADDRBARS,
+                retakes_left=self.store.retake_cap - updated.retakes,
             )
-        return AuthDecision(
-            DecisionKind.REQUEST_RETAKE,
-            reason=result.reason,
-            session_id=session.id,
-            warning=result.reason == RETAKE_MULTIPLE_ADDRBARS,
-            retakes_left=self.store.retake_cap - updated.retakes,
-        )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -44,15 +44,9 @@ class InvalidLabel(DomainError):
 
 @dataclass(frozen=True)
 class DomainName:
-    """Canonical hostname: lowercase ASCII labels, already punycoded.
-
-    `original_text` keeps the raw string the name was parsed from; it is
-    excluded from equality and hashing so names extracted from different
-    surfaces (config, OCR output) compare by labels alone.
-    """
+    """Canonical hostname: lowercase ASCII labels, already punycoded."""
 
     labels: tuple[str, ...]
-    original_text: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not self.labels:
@@ -103,24 +97,16 @@ def _parse_token(token: str) -> DomainName:
     if len(authority) > HOSTNAME_MAX_LEN:
         raise InvalidLabel(f"hostname longer than {HOSTNAME_MAX_LEN} chars")
     labels = tuple(to_punycode(label) for label in authority.split("."))
-    return DomainName(labels=labels, original_text=raw)
+    return DomainName(labels=labels)
 
 
 def _parse_hostname(text: str) -> DomainName:
-    tokens = text.split()
+    # Only the first token is read: an address bar shows one URL, and a
+    # later token must not buy another round of label encoding.
+    tokens = text.split(maxsplit=1)
     if not tokens:
         raise NoHostname("empty text")
-    first_error: DomainError | None = None
-    for token in tokens:
-        try:
-            return _parse_token(token)
-        except DomainError as exc:
-            if first_error is None:
-                first_error = exc
-    assert first_error is not None
-    if len(tokens) == 1:
-        raise first_error
-    raise NoHostname(f"no parseable hostname in {text!r}")
+    return _parse_token(tokens[0])
 
 
 _parse_hostname_cached = lru_cache(maxsize=HOSTNAME_CACHE_SIZE)(_parse_hostname)
@@ -130,8 +116,8 @@ def extract_hostname(text: str) -> DomainName:
     """Pull a canonical hostname out of address-bar text.
 
     Strips scheme, userinfo, port, path, query and fragment, lowercases,
-    and punycodes each label. When the text contains several whitespace
-    separated tokens the first one that parses as a hostname wins.
+    and punycodes each label. Only the first whitespace-separated token
+    is read; the rest of the text is ignored.
 
     Results for texts of at most `HOSTNAME_CACHE_TEXT_MAX_LEN` characters
     are cached (`HOSTNAME_CACHE_SIZE` entries, least recently used dropped
@@ -165,25 +151,17 @@ def domains_equal(found: DomainName, accepted: Iterable[DomainName]) -> bool:
 
 
 def confusable_mutate(
-    domain: DomainName,
-    rules: dict[str, str],
-    rng: random.Random | int,
-    count: int = 1,
+    domain: DomainName, rules: dict[str, str], rng: random.Random
 ) -> DomainName:
-    """Substitute lookalike characters into a domain name.
+    """Substitute one lookalike character into a domain name.
 
-    Picks up to `count` distinct positions whose character has a rule and
-    applies the replacement. Deterministic for a given rng state. Returns
-    the input unchanged when no position matches any rule.
+    Picks one position whose character has a rule and applies the
+    replacement. Deterministic for a given rng state. Returns the input
+    unchanged when no position matches any rule.
     """
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     text = str(domain)
     positions = [i for i, ch in enumerate(text) if ch in rules]
     if not positions:
         return domain
-    chosen = sorted(rng.sample(positions, min(count, len(positions))))
-    chars = list(text)
-    for i in chosen:
-        chars[i] = rules[chars[i]]
-    return extract_hostname("".join(chars))
+    [i] = rng.sample(positions, 1)
+    return extract_hostname(text[:i] + rules[text[i]] + text[i + 1 :])

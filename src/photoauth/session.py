@@ -28,18 +28,14 @@ MAX_TOKEN_LENGTH = 12
 
 DEFAULT_TTL_S = 300.0
 DEFAULT_RETAKE_CAP = 5
-DEFAULT_LOOKUP_RATE_LIMIT = 10  # token lookups per second per source
+LOOKUP_RATE_LIMIT = 10  # token lookups per second per source
 
 
-class SessionError(Exception):
-    pass
-
-
-class InvalidState(SessionError):
+class InvalidState(Exception):
     """Raised on a transition the session lifecycle does not allow."""
 
 
-class RateLimited(SessionError):
+class RateLimited(Exception):
     """Raised when one source exceeds the token lookup budget."""
 
 
@@ -162,7 +158,6 @@ class SessionStore:
         clock: Callable[[], float] | None = None,
         ttl_s: float = DEFAULT_TTL_S,
         retake_cap: int = DEFAULT_RETAKE_CAP,
-        lookup_rate_limit: int = DEFAULT_LOOKUP_RATE_LIMIT,
     ):
         if not ttl_s > 0:  # NaN too
             raise ValueError("ttl_s must be positive")
@@ -171,7 +166,6 @@ class SessionStore:
         self.server_domain = server_domain
         self.ttl_s = ttl_s
         self.retake_cap = retake_cap
-        self.lookup_rate_limit = lookup_rate_limit
         self._rng = rng
         self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
@@ -211,9 +205,8 @@ class SessionStore:
         window_start, count = windows.get(source, (now, 0))
         count += 1
         windows[source] = (window_start, count)
-        if count > self.lookup_rate_limit:
-            raise RateLimited(f"token lookups from {source!r} exceed "
-                              f"{self.lookup_rate_limit}/s")
+        if count > LOOKUP_RATE_LIMIT:
+            raise RateLimited(f"token lookups from {source!r} exceed {LOOKUP_RATE_LIMIT}/s")
 
     def _replace_locked(self, session: Session, **changes) -> Session:
         updated = replace(session, **changes)

@@ -77,49 +77,17 @@ class Outcome:
         return {"kind": self.kind.value, "detail": self.detail}
 
 
-class LogicalClock:
-    """Integer event counter standing in for wall time."""
-
-    def __init__(self):
-        self._t = 0
-
-    def now(self) -> float:
-        return float(self._t)
-
-    def tick(self) -> int:
-        self._t += 1
-        return self._t
-
-
-@dataclass
-class MessageLog:
-    entries: list[dict] = field(default_factory=list)
-
-    def emit(self, t: int, sender: str, recipient: str, trust: str, kind: str, data: dict) -> None:
-        self.entries.append(
-            {"t": t, "from": sender, "to": recipient, "link": trust, "kind": kind, "data": data}
-        )
-
-
-class CookieJar:
-    """Per-browser cookie storage honoring the same-origin policy."""
-
-    def __init__(self):
-        self._by_origin: dict[str, str] = {}
-
-    def store(self, origin: str, value: str) -> None:
-        self._by_origin[origin] = value
-
-    def cookie_for(self, destination: str) -> Optional[str]:
-        """Only cookies stored under exactly this origin are attached."""
-        return self._by_origin.get(destination)
-
-
 @dataclass
 class Browser:
+    """One browser and its cookie jar, keyed by origin.
+
+    Same-origin policy: a request carries only the cookie stored under
+    exactly its destination's origin, `jar.get(destination)`.
+    """
+
     name: str
     source: str
-    jar: CookieJar = field(default_factory=CookieJar)
+    jar: dict[str, str] = field(default_factory=dict)
 
 
 class RtpProxy:
@@ -134,20 +102,13 @@ class RtpProxy:
         self.fake_domain = fake_domain
         self.upstream_domain = upstream_domain
         self.source = source
-        self.jar = CookieJar()
+        self.jar: dict[str, str] = {}
 
     def rewrite_inbound(self, text: str) -> str:
         return text.replace(self.fake_domain, self.upstream_domain)
 
     def rewrite_outbound(self, text: str) -> str:
         return text.replace(self.upstream_domain, self.fake_domain)
-
-
-@dataclass
-class Phone:
-    source: str
-    browser: Browser
-    inbox: list[Notification] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -167,12 +128,12 @@ class ScenarioReport:
     seed: int
     outcome: Outcome
     trail: list[dict] = field(default_factory=list)
-    log: MessageLog = field(default_factory=MessageLog)
+    log: list[dict] = field(default_factory=list)
     photos_taken: int = 0
 
     def log_jsonl(self) -> str:
         return "\n".join(
-            json.dumps(e, sort_keys=True, separators=(",", ":")) for e in self.log.entries
+            json.dumps(e, sort_keys=True, separators=(",", ":")) for e in self.log
         )
 
     def to_dict(self) -> dict:
@@ -182,7 +143,7 @@ class ScenarioReport:
             "outcome": self.outcome.to_dict(),
             "photos_taken": self.photos_taken,
             "decisions": self.trail,
-            "messages": len(self.log.entries),
+            "messages": len(self.log),
         }
 
     def to_json(self) -> str:
@@ -190,7 +151,11 @@ class ScenarioReport:
 
 
 class World:
-    """Wiring shared by every scenario: one server, one user, one phone."""
+    """Wiring shared by every scenario: one server, one user, one phone.
+
+    `t` is the logical clock, an event counter standing in for wall time;
+    `inbox` holds the short links the phone has received.
+    """
 
     def __init__(
         self,
@@ -207,8 +172,8 @@ class World:
         self.name = name
         self.seed = seed
         self.rng = random.Random(seed)
-        self.clock = LogicalClock()
-        self.log = MessageLog()
+        self.t = 0
+        self.log: list[dict] = []
         self.profile = profile
         self.theme = theme
         self.username = "bob"
@@ -217,7 +182,7 @@ class World:
         self.store = SessionStore(
             extract_hostname(server_domain),
             rng=self.rng,
-            clock=self.clock.now,
+            clock=lambda: float(self.t),
             ttl_s=1_000_000.0,  # nothing expires within a scenario
         )
         self.engine = AuthEngine(
@@ -228,7 +193,8 @@ class World:
             token_length=token_length,
         )
         self.user_pc = Browser(USER, source="198.51.100.23")
-        self.phone = Phone(source="203.0.113.7", browser=Browser(PHONE, source="203.0.113.7"))
+        self.phone = Browser(PHONE, source="203.0.113.7")
+        self.inbox: list[Notification] = []
         self.trail: list[dict] = []
         self.owners: dict[str, str] = {}
         self.photos_taken = 0
@@ -259,9 +225,16 @@ class World:
         )
         return decision
 
-    def send(self, sender: str, recipient: str, trust: str, kind: str, data: dict) -> None:
-        """Log one message; each message advances the logical clock by one."""
-        self.log.emit(self.clock.tick(), sender, recipient, trust, kind, data)
+    def send(
+        self, sender: str, recipient: str, trust: str, kind: str, data: dict, *, tick: bool = True
+    ) -> None:
+        """Log one message; it advances the logical clock by one unless `tick` is False."""
+        if tick:
+            self.t += 1
+        self.log.append(
+            {"t": self.t, "from": sender, "to": recipient, "link": trust, "kind": kind,
+             "data": data}
+        )
 
     def deliver_notifications(self) -> None:
         """Move queued short links to the phone over the safe channel."""
@@ -270,13 +243,13 @@ class World:
             self.send(
                 SERVER, PHONE, SAFE, f"{note.preference.value}-link", {"link": note.link}
             )
-            self.phone.inbox.append(note)
+            self.inbox.append(note)
 
     # -- scripted actions --
 
     def login_direct(self, browser: Browser, channel: Channel) -> AuthDecision:
         """Credentials sent straight to the real server."""
-        cookie = browser.jar.cookie_for(self.server_name)
+        cookie = browser.jar.get(self.server_name)
         self.send(
             browser.name,
             SERVER,
@@ -291,7 +264,7 @@ class World:
         if decision.session_id:
             self.owners.setdefault(decision.session_id, "user")
             if decision.kind is DecisionKind.LINK_SENT:
-                browser.jar.store(self.server_name, decision.cookie)
+                browser.jar[self.server_name] = decision.cookie
                 self.send(
                     SERVER, browser.name, UNSAFE, "set-cookie",
                     {"origin": self.server_name},
@@ -310,7 +283,7 @@ class World:
             {"username": self.username, "page": proxy.rewrite_inbound(f"POST {proxy.fake_domain}/login")},
         )
         decision = self.engine.handle_auth_request(
-            AuthRequest(self.username, proxy.jar.cookie_for(self.server_name),
+            AuthRequest(self.username, proxy.jar.get(self.server_name),
                         proxy.source, Channel.PC_BROWSER)
         )
         if decision.session_id:
@@ -319,12 +292,12 @@ class World:
                 # The server's cookie lands in the proxy's jar under the real
                 # origin, then gets replayed to the victim who stores it under
                 # the fake origin.
-                proxy.jar.store(self.server_name, decision.cookie)
+                proxy.jar[self.server_name] = decision.cookie
                 self.send(
                     SERVER, PROXY, UNSAFE, "set-cookie",
                     {"origin": self.server_name},
                 )
-                browser.jar.store(proxy.fake_domain, decision.cookie)
+                browser.jar[proxy.fake_domain] = decision.cookie
                 self.send(
                     PROXY, browser.name, UNSAFE, "set-cookie",
                     {"origin": proxy.fake_domain,
@@ -335,14 +308,14 @@ class World:
 
     def newest_link_digits(self) -> str:
         """Token digits of the newest short link on the phone."""
-        if not self.phone.inbox:
+        if not self.inbox:
             raise RuntimeError("no short link on the phone")
-        return self.phone.inbox[-1].link.rsplit("/", 1)[-1]
+        return self.inbox[-1].link.rsplit("/", 1)[-1]
 
     def click_link(self) -> AuthDecision:
         """The phone opens the newest short link in its own browser."""
         digits = self.newest_link_digits()
-        cookie = self.phone.browser.jar.cookie_for(self.server_name)
+        cookie = self.phone.jar.get(self.server_name)
         self.send(
             PHONE, SERVER, SAFE, "link-click",
             {"token": digits, "cookie_attached": cookie is not None},
@@ -437,7 +410,7 @@ def _photograph_fake_site(
 def _redirect_and_resume(world: World) -> _Ending:
     """The proxy bounces the victim to the real site, where the browser tries to resume."""
     world.send(PROXY, USER, UNSAFE, "redirect", {"to": world.server_name})
-    attached = world.user_pc.jar.cookie_for(world.server_name)
+    attached = world.user_pc.jar.get(world.server_name)
     world.send(
         USER, SERVER, UNSAFE, "resume",
         {"cookie_attached": attached is not None},
@@ -484,7 +457,7 @@ def run_benign_login(
         profile=detector_profile,
         theme=theme,
     )
-    browser = world.phone.browser if login_device == "phone" else world.user_pc
+    browser = world.phone if login_device == "phone" else world.user_pc
     channel = Channel.PHONE_BROWSER if login_device == "phone" else Channel.PC_BROWSER
 
     for _ in range(max_logins):
@@ -590,10 +563,10 @@ def run_token_bruteforce(
     hit = False
     for _ in range(guesses):
         digits = draw_token_digits(token_length, guess_rng)
-        t = world.clock.tick()
+        world.t += 1
         result = world.engine.handle_link_click(LinkClick(digits, None, PROXY_SOURCE))
         if result.kind is not DecisionKind.DENY:
-            world.log.emit(t, ADVERSARY, SERVER, UNSAFE, "token-guess-hit", {"token": digits})
+            world.send(ADVERSARY, SERVER, UNSAFE, "token-guess-hit", {"token": digits}, tick=False)
             world.record(result, ADVERSARY)
             hit = True
             break

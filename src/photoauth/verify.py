@@ -17,6 +17,8 @@ from .geometry import BoundingBox, Resolution, area, cover_rate, iou
 
 RETAKE_MULTIPLE_ADDRBARS = "multiple-addrbars"
 RETAKE_UNREADABLE = "unreadable"
+# Address-bar predictions below this confidence are ignored.
+CONFIDENCE_FLOOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -66,16 +68,10 @@ class PhotoAnalysis:
 @dataclass(frozen=True)
 class VerifyConfig:
     cr_threshold: float = 0.8
-    confidence_floor: float = 0.5
-    max_addrbars: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.cr_threshold <= 1.0:
             raise ValueError(f"cr_threshold must be in (0, 1], got {self.cr_threshold}")
-        if not 0.0 <= self.confidence_floor <= 1.0:
-            raise ValueError(f"confidence_floor must be in [0, 1], got {self.confidence_floor}")
-        if self.max_addrbars < 1:
-            raise ValueError("max_addrbars must be at least 1")
 
 
 class ExtractionKind(Enum):
@@ -90,7 +86,6 @@ class ExtractionOutcome:
     kind: ExtractionKind
     domain: DomainName | None = None
     cover_rate: float | None = None
-    bar_count: int = 0
 
 
 class VerdictKind(Enum):
@@ -104,16 +99,15 @@ class VerifyResult:
     kind: VerdictKind
     found: DomainName | None = None
     reason: str | None = None
-    warn_phishing: bool = False
 
 
 def extract_domain(analysis: PhotoAnalysis, cfg: VerifyConfig = VerifyConfig()) -> ExtractionOutcome:
     """Select the URL text in a photo and parse its hostname.
 
     Steps:
-      1. Drop address-bar predictions below the confidence floor.
-      2. More than `max_addrbars` remain: reject, the photo may contain
-         an embedded fake bar.
+      1. Drop address-bar predictions below `CONFIDENCE_FLOOR`.
+      2. More than one remains: reject, the photo may contain an
+         embedded fake bar.
       3. None remain: the bar was not found.
       4. Keep texts whose cover rate against the bar reaches the
          threshold; none qualifying means the URL text is not readable
@@ -122,11 +116,11 @@ def extract_domain(analysis: PhotoAnalysis, cfg: VerifyConfig = VerifyConfig()) 
          then to the leftmost-topmost one. Hostname parse failures are
          reported as no qualifying text.
     """
-    bars = [p for p in analysis.addrbars if p.confidence >= cfg.confidence_floor]
-    if len(bars) > cfg.max_addrbars:
-        return ExtractionOutcome(ExtractionKind.MULTIPLE_ADDRESS_BARS, bar_count=len(bars))
+    bars = [p for p in analysis.addrbars if p.confidence >= CONFIDENCE_FLOOR]
+    if len(bars) > 1:
+        return ExtractionOutcome(ExtractionKind.MULTIPLE_ADDRESS_BARS)
     if not bars:
-        return ExtractionOutcome(ExtractionKind.NO_ADDRESS_BAR, bar_count=0)
+        return ExtractionOutcome(ExtractionKind.NO_ADDRESS_BAR)
     bar = bars[0]
 
     candidates = []
@@ -135,15 +129,15 @@ def extract_domain(analysis: PhotoAnalysis, cfg: VerifyConfig = VerifyConfig()) 
         if cr >= cfg.cr_threshold:
             candidates.append((cr, region))
     if not candidates:
-        return ExtractionOutcome(ExtractionKind.NO_QUALIFYING_TEXT, bar_count=1)
+        return ExtractionOutcome(ExtractionKind.NO_QUALIFYING_TEXT)
 
     candidates.sort(key=lambda c: (-c[0], -area(c[1].box), c[1].box.x, c[1].box.y))
     best_cr, best = candidates[0]
     try:
         name = extract_hostname(best.text)
     except DomainError:
-        return ExtractionOutcome(ExtractionKind.NO_QUALIFYING_TEXT, bar_count=1)
-    return ExtractionOutcome(ExtractionKind.DOMAIN, domain=name, cover_rate=best_cr, bar_count=1)
+        return ExtractionOutcome(ExtractionKind.NO_QUALIFYING_TEXT)
+    return ExtractionOutcome(ExtractionKind.DOMAIN, domain=name, cover_rate=best_cr)
 
 
 def verify_photo(
@@ -153,15 +147,13 @@ def verify_photo(
 ) -> VerifyResult:
     """Decide whether a photo shows one of the accepted domains.
 
-    Multiple detected bars ask for a retake and flag possible phishing;
-    an unreadable photo asks for a plain retake. A readable photo either
-    matches or exposes the domain actually visited.
+    Multiple detected bars and an unreadable photo both ask for a retake,
+    told apart by `reason`. A readable photo either matches or exposes the
+    domain actually visited.
     """
     outcome = extract_domain(analysis, cfg)
     if outcome.kind is ExtractionKind.MULTIPLE_ADDRESS_BARS:
-        return VerifyResult(
-            VerdictKind.RETAKE, reason=RETAKE_MULTIPLE_ADDRBARS, warn_phishing=True
-        )
+        return VerifyResult(VerdictKind.RETAKE, reason=RETAKE_MULTIPLE_ADDRBARS)
     if outcome.kind in (ExtractionKind.NO_ADDRESS_BAR, ExtractionKind.NO_QUALIFYING_TEXT):
         return VerifyResult(VerdictKind.RETAKE, reason=RETAKE_UNREADABLE)
     assert outcome.domain is not None
@@ -195,8 +187,18 @@ def _box_fields(box: BoundingBox) -> dict:
     return {"x": box.x, "y": box.y, "w": box.width, "h": box.height}
 
 
+def _number(obj: dict, key: str):
+    # JSON's true and false are Python ints; on the wire they are no number.
+    value = obj[key]
+    if isinstance(value, bool):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return value
+
+
 def _box_from(obj: dict) -> BoundingBox:
-    return BoundingBox(obj["x"], obj["y"], obj["w"], obj["h"])
+    return BoundingBox(
+        _number(obj, "x"), _number(obj, "y"), _number(obj, "w"), _number(obj, "h")
+    )
 
 
 def analysis_to_dict(analysis: PhotoAnalysis) -> dict:
@@ -211,10 +213,11 @@ def analysis_to_dict(analysis: PhotoAnalysis) -> dict:
 
 def analysis_from_dict(obj: dict) -> PhotoAnalysis:
     try:
-        resolution = Resolution(obj["resolution"]["w"], obj["resolution"]["h"])
+        size = obj["resolution"]
+        resolution = Resolution(_number(size, "w"), _number(size, "h"))
         texts = tuple(TextRegion(_box_from(t), t["text"]) for t in obj["texts"])
         addrbars = tuple(
-            AddressBarPrediction(_box_from(p), p["confidence"]) for p in obj["addrbars"]
+            AddressBarPrediction(_box_from(p), _number(p, "confidence")) for p in obj["addrbars"]
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed photo analysis: {exc}") from exc

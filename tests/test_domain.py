@@ -124,9 +124,10 @@ class TestExtractHostname:
     def test_unicode_label_punycoded(self):
         assert str(extract_hostname("аpple.com")) == "xn--pple-43d.com"
 
-    def test_first_parseable_token_wins(self):
+    def test_only_the_first_token_is_read(self):
         assert str(extract_hostname("visit  example.com today")) == "visit"
-        assert str(extract_hostname("*** example.com today")) == "example.com"
+        with pytest.raises(InvalidLabel):
+            extract_hostname("*** example.com today")
 
     @pytest.mark.parametrize("text", ["", "   ", "http://", "https:///path"])
     def test_no_hostname(self, text):
@@ -180,7 +181,7 @@ def _parse_outcome(parse, text):
         name = parse(text)
     except DomainError as exc:
         return type(exc)
-    return name.labels, name.original_text
+    return name.labels
 
 
 class TestHostnameCache:
@@ -218,7 +219,6 @@ class TestHostnameCache:
         assert str(extract_hostname(text)) == "a.com"
         after = extract_hostname.cache_info()
         assert (after.hits, after.misses) == (before.hits, before.misses)
-        assert extract_hostname(text).original_text == text
 
     def test_texts_up_to_the_limit_are_cached(self):
         text = "b.com/" + "x" * (HOSTNAME_CACHE_TEXT_MAX_LEN - 6)
@@ -295,27 +295,22 @@ class TestConfusableMutate:
             if ch in rules:
                 oracle.add(text[:i] + rules[ch] + text[i + 1 :])
         for seed in range(50):
-            mutated = str(confusable_mutate(name, rules, seed))
+            mutated = str(confusable_mutate(name, rules, random.Random(seed)))
             assert mutated in oracle
-
-    def test_two_substitutions(self):
-        name = extract_hostname("google.com")
-        out = str(confusable_mutate(name, {"o": "0", "l": "1"}, 3, count=10))
-        assert out == "g00g1e.c0m"
 
     def test_deterministic(self):
         name = extract_hostname("paypal.com")
-        a = confusable_mutate(name, {"l": "1"}, 42)
-        b = confusable_mutate(name, {"l": "1"}, 42)
+        a = confusable_mutate(name, {"l": "1"}, random.Random(42))
+        b = confusable_mutate(name, {"l": "1"}, random.Random(42))
         assert a == b
 
     def test_no_applicable_rule(self):
         name = extract_hostname("zzz.com")
-        assert confusable_mutate(name, {"q": "g"}, 1) == name
+        assert confusable_mutate(name, {"q": "g"}, random.Random(1)) == name
 
     def test_deletion_rule(self):
         name = extract_hostname("www.example.com")
-        out = confusable_mutate(name, {".": ""}, 5, count=1)
+        out = confusable_mutate(name, {".": ""}, random.Random(5))
         assert str(out) in ("wwwexample.com", "www.examplecom")
 
     def test_accepts_rng_instance(self):

@@ -3,6 +3,7 @@ import http.client
 import json
 import logging
 import socket
+import sys
 import threading
 import time
 import urllib.error
@@ -468,6 +469,162 @@ class TestPhotoEndpoint:
         response = app.handle(WireRequest("POST", f"/c/{digits}/photo", source_address=PHONE))
         assert response.status == 400
         assert response.body["reason"] == "missing-body"
+
+    @pytest.mark.parametrize(
+        "where, key, value",
+        [
+            ("resolution", "w", True),
+            ("resolution", "h", True),
+            ("text", "x", False),
+            ("text", "y", True),
+            ("text", "w", True),
+            ("text", "h", True),
+            ("addrbar", "x", False),
+            ("addrbar", "confidence", True),
+        ],
+    )
+    def test_boolean_is_no_number(self, where, key, value):
+        app = make_app()
+        _, digits = self.start_pending(app)
+        body = photo_dict("microsoft.com")
+        section = {
+            "resolution": body["resolution"],
+            "text": body["texts"][0],
+            "addrbar": body["addrbars"][0],
+        }[where]
+        section[key] = value
+        response = submit_photo(app, digits, body)
+        assert response.status == 400
+        assert response.body["reason"] == f"bad-analysis: {key} must be a number, got {value}"
+
+    def test_only_the_first_token_of_a_text_is_parsed(self, monkeypatch):
+        encoded = []
+        encode = encodings.punycode.punycode_encode
+        monkeypatch.setattr(
+            encodings.punycode, "punycode_encode", lambda s: encoded.append(s) or encode(s)
+        )
+        app = make_app()
+        _, digits = self.start_pending(app)
+        body = photo_dict("microsoft.com")
+        # 79 tokens of 253 characters, each of four distinct CJK labels that
+        # pass the raw length check and fail only once encoded.
+        glyphs = iter(range(0x4E00, 0x9FFF))
+        tokens = [
+            ".".join("".join(chr(next(glyphs)) for _ in range(n)) for n in (63, 63, 63, 61))
+            for _ in range(79)
+        ]
+        for region in body["texts"]:
+            region["text"] = " ".join(tokens)
+        response = submit_photo(app, digits, body)
+        assert (response.body["status"], response.body["reason"]) == ("retake", "unreadable")
+        assert len(encoded) == 4
+
+
+class TestAtomicDecisions:
+    """Two requests for one link: the first is held inside the engine, just
+    after reading its session, until the second is answered or `HOLD_S`
+    passes. Each decision must still apply to the state it was made from."""
+
+    HOLD_S = 0.5
+
+    def race(self, app, monkeypatch, first, second):
+        resolve = app.store.resolve_token
+        first_read, second_done = threading.Event(), threading.Event()
+
+        def resolve_and_hold(*args, **kwargs):
+            session = resolve(*args, **kwargs)
+            if not first_read.is_set():
+                first_read.set()
+                # An Event, not a Barrier: under a lock the second request
+                # cannot get here until the first is done.
+                second_done.wait(self.HOLD_S)
+            return session
+
+        monkeypatch.setattr(app.store, "resolve_token", resolve_and_hold)
+        answers = [None, None]
+
+        def run(i, request):
+            try:
+                answers[i] = request()
+            except Exception as exc:  # an exception escaping App.handle is a 500
+                answers[i] = exc
+            if i == 1:
+                second_done.set()
+
+        threads = [
+            threading.Thread(target=run, args=(i, request))
+            for i, request in enumerate((first, second))
+        ]
+        threads[0].start()
+        assert first_read.wait(5)
+        threads[1].start()
+        for thread in threads:
+            thread.join(5)
+            assert not thread.is_alive()
+        for answer in answers:
+            assert isinstance(answer, WireResponse), answer
+            assert answer.status < 500
+        return answers
+
+    def test_two_clicks_on_one_link(self, monkeypatch):
+        app = make_app()
+        first = login(app)
+        cookie = first.headers["Set-Cookie"].split(";")[0].split("=", 1)[1]
+        digits = first.body["link"].rsplit("/", 1)[-1]
+        answers = self.race(
+            app, monkeypatch, lambda: click(app, digits, cookie), lambda: click(app, digits, cookie)
+        )
+        assert [(a.status, a.body) for a in answers] == [(200, {"status": "authorized"})] * 2
+
+    def test_two_photos_for_one_link(self, monkeypatch):
+        app = make_app()
+        first = login(app)
+        digits = first.body["link"].rsplit("/", 1)[-1]
+        click(app, digits)
+        photo = photo_dict("microsoft.com")
+        answers = self.race(
+            app,
+            monkeypatch,
+            lambda: submit_photo(app, digits, photo),
+            lambda: submit_photo(app, digits, photo),
+        )
+        # The first photo read an awaiting session, so it decides; the second
+        # then finds the session authorized.
+        assert [(a.status, a.body["status"]) for a in answers] == [
+            (200, "authorized"),
+            (409, "error"),
+        ]
+        status = app.handle(WireRequest("GET", f"/session/{first.body['session_id']}/status"))
+        assert status.body["status"] == SessionState.AUTHORIZED.value
+
+    def test_many_threads_click_one_link(self):
+        app = make_app()
+        answers = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                first = login(app)
+                cookie = first.headers["Set-Cookie"].split(";")[0].split("=", 1)[1]
+                digits = first.body["link"].rsplit("/", 1)[-1]
+                start = threading.Barrier(8, timeout=10)
+
+                def run():
+                    start.wait()
+                    try:
+                        answers.append(click(app, digits, cookie))
+                    except Exception as exc:
+                        answers.append(exc)
+
+                threads = [threading.Thread(target=run) for _ in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(10)
+                    assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [getattr(a, "body", a) for a in answers] == [{"status": "authorized"}] * 160
 
 
 class TestMisc:

@@ -9,6 +9,7 @@ from photoauth.domain import extract_hostname
 from photoauth.session import (
     Channel,
     InvalidState,
+    LOOKUP_RATE_LIMIT,
     Preference,
     RateLimited,
     SessionState,
@@ -292,30 +293,30 @@ class TestExpiry:
 class TestRateLimit:
     def test_eleventh_lookup_in_one_second_is_limited(self):
         clock = FakeClock()
-        store = make_store(clock=clock, lookup_rate_limit=10)
-        for _ in range(10):
+        store = make_store(clock=clock)
+        for _ in range(LOOKUP_RATE_LIMIT):
             store.resolve_token("0" * 10, source="203.0.113.9")
         with pytest.raises(RateLimited):
             store.resolve_token("0" * 10, source="203.0.113.9")
 
     def test_window_resets_after_one_second(self):
         clock = FakeClock()
-        store = make_store(clock=clock, lookup_rate_limit=10)
-        for _ in range(10):
+        store = make_store(clock=clock)
+        for _ in range(LOOKUP_RATE_LIMIT):
             store.resolve_token("0" * 10, source="203.0.113.9")
         clock.advance(1.0)
         store.resolve_token("0" * 10, source="203.0.113.9")
 
     def test_limit_is_per_source(self):
         clock = FakeClock()
-        store = make_store(clock=clock, lookup_rate_limit=10)
-        for _ in range(10):
+        store = make_store(clock=clock)
+        for _ in range(LOOKUP_RATE_LIMIT):
             store.resolve_token("0" * 10, source="203.0.113.9")
         store.resolve_token("0" * 10, source="203.0.113.10")
 
     def test_unattributed_lookups_not_limited(self):
-        store = make_store(lookup_rate_limit=1)
-        for _ in range(50):
+        store = make_store()
+        for _ in range(5 * LOOKUP_RATE_LIMIT):
             store.resolve_token("0" * 10)
 
     def test_ended_windows_are_dropped(self):
@@ -334,11 +335,13 @@ class TestRateLimit:
         """Random traffic gets the verdicts of the one-entry-per-source limiter."""
         rng = random.Random(5)
         clock = FakeClock()
-        store = make_store(clock=clock, lookup_rate_limit=3)
+        store = make_store(clock=clock)
         windows = {}
+        refused = 0
         for _ in range(5000):
-            clock.advance(rng.choice([0.0, 0.0, 0.05, 0.3, 1.0]))
-            source = f"198.51.100.{rng.randrange(12)}"
+            # Dense enough that a source passes the limit now and then.
+            clock.advance(rng.choice([0.0, 0.0, 0.01, 0.05, 0.3]))
+            source = f"198.51.100.{rng.randrange(3)}"
             start, count = windows.get(source, (clock.t, 0))
             if clock.t - start >= 1.0:
                 start, count = clock.t, 0
@@ -348,7 +351,9 @@ class TestRateLimit:
                 limited = False
             except RateLimited:
                 limited = True
-            assert limited == (count + 1 > 3)
+            assert limited == (count + 1 > LOOKUP_RATE_LIMIT)
+            refused += limited
+        assert 0 < refused < 5000
 
 
 class TestUniqueness:

@@ -8,7 +8,6 @@ import pytest
 from photoauth import simulator
 from photoauth.simulator import (
     ADVERSARY,
-    CookieJar,
     Outcome,
     OutcomeKind,
     PHONE,
@@ -52,18 +51,6 @@ def adversary_authorized(report):
 
 
 class TestCookieJar:
-    def test_same_origin_policy(self):
-        jar = CookieJar()
-        jar.store("rnicrosoft.com", "deadbeef" * 4)
-        assert jar.cookie_for("microsoft.com") is None
-        assert jar.cookie_for("rnicrosoft.com") == "deadbeef" * 4
-
-    def test_latest_value_wins(self):
-        jar = CookieJar()
-        jar.store("microsoft.com", "a" * 32)
-        jar.store("microsoft.com", "b" * 32)
-        assert jar.cookie_for("microsoft.com") == "b" * 32
-
     def test_proxy_rewrites_domains_both_ways(self):
         proxy = RtpProxy("rnicrosoft.com", "microsoft.com", source="192.0.2.66")
         assert proxy.rewrite_inbound("GET rnicrosoft.com/login") == "GET microsoft.com/login"
@@ -141,7 +128,7 @@ class TestRtpAttack:
     def test_homograph_shows_punycode(self):
         report = run_rtp_attack(4, fake_domain="аpple.com", upstream="apple.com")
         assert report.outcome == Outcome(OutcomeKind.ATTACK_DETECTED, "phishing-detected")
-        photos = [e for e in report.log.entries if e["kind"] == "photo"]
+        photos = [e for e in report.log if e["kind"] == "photo"]
         assert photos and photos[0]["data"]["displayed"] == "xn--pple-43d.com"
 
     def test_typosquat_detected(self):
@@ -162,9 +149,9 @@ class TestRedirectionAttack:
 
     def test_stolen_cookie_sits_under_the_fake_origin(self):
         report = run_redirection_attack(1)
-        resume = [e for e in report.log.entries if e["kind"] == "resume"]
+        resume = [e for e in report.log if e["kind"] == "resume"]
         assert resume and resume[0]["data"]["cookie_attached"] is False
-        set_cookies = [e for e in report.log.entries if e["kind"] == "set-cookie"]
+        set_cookies = [e for e in report.log if e["kind"] == "set-cookie"]
         origins = {e["data"]["origin"] for e in set_cookies if e["to"] == "user-pc"}
         assert origins == {"rnicrosoft.com"}
 
@@ -197,7 +184,7 @@ class TestTokenBruteforce:
         report = run_token_bruteforce(6, guesses=1500)
         assert report.outcome == Outcome(OutcomeKind.ATTACK_BLOCKED, "unknown-token")
         assert not adversary_authorized(report)
-        done = [e for e in report.log.entries if e["kind"] == "token-guessing-done"]
+        done = [e for e in report.log if e["kind"] == "token-guessing-done"]
         assert done and done[0]["data"] == {"guesses": 1500, "hit": False}
 
     @pytest.mark.parametrize("seed", range(5))
@@ -215,10 +202,10 @@ class TestOtpBaseline:
 
     def test_code_travels_safe_then_leaks_unsafe(self):
         report = run_otp_baseline(0)
-        otp_out = [e for e in report.log.entries if e["kind"] == "otp"]
+        otp_out = [e for e in report.log if e["kind"] == "otp"]
         assert otp_out[0]["link"] == SAFE
         assert (otp_out[0]["from"], otp_out[0]["to"]) == (SERVER, PHONE)
-        entry = [e for e in report.log.entries if e["kind"] == "otp-entry"]
+        entry = [e for e in report.log if e["kind"] == "otp-entry"]
         assert entry[0]["link"] == UNSAFE
         assert entry[0]["data"]["code"] == otp_out[0]["data"]["code"]
 
@@ -233,10 +220,10 @@ class TestChannelDiscipline:
         report = runner(11)
         token_digits = {
             e["data"]["link"].rsplit("/", 1)[-1]
-            for e in report.log.entries
+            for e in report.log
             if e["kind"].endswith("-link")
         }
-        for entry in report.log.entries:
+        for entry in report.log:
             if entry["kind"].endswith("-link"):
                 assert entry["link"] == SAFE
                 assert (entry["from"], entry["to"]) == (SERVER, PHONE)
@@ -247,7 +234,7 @@ class TestChannelDiscipline:
 
     def test_proxy_only_touches_unsafe_links(self):
         report = run_rtp_attack(11)
-        for entry in report.log.entries:
+        for entry in report.log:
             if "proxy" in (entry["from"], entry["to"]):
                 assert entry["link"] == UNSAFE
 

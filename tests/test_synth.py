@@ -322,7 +322,6 @@ class TestNoisyOutcomes:
             result = verify_photo(analysis, accept("microsoft.com"), CFG)
             if result.reason == RETAKE_MULTIPLE_ADDRBARS:
                 warned += 1
-                assert result.warn_phishing
         # Spurious confidence spans [0.25, 0.95]; a good share clears the floor.
         assert warned > 30
 
@@ -367,7 +366,6 @@ class TestInjectionResistance:
             )
             assert result.kind is VerdictKind.RETAKE
             assert result.reason == RETAKE_MULTIPLE_ADDRBARS
-            assert result.warn_phishing
 
 
 class TestCorpusEvaluation:

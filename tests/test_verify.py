@@ -57,10 +57,6 @@ class TestTypes:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             VerifyConfig(cr_threshold=0.0)
-        with pytest.raises(ValueError):
-            VerifyConfig(confidence_floor=-0.1)
-        with pytest.raises(ValueError):
-            VerifyConfig(max_addrbars=0)
 
 
 class TestExtractDomain:
@@ -87,7 +83,6 @@ class TestExtractDomain:
         )
         outcome = extract_domain(analysis)
         assert outcome.kind is ExtractionKind.MULTIPLE_ADDRESS_BARS
-        assert outcome.bar_count == 2
 
     def test_second_bar_below_floor_is_ignored(self):
         second = AddressBarPrediction(BoundingBox(100, 600, 800, 48), 0.3)
@@ -153,14 +148,12 @@ class TestVerifyPhoto:
         result = verify_photo(analysis, accepted("microsoft.com"))
         assert result.kind is VerdictKind.RETAKE
         assert result.reason == RETAKE_MULTIPLE_ADDRBARS
-        assert result.warn_phishing
 
     def test_unreadable_retake(self):
         analysis = make_analysis([TextRegion(URL_BOX, "microsoft.com")], [])
         result = verify_photo(analysis, accepted("microsoft.com"))
         assert result.kind is VerdictKind.RETAKE
         assert result.reason == RETAKE_UNREADABLE
-        assert not result.warn_phishing
 
     @pytest.mark.parametrize("container", [set, frozenset, list, tuple, iter])
     def test_accept_set_any_iterable(self, container):
