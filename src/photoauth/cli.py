@@ -11,43 +11,25 @@ import argparse
 import logging
 import sys
 
-from .simulator import (
-    Outcome,
-    OutcomeKind,
-    Scenario,
-    load_scenario,
-    matches_expectation,
-    run_scenario,
-)
-from .synth import (
-    DetectorProfile,
-    GeneratorParams,
-    ORACLE_PROFILE,
-    evaluate_corpus,
-    load_profile,
-)
-from .verify import VerifyConfig
+# The commands that use the simulator and the corpus generator import
+# them, so `serve` loads only what it serves.
 from .domain import extract_hostname
 from .service import load_config, serve
+from .verify import VerifyConfig
 
-_ATTACK_PRESETS: dict[str, tuple[str, dict, Outcome]] = {
-    "rtp": ("rtp", {}, Outcome(OutcomeKind.ATTACK_DETECTED)),
-    "redirect": ("redirect", {}, Outcome(OutcomeKind.ATTACK_BLOCKED)),
-    "inject-title": ("inject", {"placement": "title"}, Outcome(OutcomeKind.ATTACK_DETECTED)),
-    "inject-content": (
-        "inject",
-        {"placement": "page-content"},
-        Outcome(OutcomeKind.ATTACK_DETECTED),
-    ),
-    "pip": (
-        "inject",
-        {"placement": "picture-in-picture"},
-        Outcome(OutcomeKind.ATTACK_BLOCKED),
-    ),
+# Preset name: (scenario kind, params, the expected `OutcomeKind` value).
+_ATTACK_PRESETS: dict[str, tuple[str, dict, str]] = {
+    "rtp": ("rtp", {}, "attack-detected"),
+    "redirect": ("redirect", {}, "attack-blocked"),
+    "inject-title": ("inject", {"placement": "title"}, "attack-detected"),
+    "inject-content": ("inject", {"placement": "page-content"}, "attack-detected"),
+    "pip": ("inject", {"placement": "picture-in-picture"}, "attack-blocked"),
 }
 
 
 def _cmd_simulate(args) -> int:
+    from .simulator import load_scenario, matches_expectation, run_scenario
+
     # A param value the runner rejects (a bad domain or placement) is a
     # bad file too, not a run that missed its expected outcome.
     try:
@@ -61,7 +43,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    kind, params, expected = _ATTACK_PRESETS[args.kind]
+    from .simulator import Outcome, OutcomeKind, Scenario, matches_expectation, run_scenario
+
+    kind, params, expected_kind = _ATTACK_PRESETS[args.kind]
+    expected = Outcome(OutcomeKind(expected_kind))
     scenario = Scenario(name=args.kind, kind=kind, seed=args.seed, params=params, expected=expected)
     report = run_scenario(scenario)
     print(report.to_json())
@@ -69,6 +54,14 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .synth import (
+        DetectorProfile,
+        GeneratorParams,
+        ORACLE_PROFILE,
+        evaluate_corpus,
+        load_profile,
+    )
+
     if args.profile == "oracle":
         profile = ORACLE_PROFILE
     else:

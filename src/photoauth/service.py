@@ -3,20 +3,24 @@
 The routing core is a pure function from (store state, request) to a
 response, so a recorded request log replayed against a fresh store with
 the same seed reproduces the original responses byte for byte. The HTTP
-server is a thin shell over that core.
+server is a thin shell over that core: one asyncio event loop, one
+protocol per connection.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import logging
 import os
 import random
 import re
+import socket
+import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Optional
+from http import HTTPStatus
+from typing import Callable, NamedTuple, Optional
 
 from .decision import (
     AuthEngine,
@@ -139,8 +143,6 @@ _COOKIE_MORSEL = re.compile(r"(?:^|;\s*)auth=([^;]*)")
 _TOKEN_PATH = re.compile(r"^/c/(\d+)$")
 _PHOTO_PATH = re.compile(r"^/c/(\d+)/photo$")
 _STATUS_PATH = re.compile(r"^/session/([0-9a-f]+)/status$")
-# Tokens and session ids inside a request line, replaced by their names.
-_PATH_SECRET = re.compile(r"(?<=/c/)(?P<token>\d+)|(?<=/session/)(?P<id>[0-9a-f]+)")
 
 
 def _cookie_from_headers(headers: dict) -> Optional[str]:
@@ -317,100 +319,301 @@ class App:
 # HTTP shell
 # ---------------------------------------------------------------------------
 
+# A connection past this many open ones is answered 503 and closed. The cap
+# stays well under the common limit of 1,024 open files per process.
+MAX_CONNECTIONS = 256
+# A request's head and body must arrive within this long of its first byte.
+REQUEST_DEADLINE_S = 10.0
+# http.server's limits on a request head: bytes per line, header lines.
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
+
+_VERSION = re.compile(r"HTTP/[0-9]\.[0-9]")
+_HEADER_LINE = re.compile(r"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*([^\r\n\x00]*?)[ \t]*")
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+_CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+
 
 def _error(status: int, reason: str) -> WireResponse:
     return WireResponse(status, {"status": "error", "reason": reason})
 
 
-def _make_handler(app: App):
-    class Handler(BaseHTTPRequestHandler):
-        # Keep connections alive between requests. Responses go out in two
-        # writes (headers, body); with Nagle's algorithm on, the second
-        # waits for the client's delayed ACK, about 40 ms.
-        protocol_version = "HTTP/1.1"
-        timeout = IDLE_TIMEOUT_S
-        disable_nagle_algorithm = True
+class Head(NamedTuple):
+    """A request head the shell can frame and route."""
 
-        def _read_body(self):
-            """The parsed JSON body, None if empty, or an error response.
+    method: str
+    path: str
+    headers: dict  # lower-cased names; of a repeated name the last wins
+    length: int  # of the body
+    keep_alive: bool
+    expect_continue: bool
 
-            An error that leaves the body unread also marks the connection
-            for closing: its next bytes are not a request.
-            """
-            if "Transfer-Encoding" in self.headers:
-                self.close_connection = True
-                return _error(411, "length-required")
-            raw = self.headers.get("Content-Length") or "0"
-            if not (raw.isascii() and raw.isdigit()):
-                self.close_connection = True
-                return _error(400, "bad-content-length")
-            length = int(raw)
-            if length > MAX_BODY_BYTES:
-                self.close_connection = True
-                return _error(413, "body-too-large")
-            if not length:
-                return None
+
+def parse_head(head: bytes) -> Head | WireResponse:
+    """Parse the bytes of a request head that precede its blank line.
+
+    What cannot be framed or routed is an error response, after which the
+    shell closes the connection. Nothing raises.
+    """
+    if head.count(b"\r\n") > MAX_HEADERS:
+        return _error(431, "too-many-headers")
+    request_line, *lines = head.decode("latin-1").split("\r\n")
+    if len(request_line) > MAX_LINE_BYTES:
+        return _error(414, "request-line-too-long")
+    parts = request_line.split(" ")
+    if len(parts) != 3 or not parts[0] or not parts[1] or not _VERSION.fullmatch(parts[2]):
+        return _error(400, "bad-request-line")
+    method, path, version = parts
+    if version[5] != "1":
+        return _error(505, "http-version-not-supported")
+    headers: dict[str, str] = {}
+    for line in lines:
+        if len(line) > MAX_LINE_BYTES:
+            return _error(431, "header-line-too-long")
+        m = _HEADER_LINE.fullmatch(line)
+        if m is None:
+            return _error(400, "bad-header")
+        name = m[1].lower()
+        if name == "content-length" and name in headers:
+            return _error(400, "bad-content-length")
+        headers[name] = m[2]
+    # The body is left unread after these, so its bytes cannot be taken
+    # for the next request.
+    if "transfer-encoding" in headers:
+        return _error(411, "length-required")
+    raw = headers.get("content-length") or "0"
+    if not (raw.isascii() and raw.isdigit()):
+        return _error(400, "bad-content-length")
+    # int() refuses a string of thousands of digits; such a body is too large.
+    length = int(raw) if len(raw) <= 16 else MAX_BODY_BYTES + 1
+    if length > MAX_BODY_BYTES:
+        return _error(413, "body-too-large")
+    connection = headers.get("connection", "").lower()
+    http11 = version[7] != "0"
+    return Head(
+        method,
+        path,
+        headers,
+        length,
+        keep_alive=connection != "close" if http11 else connection == "keep-alive",
+        expect_continue=http11 and headers.get("expect", "").lower() == "100-continue",
+    )
+
+
+class HttpServer:
+    """`app` served on (host, port) from one event loop, one protocol per connection.
+
+    The caller runs `loop` and, once it has stopped, calls `close`.
+    """
+
+    def __init__(self, app: App, host: str, port: int, loop: asyncio.AbstractEventLoop):
+        self.app = app
+        self.loop = loop
+        self.connections: set[_Connection] = set()
+        self._date = (-1, "")
+        sock = socket.create_server((host, port))
+        self.port = sock.getsockname()[1]
+        self._server = loop.run_until_complete(
+            loop.create_server(lambda: _Connection(self), sock=sock)
+        )
+
+    def date(self) -> str:
+        """The Date header's value, formatted once a second."""
+        second = int(time.time())
+        if second != self._date[0]:
+            t = time.gmtime(second)
+            self._date = (second, f"{_WEEKDAYS[t.tm_wday]}, {t.tm_mday:02d} "
+                                  f"{_MONTHS[t.tm_mon - 1]} {t.tm_year} {t.tm_hour:02d}:"
+                                  f"{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+        return self._date[1]
+
+    def close(self) -> None:
+        """Stop listening and drop every connection."""
+        self._server.close()
+        for conn in list(self.connections):
+            conn.transport.abort()
+        # The transports close their sockets from the loop.
+        self.loop.run_until_complete(asyncio.sleep(0))
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: splits requests off the byte stream and answers each.
+
+    One timer serves both limits: `deadline` is the idle timeout between
+    requests and the request deadline from a request's first byte.
+    """
+
+    def __init__(self, server: HttpServer):
+        self.server = server
+        self.loop = server.loop
+        self.transport: Optional[asyncio.Transport] = None
+        self.peer = "0.0.0.0"
+        self.buf = bytearray()
+        self.head: Optional[Head] = None  # read, its body not yet all here
+        # Of an unfinished head: the line ends seen, and where its last line starts.
+        self.head_lines = 0
+        self.line_start = 0
+        self.paused = False  # the peer reads too slowly: answer nothing more
+        self.deadline = 0.0
+        self.timer: Optional[asyncio.TimerHandle] = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        if len(self.server.connections) >= MAX_CONNECTIONS:
+            self._write(_error(503, "too-many-connections"), close=True)
+            return
+        self.server.connections.add(self)
+        peer = transport.get_extra_info("peername")
+        if peer:  # None if the peer has already gone
+            self.peer = peer[0]
+        self.deadline = self.loop.time() + IDLE_TIMEOUT_S
+        self.timer = self.loop.call_at(self.deadline, self._expire)
+
+    def connection_lost(self, exc) -> None:
+        self.server.connections.discard(self)
+        if self.timer is not None:
+            self.timer.cancel()
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if not self.transport.is_closing():
+            self.transport.resume_reading()
+            self._answer_buffered(0)
+
+    def data_received(self, data: bytes) -> None:
+        buf = self.buf
+        if self.head is None and not buf:
+            self._arm(REQUEST_DEADLINE_S)
+        # The bytes of an unfinished head have been looked at already.
+        searched = len(buf) if self.head is None else 0
+        buf += data
+        self._answer_buffered(searched)
+
+    def _answer_buffered(self, searched: int) -> None:
+        """Answer each complete request in the buffer, in order."""
+        buf = self.buf
+        while not self.paused:
+            head = self.head
+            if head is None:
+                end = buf.find(b"\r\n\r\n", max(0, searched - 3))
+                if end < 0:
+                    error = self._unfinished_head_error(searched)
+                    if error is not None:
+                        self._write(error, close=True)
+                    return
+                head = parse_head(bytes(buf[:end]))
+                del buf[:end + 4]
+                searched = self.head_lines = self.line_start = 0
+                if isinstance(head, WireResponse):
+                    self._write(head, close=True)
+                    return
+                if head.expect_continue and len(buf) < head.length:
+                    self.transport.write(_CONTINUE)
+                self.head = head
+            if len(buf) < head.length:
+                return
+            body = buf[:head.length]
+            del buf[:head.length]
+            self.head = None
+            self._write(self._respond(head, body), close=not head.keep_alive)
+            if not head.keep_alive:
+                return
+            self._arm(REQUEST_DEADLINE_S if buf else IDLE_TIMEOUT_S)
+
+    def _unfinished_head_error(self, searched: int) -> Optional[WireResponse]:
+        """The error for an unfinished head that already breaks a limit.
+
+        Looks only at the bytes from `searched` on, so a head sent a byte
+        at a time is not scanned again for every byte.
+        """
+        buf = self.buf
+        start = max(0, searched - 1)
+        self.head_lines += buf.count(b"\r\n", start)
+        last = buf.rfind(b"\r\n", start)
+        if last >= 0:
+            self.line_start = last + 2
+        if self.head_lines > MAX_HEADERS + 1:
+            return _error(431, "too-many-headers")
+        if len(buf) - self.line_start <= MAX_LINE_BYTES:
+            return None
+        if self.head_lines == 0:
+            return _error(414, "request-line-too-long")
+        return _error(431, "header-line-too-long")
+
+    def _respond(self, head: Head, body: bytearray) -> WireResponse:
+        parsed = None
+        if body:
             try:
-                return json.loads(self.rfile.read(length))
+                parsed = json.loads(body)
             except (ValueError, RecursionError):
                 return _error(400, "bad-json")
+        req = WireRequest(head.method, head.path, head.headers, parsed, self.peer)
+        try:
+            return self.server.app.handle(req)
+        except Exception:
+            logger.exception("unhandled error in %s request", head.method)
+            return _error(500, "internal-error")
 
-        def _respond(self):
-            body = self._read_body()
-            if isinstance(body, WireResponse):
-                self._write(body)
-                return
-            req = WireRequest(
-                method=self.command,
-                path=self.path,
-                headers={k: v for k, v in self.headers.items()},
-                body=body,
-                source_address=self.client_address[0],
-            )
-            try:
-                response = app.handle(req)
-            except Exception:
-                logger.exception("unhandled error in %s request", self.command)
-                response = _error(500, "internal-error")
-            self._write(response)
+    def _write(self, response: WireResponse, close: bool) -> None:
+        """Send the response in one write; with `close`, then close."""
+        payload = response.to_bytes()
+        headers = "Connection: close\r\n" if close else ""
+        for key, value in response.headers.items():
+            headers += f"{key}: {value}\r\n"
+        self.transport.write(
+            f"HTTP/1.1 {response.status} {_PHRASES[response.status]}\r\n"
+            f"Date: {self.server.date()}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+            f"{headers}\r\n".encode("latin-1") + payload
+        )
+        if close:
+            self.transport.close()
 
-        def _write(self, response: WireResponse):
-            payload = response.to_bytes()
-            self.send_response(response.status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            for key, value in response.headers.items():
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(payload)
+    def _arm(self, delay: float) -> None:
+        """Move the deadline to `delay` from now; the timer is reset only if that is sooner."""
+        self.deadline = self.loop.time() + delay
+        if self.deadline < self.timer.when():
+            self.timer.cancel()
+            self.timer = self.loop.call_at(self.deadline, self._expire)
 
-        def do_GET(self):
-            self._respond()
-
-        def do_POST(self):
-            self._respond()
-
-        def log_message(self, fmt, *args):
-            if logger.isEnabledFor(logging.DEBUG):
-                line = _PATH_SECRET.sub(lambda m: "{%s}" % m.lastgroup, fmt % args)
-                logger.debug("%s", line)
-
-    return Handler
+    def _expire(self) -> None:
+        now = self.loop.time()
+        if now < self.deadline:
+            self.timer = self.loop.call_at(self.deadline, self._expire)
+            return
+        if self.transport.is_closing():  # the peer reads nothing, so the close never ends
+            self.transport.abort()
+            return
+        if self.buf or self.head is not None:
+            self._write(_error(408, "request-timeout"), close=True)
+        else:
+            self.transport.close()
+        self.deadline = now + REQUEST_DEADLINE_S
+        self.timer = self.loop.call_at(self.deadline, self._expire)
 
 
 def serve(config: Config) -> None:
     """Run the HTTP server until interrupted."""
     app = App(config)
-    server = ThreadingHTTPServer(("0.0.0.0", config.port), _make_handler(app))
-    logger.info(
-        "%s", json.dumps({"event": "listening", "port": config.port,
-                          "domain": str(app.store.server_domain)}, sort_keys=True)
-    )
+    loop = asyncio.new_event_loop()
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
+        server = HttpServer(app, "0.0.0.0", config.port, loop)
+        logger.info(
+            "%s", json.dumps({"event": "listening", "port": config.port,
+                              "domain": str(app.store.server_domain)}, sort_keys=True)
+        )
+        try:
+            loop.run_forever()
+        except KeyboardInterrupt:
+            pass
+        server.close()
     finally:
-        server.server_close()
+        loop.close()

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from photoauth.cli import main
 from photoauth.service import ENV_PORT, ENV_SEED
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +165,13 @@ class TestEvaluate:
 
 
 class TestServe:
+    def test_imports_neither_the_simulator_nor_the_generator(self):
+        probe = ("import sys, photoauth.cli; "
+                 "print([m for m in ('photoauth.simulator', 'photoauth.synth') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": SRC},
+                             capture_output=True, text=True, check=True, timeout=60).stdout
+        assert out.strip() == "[]"
+
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "serve", "--config", str(tmp_path / "absent.json"))
         assert code == 2

@@ -1,15 +1,22 @@
+import asyncio
+import contextlib
+import email.utils
 import encodings.punycode
 import http.client
 import json
 import logging
+import select
 import socket
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photoauth.decision import SAME_BROWSER_HINT, AuthRequest
 from photoauth.domain import LABEL_MAX_LEN
@@ -19,12 +26,17 @@ from photoauth.service import (
     ENV_PORT,
     ENV_SEED,
     MAX_BODY_BYTES,
+    MAX_HEADERS,
+    MAX_LINE_BYTES,
     NOTIFICATION_BACKLOG,
+    Head,
+    HttpServer,
     WireRequest,
     WireResponse,
-    _make_handler,
+    _Connection,
     config_from_dict,
     load_config,
+    parse_head,
 )
 from photoauth.session import SessionState
 from photoauth.synth import ORACLE_PROFILE, generate_layout, simulate_detection
@@ -694,19 +706,18 @@ class TestReplayDeterminism:
 class TestHttpShell:
     @pytest.fixture()
     def live(self):
-        """The app and the port of a threaded HTTP server in front of it."""
-        from http.server import ThreadingHTTPServer
-
+        """The app and the port of the HTTP server `serve` runs, its loop on a thread."""
         app = make_app(seed=33)
-        httpd = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(app))
-        thread = threading.Thread(
-            target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
+        loop = asyncio.new_event_loop()
+        server = HttpServer(app, "127.0.0.1", 0, loop)
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
         thread.start()
-        yield app, httpd.server_address[1]
-        httpd.shutdown()
-        httpd.server_close()
+        yield app, server.port
+        loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=5)
+        assert not thread.is_alive()
+        server.close()
+        loop.close()
 
     @pytest.fixture()
     def server(self, live):
@@ -877,3 +888,360 @@ class TestHttpShell:
         messages = [r.getMessage() for r in caplog.records]
         assert any("/c/{token}" in m for m in messages)
         assert not [m for m in messages for secret in secrets if secret in m]
+
+    @staticmethod
+    def read_response(rfile) -> tuple[bytes, dict]:
+        """One response from a raw socket's reader: its head and its JSON body."""
+        head = b""
+        while (line := rfile.readline()) not in (b"\r\n", b""):
+            head += line
+        length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+        return head, json.loads(rfile.read(length))
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, reason",
+        [
+            (b"PUT /login HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+             404, "no-such-endpoint"),
+            (b"GARBAGE\r\n\r\n", 400, "bad-request-line"),
+            (b"GET /x HTTP/2.0\r\nHost: x\r\n\r\n", 505, "http-version-not-supported"),
+        ],
+    )
+    def test_every_request_gets_a_json_answer(self, live, request_bytes, status, reason):
+        head, _, body = self.raw_exchange(live[1], request_bytes).partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"\r\nContent-Type: application/json\r\n" in head
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["reason"] == reason
+
+    def test_pipelined_and_fragmented_requests(self, live):
+        login = json.dumps({"username": "bob"}).encode()
+        one = (b"POST /login HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+               % (len(login), login))
+        two = b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", live[1]), timeout=5) as sock:
+            rfile = sock.makefile("rb")
+            sock.sendall(one + two)
+            assert self.read_response(rfile)[1]["status"] == "link-sent"
+            assert self.read_response(rfile)[1]["reason"] == "no-such-endpoint"
+            for i in range(len(one)):
+                sock.sendall(one[i:i + 1])
+            assert self.read_response(rfile)[1]["status"] == "link-sent"
+
+    def test_expect_continue_gets_an_interim_answer(self, live):
+        login = json.dumps({"username": "bob"}).encode()
+        with socket.create_connection(("127.0.0.1", live[1]), timeout=5) as sock:
+            sock.sendall(b"POST /login HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(login))
+            rfile = sock.makefile("rb")
+            assert rfile.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert rfile.readline() == b"\r\n"
+            sock.sendall(login)
+            head, body = self.read_response(rfile)
+        assert head.startswith(b"HTTP/1.1 200 ") and body["status"] == "link-sent"
+
+    def test_date_header_and_no_server_header(self, conn):
+        _, _, response = self.exchange(conn, "GET", "/nope")
+        sent = email.utils.parsedate_to_datetime(response.getheader("Date")).timestamp()
+        assert abs(sent - time.time()) < 5
+        assert response.getheader("Server") is None
+
+    def test_idle_connection_is_closed(self, live, monkeypatch):
+        monkeypatch.setattr("photoauth.service.IDLE_TIMEOUT_S", 0.2)
+        with socket.create_connection(("127.0.0.1", live[1]), timeout=5) as sock:
+            sock.sendall(b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n")
+            self.read_response(sock.makefile("rb"))
+            t0 = time.monotonic()
+            assert sock.recv(4096) == b""
+        assert time.monotonic() - t0 < 2.0
+
+    def test_connections_past_the_cap_are_refused(self, live, monkeypatch):
+        monkeypatch.setattr("photoauth.service.MAX_CONNECTIONS", 4)
+        ping = b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n"
+        socks = [socket.create_connection(("127.0.0.1", live[1]), timeout=5) for _ in range(4)]
+        try:
+            for sock in socks:
+                sock.sendall(ping)
+                assert self.read_response(sock.makefile("rb"))[0].startswith(b"HTTP/1.1 404 ")
+            head, _, body = self.raw_exchange(live[1], b"").partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 503 ")
+            assert b"\r\nConnection: close" in head
+            assert json.loads(body)["reason"] == "too-many-connections"
+            socks.pop().close()
+            deadline = time.monotonic() + 5
+            while True:  # the server sees the close a moment later
+                with socket.create_connection(("127.0.0.1", live[1]), timeout=5) as sock:
+                    sock.sendall(ping)
+                    head, _ = self.read_response(sock.makefile("rb"))
+                if not head.startswith(b"HTTP/1.1 503 ") or time.monotonic() > deadline:
+                    break
+                time.sleep(0.01)
+            assert head.startswith(b"HTTP/1.1 404 ")
+        finally:
+            for sock in socks:
+                sock.close()
+
+    def test_a_slow_head_is_cut_off_at_the_deadline(self, live, monkeypatch):
+        monkeypatch.setattr("photoauth.service.REQUEST_DEADLINE_S", 0.2)
+        head = b"GET /nope HTTP/1.1\r\n" + b"X-Slow: " + b"a" * 64
+        with socket.create_connection(("127.0.0.1", live[1]), timeout=5) as sock:
+            t0 = time.monotonic()
+            # A few bytes every 50 ms: each read comes well within any idle timeout.
+            for i in range(0, len(head), 4):
+                if select.select([sock], [], [], 0.05)[0]:
+                    break
+                sock.sendall(head[i:i + 4])
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert time.monotonic() - t0 < 1.0  # the whole head would take 1.2 s
+        assert reply.startswith(b"HTTP/1.1 408 ")
+        assert json.loads(reply.partition(b"\r\n\r\n")[2])["reason"] == "request-timeout"
+
+    def test_open_connections_start_no_threads(self, live):
+        before = threading.active_count()
+        socks = [socket.create_connection(("127.0.0.1", live[1]), timeout=5) for _ in range(20)]
+        try:
+            for sock in socks:
+                sock.sendall(b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n")
+            for sock in socks:
+                assert self.read_response(sock.makefile("rb"))[0].startswith(b"HTTP/1.1 404 ")
+            assert threading.active_count() == before
+        finally:
+            for sock in socks:
+                sock.close()
+
+
+class FakeTransport:
+    """Records writes. A slow reader's fills the peer's window with its first write."""
+
+    def __init__(self, slow_reader=False):
+        self.protocol = None
+        self.slow_reader = slow_reader
+        self.writes = []
+        self.reading = True
+        self.closing = False
+
+    def write(self, data):
+        self.writes.append(data)
+        if self.slow_reader and len(self.writes) == 1:
+            self.protocol.pause_writing()
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+    def is_closing(self):
+        return self.closing
+
+    def close(self):
+        self.closing = True
+        self.reading = False
+
+    def get_extra_info(self, name):
+        return ("127.0.0.1", 50000)
+
+
+@contextlib.contextmanager
+def fake_connection(transport):
+    """A connection protocol on `transport`, its event loop never run."""
+    loop = asyncio.new_event_loop()
+    try:
+        server = SimpleNamespace(app=make_app(), loop=loop, connections=set(),
+                                 date=lambda: "Thu, 01 Jan 1970 00:00:00 GMT")
+        protocol = _Connection(server)
+        transport.protocol = protocol
+        protocol.connection_made(transport)
+        yield protocol
+        protocol.connection_lost(None)
+    finally:
+        loop.close()
+
+
+class TestConnectionProtocol:
+    def test_a_paused_writer_pauses_reading(self):
+        transport = FakeTransport(slow_reader=True)
+        with fake_connection(transport) as protocol:
+            protocol.data_received(b"GET /nope HTTP/1.1\r\n\r\n" * 2)
+            assert len(transport.writes) == 1 and not transport.reading
+            protocol.resume_writing()
+        assert len(transport.writes) == 2 and transport.reading
+        assert all(w.startswith(b"HTTP/1.1 404 ") for w in transport.writes)
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"GET / HTTP/1.1\r\n" + b"a: b\r\n" * (MAX_HEADERS + 1), 431),
+            (b"GET /" + b"x" * (MAX_LINE_BYTES - 4), 414),
+            (b"GET / HTTP/1.1\r\nX: " + b"x" * (MAX_LINE_BYTES - 2), 431),
+        ],
+        ids=["101-headers", "long-request-line", "long-header-line"],
+    )
+    def test_an_unfinished_head_is_refused_at_its_limit(self, head, status):
+        # Each head breaks its limit with its last byte and never ends.
+        transport = FakeTransport()
+        with fake_connection(transport) as protocol:
+            for i in range(0, len(head) - 1, 7):
+                protocol.data_received(head[i:min(i + 7, len(head) - 1)])
+            assert transport.writes == []
+            protocol.data_received(head[-1:])
+            assert transport.closing
+        assert transport.writes[0].startswith(b"HTTP/1.1 %d " % status)
+
+
+# Request heads: arbitrary bytes, and lines built from the parts a parser branches on.
+_request_lines = st.builds(
+    lambda method, path, version: b" ".join([method, path, version]),
+    st.sampled_from([b"GET", b"POST", b"PUT", b""]) | st.binary(max_size=6),
+    st.sampled_from([b"/login", b"/c/123456", b""]) | st.binary(max_size=12),
+    st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2.0", b"HTTP/1.x", b"HTTP/11.1"])
+    | st.binary(max_size=9),
+)
+_header_lines = st.builds(
+    lambda name, value: name + b":" + value,
+    st.sampled_from([b"Content-Length", b"Connection", b"Expect", b"Transfer-Encoding",
+                     b"Cookie", b" Host", b""]) | st.binary(max_size=8),
+    st.sampled_from([b" 5", b"close", b"keep-alive", b"100-continue", b" 1" + b"0" * 30,
+                     b"-1", b""]) | st.binary(max_size=12),
+)
+_heads = st.binary(max_size=200) | st.builds(
+    lambda line, headers: b"\r\n".join([line, *headers]),
+    _request_lines,
+    st.lists(_header_lines, max_size=4),
+)
+
+
+class TestParseHead:
+    def test_a_request(self):
+        head = parse_head(b"POST /login HTTP/1.1\r\nHost: x\r\nCOOKIE:  auth=ab \r\n"
+                          b"Content-Length: 12")
+        assert head == Head("POST", "/login", {"host": "x", "cookie": "auth=ab",
+                                               "content-length": "12"},
+                            12, keep_alive=True, expect_continue=False)
+
+    @pytest.mark.parametrize(
+        "head, keep_alive",
+        [
+            (b"GET / HTTP/1.1", True),
+            (b"GET / HTTP/1.1\r\nConnection: Close", False),
+            (b"GET / HTTP/1.0", False),
+            (b"GET / HTTP/1.0\r\nConnection: keep-alive", True),
+        ],
+    )
+    def test_keep_alive(self, head, keep_alive):
+        assert parse_head(head).keep_alive is keep_alive
+
+    @pytest.mark.parametrize(
+        "head, status, reason",
+        [
+            (b"GET /" + b"x" * MAX_LINE_BYTES + b" HTTP/1.1", 414, "request-line-too-long"),
+            (b"GET / HTTP/1.1\r\nX: " + b"x" * MAX_LINE_BYTES, 431, "header-line-too-long"),
+            (b"GET / HTTP/1.1" + b"\r\nX: y" * (MAX_HEADERS + 1), 431, "too-many-headers"),
+            (b"GET / HTTP/1.1\r\n folded", 400, "bad-header"),
+            (b"GET / HTTP/1.1\r\nX y: z", 400, "bad-header"),
+            (b"GET / HTTP/1.1\r\nX: a\nb", 400, "bad-header"),
+            (b"GET /", 400, "bad-request-line"),
+            (b"GET  / HTTP/1.1", 400, "bad-request-line"),
+            (b"GET / HTTP/0.9", 505, "http-version-not-supported"),
+            (b"POST / HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 1",
+             400, "bad-content-length"),
+            (b"POST / HTTP/1.1\r\nContent-Length: 1" + b"0" * 5000, 413, "body-too-large"),
+        ],
+        ids=["long-request-line", "long-header-line", "101-headers", "folded", "space-in-name",
+             "bare-lf", "two-words", "two-spaces", "http-0.9", "two-lengths", "5001-digits"],
+    )
+    def test_errors(self, head, status, reason):
+        assert parse_head(head) == WireResponse(status, {"status": "error", "reason": reason})
+
+    def test_heads_at_the_limits_are_read(self):
+        head = b"GET /" + b"x" * (MAX_LINE_BYTES - 14) + b" HTTP/1.1" + b"\r\nX: y" * MAX_HEADERS
+        assert isinstance(parse_head(head), Head)
+
+    @given(_heads)
+    @settings(max_examples=300)
+    def test_never_raises_and_never_answers_500(self, head):
+        result = parse_head(head)
+        if isinstance(result, Head):
+            assert 0 <= result.length <= MAX_BODY_BYTES
+            assert " " not in result.method + result.path
+        else:
+            assert result.status in (400, 411, 413, 414, 431, 505)
+
+    @given(st.lists(_heads | st.binary(max_size=40), max_size=4), st.integers(1, 64))
+    @settings(max_examples=100)
+    def test_any_byte_stream_gets_well_formed_answers(self, parts, chunk):
+        transport = FakeTransport()
+        data = b"\r\n\r\n".join(parts)
+        with fake_connection(transport) as protocol:
+            for i in range(0, len(data), chunk):
+                if not transport.reading:
+                    break
+                protocol.data_received(data[i:i + chunk])
+        for reply in transport.writes:
+            assert reply.startswith(b"HTTP/1.1 ") and not reply.startswith(b"HTTP/1.1 500 ")
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                               max_size=4),
+    max_leaves=12,
+)
+
+
+def _analyses(number):
+    box = {"x": number, "y": number, "w": number, "h": number}
+    return st.fixed_dictionaries({
+        "resolution": st.fixed_dictionaries({"w": number, "h": number}),
+        "texts": st.lists(st.fixed_dictionaries(
+            {**box, "text": st.sampled_from(["microsoft.com", "micr0soft.com", "xn--bcher-kva.de"])
+             | st.text(max_size=20)}), max_size=3),
+        "addrbars": st.lists(st.fixed_dictionaries({**box, "confidence": number}), max_size=2),
+    })
+
+
+def _photo_reading(text):
+    """A genuine photo whose address bar reads `text`."""
+    body = photo_dict("microsoft.com")
+    assert body["texts"][1]["text"] == "microsoft.com"
+    body["texts"][1]["text"] = text
+    return body
+
+
+class TestAppFuzz:
+    @given(
+        method=st.sampled_from(["GET", "POST"]) | st.text(max_size=6),
+        path=st.sampled_from(["/login", "/c/{token}", "/c/{token}/photo",
+                              "/session/{id}/status"]) | st.text(max_size=30),
+        body=st.none() | _json,
+        cookie=st.none() | st.text(max_size=40),
+    )
+    @settings(max_examples=150)
+    def test_every_request_answers_2xx_or_4xx(self, method, path, body, cookie):
+        app = make_app()
+        first = login(app)
+        token = first.body["link"].rsplit("/", 1)[-1]
+        path = path.replace("{token}", token).replace("{id}", first.body["session_id"])
+        headers = {} if cookie is None else {"Cookie": cookie}
+        response = app.handle(WireRequest(method, path, headers, body, PHONE))
+        assert 200 <= response.status < 500
+        json.loads(response.to_bytes())
+
+    @given(
+        st.builds(_photo_reading, st.sampled_from(["microsoft.com", "https://microsoft.com/x",
+                                                   "micr0soft.com", "xn--bcher-kva.de"])
+                  | st.text(max_size=40))
+        | _analyses(st.integers(0, 4000) | st.floats(0, 4000))
+        | _analyses(st.integers() | st.floats() | st.booleans() | st.none() | st.text(max_size=4))
+        | _json
+    )
+    @settings(max_examples=150)
+    def test_every_photo_answers_2xx_or_4xx(self, body):
+        app = make_app()
+        token = login(app).body["link"].rsplit("/", 1)[-1]
+        click(app, token)
+        response = submit_photo(app, token, body)
+        assert 200 <= response.status < 500
+        json.loads(response.to_bytes())

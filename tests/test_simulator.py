@@ -372,7 +372,8 @@ def _golden_reports():
     for name in sorted(os.listdir(SCENARIO_DIR)):
         yield f"scenario/{name}", run_scenario(load_scenario(os.path.join(SCENARIO_DIR, name)))
     for preset, (kind, params, expected) in sorted(_ATTACK_PRESETS.items()):
-        scenario = Scenario(name=preset, kind=kind, seed=0, params=params, expected=expected)
+        scenario = Scenario(name=preset, kind=kind, seed=0, params=params,
+                            expected=Outcome(OutcomeKind(expected)))
         yield f"preset/{preset}", run_scenario(scenario)
     for label, profile in (("noisy", DEFAULT_NOISY_PROFILE), ("harsh", HARSH_PROFILE)):
         for seed in NOISE_SEEDS:
