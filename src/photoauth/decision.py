@@ -126,6 +126,12 @@ class Notification:
     session_id: str
 
 
+# The answer to a token with no live session. A store write refused after
+# the session was looked up gets it too: under the engine lock nothing but
+# the clock moves a session, so its link expired in between.
+_UNKNOWN_TOKEN = AuthDecision(DecisionKind.DENY, reason=REASON_UNKNOWN_TOKEN)
+
+
 def _same_network(a: str, b: str, prefix_len: int) -> bool:
     try:
         net_a = ipaddress.ip_network(f"{a}/{prefix_len}", strict=False)
@@ -232,7 +238,7 @@ class AuthEngine:
         with self._lock:
             session = self.store.resolve_token(click.token_digits, source=click.source_address)
             if session is None:
-                return AuthDecision(DecisionKind.DENY, reason=REASON_UNKNOWN_TOKEN)
+                return _UNKNOWN_TOKEN
             if session.state is SessionState.AUTHORIZED:
                 # Replayed click on a finished session changes nothing.
                 return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
@@ -245,10 +251,13 @@ class AuthEngine:
             if session.state is SessionState.AWAITING_PHOTO:
                 return AuthDecision(DecisionKind.REQUIRE_PHOTO, session_id=session.id)
 
-            if self._colocated(click, session):
-                self.store.authorize(session.id)
-                return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
-            self.store.mark_awaiting_photo(session.id)
+            try:
+                if self._colocated(click, session):
+                    self.store.authorize(session.id)
+                    return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
+                self.store.mark_awaiting_photo(session.id)
+            except InvalidState:
+                return _UNKNOWN_TOKEN
             hint = None
             if (
                 self.policy.mode is ColocationMode.COOKIE_EQUALITY
@@ -270,39 +279,42 @@ class AuthEngine:
         with self._lock:
             session = self.store.resolve_token(token_digits, source=source)
             if session is None:
-                return AuthDecision(DecisionKind.DENY, reason=REASON_UNKNOWN_TOKEN)
+                return _UNKNOWN_TOKEN
             if session.state is not SessionState.AWAITING_PHOTO:
                 raise InvalidState(
                     f"photo submitted while session is {session.state.value}"
                 )
 
             result = verify_photo(analysis, self.accept_set, self.verify_cfg)
-            if result.kind is VerdictKind.MATCH:
-                self.store.authorize(session.id)
-                return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
-            if result.kind is VerdictKind.MISMATCH:
-                self.store.deny(session.id)
-                found = str(result.found) if result.found else "unknown"
-                return AuthDecision(
-                    DecisionKind.DENY,
-                    reason=REASON_PHISHING,
-                    session_id=session.id,
-                    message=f"photographed address bar shows {found}",
-                    warning=True,
-                )
+            try:
+                if result.kind is VerdictKind.MATCH:
+                    self.store.authorize(session.id)
+                    return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
+                if result.kind is VerdictKind.MISMATCH:
+                    self.store.deny(session.id)
+                    found = str(result.found) if result.found else "unknown"
+                    return AuthDecision(
+                        DecisionKind.DENY,
+                        reason=REASON_PHISHING,
+                        session_id=session.id,
+                        message=f"photographed address bar shows {found}",
+                        warning=True,
+                    )
 
-            assert result.reason is not None
-            updated = self.store.record_retake(session.id, result.reason)
-            if updated.state is SessionState.FALLBACK_OFFERED:
+                assert result.reason is not None
+                updated = self.store.record_retake(session.id, result.reason)
+                if updated.state is SessionState.FALLBACK_OFFERED:
+                    return AuthDecision(
+                        DecisionKind.FALLBACK,
+                        session_id=session.id,
+                        warning=updated.phishing_warned,
+                    )
                 return AuthDecision(
-                    DecisionKind.FALLBACK,
+                    DecisionKind.REQUEST_RETAKE,
+                    reason=result.reason,
                     session_id=session.id,
-                    warning=updated.phishing_warned,
+                    warning=result.reason == RETAKE_MULTIPLE_ADDRBARS,
+                    retakes_left=self.store.retake_cap - updated.retakes,
                 )
-            return AuthDecision(
-                DecisionKind.REQUEST_RETAKE,
-                reason=result.reason,
-                session_id=session.id,
-                warning=result.reason == RETAKE_MULTIPLE_ADDRBARS,
-                retakes_left=self.store.retake_cap - updated.retakes,
-            )
+            except InvalidState:
+                return _UNKNOWN_TOKEN

@@ -29,6 +29,7 @@ from .decision import (
     ColocationPolicy,
     DecisionKind,
     LinkClick,
+    REASON_UNKNOWN_TOKEN,
     UnknownUser,
 )
 from .domain import extract_hostname
@@ -256,7 +257,7 @@ class App:
             return WireResponse(429, {"status": "error", "reason": "rate-limited"})
         if decision.kind is DecisionKind.AUTHORIZE:
             return WireResponse(200, {"status": "authorized"})
-        if decision.kind is DecisionKind.DENY and decision.reason == "unknown-token":
+        if decision.kind is DecisionKind.DENY and decision.reason == REASON_UNKNOWN_TOKEN:
             return WireResponse(403, {"status": "denied", "reason": decision.reason})
         if decision.kind is DecisionKind.DENY:
             return WireResponse(
@@ -285,18 +286,19 @@ class App:
     def handle(self, req: WireRequest) -> WireResponse:
         # The route template, never the raw path: that carries live tokens.
         route, response = self._route(req)
-        logger.info(
-            "%s",
-            json.dumps(
-                {
-                    "method": req.method,
-                    "path": route,
-                    "status": response.status,
-                    "body_status": response.body.get("status"),
-                },
-                sort_keys=True,
-            ),
-        )
+        if logger.isEnabledFor(logging.INFO):
+            logger.info(
+                "%s",
+                json.dumps(
+                    {
+                        "method": req.method,
+                        "path": route,
+                        "status": response.status,
+                        "body_status": response.body.get("status"),
+                    },
+                    sort_keys=True,
+                ),
+            )
         return response
 
     def _route(self, req: WireRequest) -> tuple[Optional[str], WireResponse]:

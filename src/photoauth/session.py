@@ -59,21 +59,14 @@ class SessionState(Enum):
     FALLBACK_OFFERED = "fallback-offered"
 
 
-# Allowed lifecycle transitions; terminal states have no exits.
-_TRANSITIONS: dict[SessionState, frozenset[SessionState]] = {
-    SessionState.CREDENTIALS_OK: frozenset({SessionState.LINK_SENT}),
-    SessionState.LINK_SENT: frozenset({SessionState.AUTHORIZED, SessionState.AWAITING_PHOTO}),
-    SessionState.AWAITING_PHOTO: frozenset(
-        {
-            SessionState.AUTHORIZED,
-            SessionState.DENIED,
-            SessionState.AWAITING_PHOTO,
-            SessionState.FALLBACK_OFFERED,
-        }
-    ),
-    SessionState.AUTHORIZED: frozenset(),
-    SessionState.DENIED: frozenset(),
-    SessionState.FALLBACK_OFFERED: frozenset(),
+# The lifecycle: each store operation and the states it may start from.
+# Terminal states (authorized, denied, fallback-offered) start none.
+_STARTS: dict[str, frozenset[SessionState]] = {
+    "issue_short_link": frozenset({SessionState.CREDENTIALS_OK}),
+    "mark_awaiting_photo": frozenset({SessionState.LINK_SENT, SessionState.AWAITING_PHOTO}),
+    "authorize": frozenset({SessionState.LINK_SENT, SessionState.AWAITING_PHOTO}),
+    "deny": frozenset({SessionState.AWAITING_PHOTO}),
+    "record_retake": frozenset({SessionState.AWAITING_PHOTO}),
 }
 
 
@@ -179,7 +172,7 @@ class SessionStore:
         # source -> (window start, lookups in the window), by window start.
         self._lookup_windows: OrderedDict[str, tuple[float, int]] = OrderedDict()
 
-    # -- internal helpers, caller must hold the lock --
+    # -- internal helpers; a *_locked one needs its caller to hold the lock --
 
     def _expire_locked(self, now: float) -> None:
         # Updates reassign an existing key, which keeps its position.
@@ -208,21 +201,22 @@ class SessionStore:
         if count > LOOKUP_RATE_LIMIT:
             raise RateLimited(f"token lookups from {source!r} exceed {LOOKUP_RATE_LIMIT}/s")
 
-    def _replace_locked(self, session: Session, **changes) -> Session:
-        updated = replace(session, **changes)
-        self._sessions[updated.id] = updated
-        return updated
+    def _advance(self, op: str, session_id: str, step: Callable[[Session], dict]) -> Session:
+        """Apply lifecycle operation `op` to a live session, atomically.
 
-    def _get_locked(self, session_id: str, now: float) -> Session:
-        self._expire_locked(now)
-        session = self._sessions.get(session_id)
-        if session is None:
-            raise InvalidState(f"no live session {session_id!r}")
-        return session
-
-    def _check_transition(self, session: Session, target: SessionState) -> None:
-        if target not in _TRANSITIONS[session.state]:
-            raise InvalidState(f"cannot move {session.state.value} -> {target.value}")
+        `step` runs under the lock and maps the session to the fields the
+        operation changes.
+        """
+        with self._lock:
+            self._expire_locked(self._clock())
+            session = self._sessions.get(session_id)
+            if session is None:
+                raise InvalidState(f"no live session {session_id!r}")
+            if session.state not in _STARTS[op]:
+                raise InvalidState(f"{op} cannot start from {session.state.value}")
+            updated = replace(session, **step(session))
+            self._sessions[session_id] = updated
+            return updated
 
     # -- public API --
 
@@ -269,17 +263,17 @@ class SessionStore:
         The token is unique among live sessions; a collision with one is
         redrawn, never reused.
         """
-        with self._lock:
-            now = self._clock()
-            session = self._get_locked(session_id, now)
-            self._check_transition(session, SessionState.LINK_SENT)
+
+        def step(session: Session) -> dict:
             while True:
                 digits = draw_token_digits(length, self._rng)
                 if digits not in self._token_index:
                     break
             token = ShortLinkToken(digits)
             self._token_index[digits] = session_id
-            return self._replace_locked(session, token=token, state=SessionState.LINK_SENT)
+            return {"token": token, "state": SessionState.LINK_SENT}
+
+        return self._advance("issue_short_link", session_id, step)
 
     def resolve_token(self, digits: str, *, source: str | None = None) -> Session | None:
         """Look up the live session behind a token, rate limited per source."""
@@ -305,27 +299,15 @@ class SessionStore:
             return self._sessions.get(sid) if sid is not None else None
 
     def mark_awaiting_photo(self, session_id: str) -> Session:
-        with self._lock:
-            now = self._clock()
-            session = self._get_locked(session_id, now)
-            if session.state is SessionState.AWAITING_PHOTO:
-                return session
-            self._check_transition(session, SessionState.AWAITING_PHOTO)
-            return self._replace_locked(session, state=SessionState.AWAITING_PHOTO)
+        return self._advance(
+            "mark_awaiting_photo", session_id, lambda _: {"state": SessionState.AWAITING_PHOTO}
+        )
 
     def authorize(self, session_id: str) -> Session:
-        with self._lock:
-            now = self._clock()
-            session = self._get_locked(session_id, now)
-            self._check_transition(session, SessionState.AUTHORIZED)
-            return self._replace_locked(session, state=SessionState.AUTHORIZED)
+        return self._advance("authorize", session_id, lambda _: {"state": SessionState.AUTHORIZED})
 
     def deny(self, session_id: str) -> Session:
-        with self._lock:
-            now = self._clock()
-            session = self._get_locked(session_id, now)
-            self._check_transition(session, SessionState.DENIED)
-            return self._replace_locked(session, state=SessionState.DENIED)
+        return self._advance("deny", session_id, lambda _: {"state": SessionState.DENIED})
 
     def record_retake(self, session_id: str, reason: str) -> Session:
         """Count one failed photo; past the cap the session falls back.
@@ -333,31 +315,21 @@ class SessionStore:
         A retake caused by multiple detected address bars marks the
         session as phishing-warned.
         """
-        with self._lock:
-            now = self._clock()
-            session = self._get_locked(session_id, now)
-            if session.state is not SessionState.AWAITING_PHOTO:
-                raise InvalidState(f"retake requires awaiting-photo, session is {session.state.value}")
+
+        def step(session: Session) -> dict:
             retakes = session.retakes + 1
-            warned = session.phishing_warned or reason == "multiple-addrbars"
-            target = (
-                SessionState.FALLBACK_OFFERED
+            return {
+                "retakes": retakes,
+                "phishing_warned": session.phishing_warned or reason == "multiple-addrbars",
+                "state": SessionState.FALLBACK_OFFERED
                 if retakes > self.retake_cap
-                else SessionState.AWAITING_PHOTO
-            )
-            self._check_transition(session, target)
-            return self._replace_locked(
-                session, retakes=retakes, phishing_warned=warned, state=target
-            )
+                else SessionState.AWAITING_PHOTO,
+            }
+
+        return self._advance("record_retake", session_id, step)
 
     def live_count(self) -> int:
         with self._lock:
             now = self._clock()
             self._expire_locked(now)
             return len(self._sessions)
-
-    def check_token_index(self) -> bool:
-        """True when the token index maps exactly the live tokened sessions, 1:1."""
-        with self._lock:
-            tokened = {s.token.digits: sid for sid, s in self._sessions.items() if s.token}
-            return tokened == self._token_index

@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from enum import Enum
-from typing import Iterator
 
 from .domain import DomainName, confusable_mutate, extract_hostname
 from .geometry import BoundingBox, Resolution, intersection_area
@@ -26,7 +25,6 @@ from .verify import (
     TextRegion,
     VerdictKind,
     VerifyConfig,
-    analysis_to_dict,
     verify_photo,
 )
 
@@ -463,29 +461,6 @@ class EvalReport:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _item_seed(seed: int, index: int) -> int:
-    return seed * 1_000_003 + index
-
-
-def _corpus_items(
-    n: int, params: GeneratorParams, profile: DetectorProfile, seed: int | None
-) -> Iterator[PhotoAnalysis]:
-    """Generate and detect n genuine screenshots, yielding one analysis per cycle."""
-    base = profile.seed if seed is None else seed
-    for i in range(n):
-        rng = random.Random(_item_seed(base, i))
-        domain = params.domains[i % len(params.domains)]
-        theme = Theme.DARK if rng.random() < params.dark_fraction else Theme.LIGHT
-        layout = generate_layout(
-            domain,
-            theme=theme,
-            variant=params.variant,
-            seed=rng.getrandbits(32),
-            resolution=params.resolution,
-        )
-        yield simulate_detection(layout, profile, rng)
-
-
 def evaluate_corpus(
     n: int,
     params: GeneratorParams,
@@ -501,9 +476,20 @@ def evaluate_corpus(
     """
     if n <= 0:
         raise ValueError("n must be positive")
+    base = profile.seed if seed is None else seed
     tp = fp = fn = retakes = 0
-    for analysis in _corpus_items(n, params, profile, seed):
-        result = verify_photo(analysis, accept_set, verify_cfg)
+    for i in range(n):
+        rng = random.Random(base * 1_000_003 + i)
+        domain = params.domains[i % len(params.domains)]
+        theme = Theme.DARK if rng.random() < params.dark_fraction else Theme.LIGHT
+        layout = generate_layout(
+            domain,
+            theme=theme,
+            variant=params.variant,
+            seed=rng.getrandbits(32),
+            resolution=params.resolution,
+        )
+        result = verify_photo(simulate_detection(layout, profile, rng), accept_set, verify_cfg)
         if result.kind is VerdictKind.MATCH:
             tp += 1
         else:
@@ -513,20 +499,6 @@ def evaluate_corpus(
             elif result.reason == RETAKE_UNREADABLE:
                 fn += 1
     return EvalReport(EvalCounts(tp, fp, fn, retakes, n))
-
-
-def export_corpus(
-    path: str,
-    n: int,
-    params: GeneratorParams,
-    profile: DetectorProfile,
-    seed: int | None = None,
-) -> None:
-    """Write n detection records as JSON lines for offline replay."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for analysis in _corpus_items(n, params, profile, seed):
-            fh.write(json.dumps(analysis_to_dict(analysis), sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

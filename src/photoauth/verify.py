@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Iterable
 
 from .domain import DomainError, DomainName, domains_equal, extract_hostname
-from .geometry import BoundingBox, Resolution, area, cover_rate, iou
+from .geometry import BoundingBox, Resolution, area, cover_rate
 
 RETAKE_MULTIPLE_ADDRBARS = "multiple-addrbars"
 RETAKE_UNREADABLE = "unreadable"
@@ -160,22 +160,6 @@ def verify_photo(
     if domains_equal(outcome.domain, accept_set):
         return VerifyResult(VerdictKind.MATCH, found=outcome.domain)
     return VerifyResult(VerdictKind.MISMATCH, found=outcome.domain)
-
-
-class DetectionLabel(Enum):
-    TRUE_POSITIVE = "true-positive"
-    FALSE_POSITIVE = "false-positive"
-
-
-def score_detection(
-    predicted: BoundingBox, truth: BoundingBox, iou_threshold: float = 0.5
-) -> DetectionLabel:
-    """Label a predicted address-bar box against ground truth by IoU."""
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-    if iou(predicted, truth) >= iou_threshold:
-        return DetectionLabel.TRUE_POSITIVE
-    return DetectionLabel.FALSE_POSITIVE
 
 
 # ---------------------------------------------------------------------------

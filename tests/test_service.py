@@ -532,6 +532,45 @@ class TestPhotoEndpoint:
         assert len(encoded) == 4
 
 
+class TestLinkExpiresMidDecision:
+    """The link is live when the engine looks it up (at exactly the TTL) and
+    dead half a second later, when the store applies the decision. It must
+    answer as an expired link does."""
+
+    def expire_during_next_request(self, clock):
+        # Its next two readings: 300.0 for the lookup, 300.5 for the write.
+        clock.t, clock.step = 299.5, 0.5
+
+    @pytest.mark.parametrize("colocated", [True, False])
+    def test_click(self, colocated):
+        clock = FakeClock(start=0.0, step=0.0)
+        app = App(Config(seed=1), clock=clock)
+        first = login(app)
+        cookie = first.headers["Set-Cookie"].split(";")[0].split("=", 1)[1]
+        digits = first.body["link"].rsplit("/", 1)[-1]
+        self.expire_during_next_request(clock)
+        response = click(app, digits, cookie if colocated else None)
+        assert (response.status, response.body) == (
+            403, {"status": "denied", "reason": "unknown-token"}
+        )
+
+    @pytest.mark.parametrize(
+        "photo",
+        [photo_dict("microsoft.com"), photo_dict("rnicrosoft.com"), unreadable_dict()],
+        ids=["match", "mismatch", "retake"],
+    )
+    def test_photo(self, photo):
+        clock = FakeClock(start=0.0, step=0.0)
+        app = App(Config(seed=1), clock=clock)
+        digits = login(app).body["link"].rsplit("/", 1)[-1]
+        assert click(app, digits).body["status"] == "photo-required"
+        self.expire_during_next_request(clock)
+        response = submit_photo(app, digits, photo)
+        assert (response.status, response.body) == (
+            403, {"status": "denied", "reason": "unknown-token"}
+        )
+
+
 class TestAtomicDecisions:
     """Two requests for one link: the first is held inside the engine, just
     after reading its session, until the second is answered or `HOLD_S`
@@ -658,6 +697,26 @@ class TestMisc:
         entries = [json.loads(r.message) for r in caplog.records]
         assert {"method": "POST", "path": "/login", "status": 200,
                 "body_status": "link-sent"} in entries
+
+    def test_log_line_is_built_only_when_info_is_on(self, caplog, monkeypatch):
+        dumped = []
+        dumps = json.dumps
+
+        def counting_dumps(obj, **kwargs):
+            dumped.append(obj)
+            return dumps(obj, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        app = make_app()
+        with caplog.at_level(logging.WARNING, logger="photoauth.service"):
+            app.handle(WireRequest("GET", "/nope"))
+        assert dumped == []
+        with caplog.at_level(logging.INFO, logger="photoauth.service"):
+            app.handle(WireRequest("GET", "/nope"))
+        assert len(dumped) == 1
+        assert [json.loads(r.message) for r in caplog.records] == [
+            {"method": "GET", "path": None, "status": 404, "body_status": "error"}
+        ]
 
     def test_logs_route_templates(self, caplog):
         app = make_app()

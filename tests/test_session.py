@@ -2,8 +2,13 @@ import itertools
 import random
 import sys
 import threading
+from dataclasses import replace
+from unittest.mock import ANY
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 
 from photoauth.domain import extract_hostname
 from photoauth.session import (
@@ -40,6 +45,12 @@ def make_store(**kwargs):
     kwargs.setdefault("rng", random.Random(7))
     kwargs.setdefault("clock", FakeClock())
     return SessionStore(SERVER, **kwargs)
+
+
+def token_index_is_one_to_one(store):
+    """True when the token index maps exactly the stored tokened sessions, 1:1."""
+    tokened = {s.token.digits: sid for sid, s in store._sessions.items() if s.token}
+    return tokened == store._token_index
 
 
 class TestValues:
@@ -245,7 +256,7 @@ class TestExpiry:
         s = store.issue_short_link(s.id)
         clock.advance(11.0)
         assert store.resolve_token(s.token.digits) is None
-        assert store.check_token_index()
+        assert token_index_is_one_to_one(store)
 
     def test_bad_ttl_rejected(self):
         with pytest.raises(ValueError):
@@ -270,7 +281,7 @@ class TestExpiry:
         assert store.resolve_token(b.token.digits) == b
         assert store.find_by_cookie(b.cookie.value) == b
         assert store.live_count() == 1
-        assert store.check_token_index()
+        assert token_index_is_one_to_one(store)
 
     def test_bulk_expiry_pops_exactly_the_older_sessions(self):
         clock = FakeClock()
@@ -287,7 +298,7 @@ class TestExpiry:
         assert store.live_count() == 10_000 - 2501
         live = [s for s in created if store.get(s.id) is not None]
         assert live == created[2501:]
-        assert store.check_token_index()
+        assert token_index_is_one_to_one(store)
 
 
 class TestRateLimit:
@@ -392,7 +403,7 @@ class TestUniqueness:
         a = store.issue_short_link(a.id)
         b = store.issue_short_link(b.id)
         assert a.token.digits != b.token.digits
-        assert store.check_token_index()
+        assert token_index_is_one_to_one(store)
 
 
 class TestConcurrency:
@@ -419,7 +430,7 @@ class TestConcurrency:
             t.join()
         assert not errors
         assert store.live_count() == 8 * 200
-        assert store.check_token_index()
+        assert token_index_is_one_to_one(store)
 
     def test_parallel_creation_expires_in_time_order(self):
         class TickClock:
@@ -459,3 +470,146 @@ class TestConcurrency:
         assert len(dead) == n // 2
         assert {s.id for s in created if store.get(s.id) is None} == dead
         assert store.live_count() == n // 2
+
+
+MODEL_TTL_S = 10.0
+MODEL_RETAKE_CAP = 2
+# The lifecycle as the model knows it: store operation -> states it may start from.
+MODEL_STARTS = {
+    "issue_short_link": {SessionState.CREDENTIALS_OK},
+    "mark_awaiting_photo": {SessionState.LINK_SENT, SessionState.AWAITING_PHOTO},
+    "authorize": {SessionState.LINK_SENT, SessionState.AWAITING_PHOTO},
+    "deny": {SessionState.AWAITING_PHOTO},
+    "record_retake": {SessionState.AWAITING_PHOTO},
+}
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """SessionStore against a plain dict of the sessions that should be live."""
+
+    sessions = Bundle("sessions")
+
+    def __init__(self):
+        super().__init__()
+        self.clock = FakeClock()
+        self.store = make_store(
+            clock=self.clock, ttl_s=MODEL_TTL_S, retake_cap=MODEL_RETAKE_CAP
+        )
+        self.model = {}  # id -> the snapshot the store should hand out
+        self.cookies = {}  # id -> cookie value, kept after the session dies
+        self.digits = {}  # id -> token digits, kept after the session dies
+
+    def _expire(self):
+        now = self.clock.t
+        self.model = {
+            sid: s for sid, s in self.model.items() if now - s.created_at <= MODEL_TTL_S
+        }
+
+    def _mutate(self, op, sid, *args, step):
+        """Run one store operation; expect InvalidState exactly where the model does.
+
+        `step` maps the model's session to the fields the operation changes.
+        """
+        self._expire()
+        before = self.model.get(sid)
+        call = getattr(self.store, op)
+        if before is None or before.state not in MODEL_STARTS[op]:
+            with pytest.raises(InvalidState):
+                call(sid, *args)
+            return None
+        after = call(sid, *args)
+        assert after == replace(before, **step(before))
+        self.model[sid] = after
+        return after
+
+    @rule(target=sessions, username=st.sampled_from(["alice", "bob"]))
+    def create(self, username):
+        s = self.store.create_session(username, Preference.SMS)
+        assert s.state is SessionState.CREDENTIALS_OK and s.created_at == self.clock.t
+        self._expire()
+        self.model[s.id] = s
+        self.cookies[s.id] = s.cookie.value
+        return s.id
+
+    @rule(sid=sessions)
+    def issue(self, sid):
+        s = self._mutate(
+            "issue_short_link", sid, step=lambda _: {"token": ANY, "state": SessionState.LINK_SENT}
+        )
+        if s is not None:
+            self.digits[sid] = s.token.digits
+
+    @rule(sid=sessions)
+    def resolve(self, sid):
+        digits = self.digits.get(sid, "0" * 10)
+        found = self.store.resolve_token(digits)
+        self._expire()
+        live = [s for s in self.model.values() if s.token and s.token.digits == digits]
+        assert found == (live[0] if live else None)
+
+    @rule(sid=sessions)
+    def get(self, sid):
+        found = self.store.get(sid)
+        self._expire()
+        assert found == self.model.get(sid)
+
+    @rule(sid=sessions)
+    def find_by_cookie(self, sid):
+        found = self.store.find_by_cookie(self.cookies[sid])
+        self._expire()
+        assert found == self.model.get(sid)
+
+    @rule(sid=sessions)
+    def mark_awaiting_photo(self, sid):
+        self._mutate(
+            "mark_awaiting_photo", sid, step=lambda _: {"state": SessionState.AWAITING_PHOTO}
+        )
+
+    @rule(sid=sessions)
+    def authorize(self, sid):
+        self._mutate("authorize", sid, step=lambda _: {"state": SessionState.AUTHORIZED})
+
+    @rule(sid=sessions)
+    def deny(self, sid):
+        self._mutate("deny", sid, step=lambda _: {"state": SessionState.DENIED})
+
+    @rule(sid=sessions, reason=st.sampled_from(["unreadable", "multiple-addrbars"]))
+    def record_retake(self, sid, reason):
+        def step(s):
+            retakes = s.retakes + 1
+            return {
+                "retakes": retakes,
+                "phishing_warned": s.phishing_warned or reason == "multiple-addrbars",
+                "state": SessionState.FALLBACK_OFFERED
+                if retakes > MODEL_RETAKE_CAP
+                else SessionState.AWAITING_PHOTO,
+            }
+
+        self._mutate("record_retake", sid, reason, step=step)
+
+    @rule(dt=st.sampled_from([0.0, 1.0, MODEL_TTL_S / 2, MODEL_TTL_S + 1.0]))
+    def step_clock(self, dt):
+        self.clock.advance(dt)
+
+    # A rule, not an invariant: live_count expires sessions, and doing that
+    # after every step would hide an operation that skips its own expiry.
+    @rule()
+    def live_count(self):
+        self._expire()
+        assert self.store.live_count() == len(self.model)
+
+    @invariant()
+    def token_index_maps_the_live_tokened_sessions(self):
+        self._expire()
+        assert token_index_is_one_to_one(self.store)
+        index = self.store._token_index
+        live = {s.token.digits: sid for sid, s in self.model.items() if s.token}
+        assert live.items() <= index.items()
+        # The rest are sessions that expired since the store last looked.
+        for digits in index.keys() - live.keys():
+            stored = self.store._sessions[index[digits]]
+            assert self.clock.t - stored.created_at > MODEL_TTL_S
+
+
+TestStoreMachine = StoreMachine.TestCase
+TestStoreMachine.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)

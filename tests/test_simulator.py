@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -34,8 +35,10 @@ from photoauth.synth import (
     GeneratorParams,
     OcrModel,
     Theme,
-    export_corpus,
+    generate_layout,
+    simulate_detection,
 )
+from photoauth.verify import analysis_to_dict
 
 CUTOFF_PROFILE = DetectorProfile(
     ocr=OcrModel(oracle=False),
@@ -385,27 +388,42 @@ def _golden_reports():
                 )
 
 
-def _golden_corpus_bytes(tmp_dir):
-    path = os.path.join(tmp_dir, "corpus.jsonl")
+def _golden_corpus_bytes():
+    """25 noisy detections of genuine screenshots at seed 9, one JSON line each.
+
+    Item i draws from its own rng, seeded 9 * 1_000_003 + i, and shows
+    domain i mod 3, as `evaluate_corpus` generates its items.
+    """
     params = GeneratorParams(domains=("microsoft.com", "bücher.de", "login.live.com"))
-    export_corpus(path, 25, params, DEFAULT_NOISY_PROFILE, seed=9)
-    with open(path, "rb") as fh:
-        return fh.read()
+    lines = []
+    for i in range(25):
+        rng = random.Random(9 * 1_000_003 + i)
+        theme = Theme.DARK if rng.random() < params.dark_fraction else Theme.LIGHT
+        layout = generate_layout(
+            params.domains[i % len(params.domains)],
+            theme=theme,
+            variant=params.variant,
+            seed=rng.getrandbits(32),
+            resolution=params.resolution,
+        )
+        analysis = simulate_detection(layout, DEFAULT_NOISY_PROFILE, rng)
+        lines.append(json.dumps(analysis_to_dict(analysis), sort_keys=True, separators=(",", ":")))
+    return "".join(line + "\n" for line in lines).encode()
 
 
-def golden_digests(tmp_dir):
+def golden_digests():
     digests = {key: _report_digests(report) for key, report in _golden_reports()}
-    digests["export_corpus"] = hashlib.sha256(_golden_corpus_bytes(tmp_dir)).hexdigest()
+    digests["export_corpus"] = hashlib.sha256(_golden_corpus_bytes()).hexdigest()
     return digests
 
 
 class TestGoldenTranscripts:
     """Reports and message logs hash as they did when the file was written."""
 
-    def test_digests_match_the_committed_file(self, tmp_path):
+    def test_digests_match_the_committed_file(self):
         with open(GOLDEN_PATH, encoding="utf-8") as fh:
             expected = json.load(fh)
-        actual = golden_digests(str(tmp_path))
+        actual = golden_digests()
         assert sorted(actual) == sorted(expected)
         changed = [key for key in expected if actual[key] != expected[key]]
         assert changed == []
@@ -413,10 +431,7 @@ class TestGoldenTranscripts:
 
 if __name__ == "__main__":
     # Rewrite the golden file: only for a deliberate change of transcripts.
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp:
-        digests = golden_digests(tmp)
+    digests = golden_digests()
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
         json.dump(digests, fh, indent=1, sort_keys=True)
         fh.write("\n")

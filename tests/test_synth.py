@@ -28,7 +28,6 @@ from photoauth.synth import (
     apply_ocr_noise,
     char_errors,
     evaluate_corpus,
-    export_corpus,
     generate_layout,
     homograph_stress,
     profile_from_dict,
@@ -40,7 +39,6 @@ from photoauth.verify import (
     RETAKE_UNREADABLE,
     VerdictKind,
     VerifyConfig,
-    analysis_from_dict,
     verify_photo,
 )
 
@@ -467,24 +465,6 @@ class TestGoldenCorpus:
             got["fn"] += counts.false_negatives
             got["retakes"] += counts.retakes
         assert got == golden["counts"][str(seed)]
-
-
-class TestExport:
-    def test_export_writes_replayable_lines(self, tmp_path):
-        path = tmp_path / "corpus.jsonl"
-        params = GeneratorParams(domains=DOMAIN_CORPUS)
-        export_corpus(str(path), 25, params, DEFAULT_NOISY_PROFILE, seed=9)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 25
-        for line in lines:
-            analysis_from_dict(json.loads(line))
-
-    def test_export_is_deterministic(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        params = GeneratorParams(domains=("microsoft.com",))
-        export_corpus(str(a), 10, params, DEFAULT_NOISY_PROFILE, seed=4)
-        export_corpus(str(b), 10, params, DEFAULT_NOISY_PROFILE, seed=4)
-        assert a.read_bytes() == b.read_bytes()
 
 
 class TestHomographStress:

@@ -3,10 +3,9 @@ import json
 import pytest
 
 from photoauth.domain import extract_hostname
-from photoauth.geometry import BoundingBox, Resolution, cover_rate, iou
+from photoauth.geometry import BoundingBox, Resolution, cover_rate
 from photoauth.verify import (
     AddressBarPrediction,
-    DetectionLabel,
     ExtractionKind,
     PhotoAnalysis,
     RETAKE_MULTIPLE_ADDRBARS,
@@ -17,7 +16,6 @@ from photoauth.verify import (
     analysis_from_dict,
     analysis_to_dict,
     extract_domain,
-    score_detection,
     verify_photo,
 )
 
@@ -169,31 +167,6 @@ class TestVerifyPhoto:
         )
         result = verify_photo(analysis, accepted("microsoft.com", "www.microsoft.com"))
         assert result.kind is VerdictKind.MATCH
-
-
-class TestScoreDetection:
-    def test_above_default_threshold(self):
-        # Horizontal shift chosen so IoU lands almost exactly on 0.77.
-        shift = 2300.0 / 177.0
-        a = BoundingBox(0, 0, 100, 100)
-        b = BoundingBox(shift, 0, 100, 100)
-        assert iou(a, b) == pytest.approx(0.77, abs=1e-12)
-        assert score_detection(b, a) is DetectionLabel.TRUE_POSITIVE
-
-    def test_below_threshold(self):
-        a = BoundingBox(0, 0, 100, 100)
-        b = BoundingBox(80, 0, 100, 100)
-        assert score_detection(b, a) is DetectionLabel.FALSE_POSITIVE
-
-    def test_custom_threshold(self):
-        a = BoundingBox(0, 0, 100, 100)
-        b = BoundingBox(40, 0, 100, 100)
-        assert score_detection(b, a, iou_threshold=0.3) is DetectionLabel.TRUE_POSITIVE
-        assert score_detection(b, a, iou_threshold=0.5) is DetectionLabel.FALSE_POSITIVE
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            score_detection(BAR, BAR, iou_threshold=0.0)
 
 
 class TestWireFormat:
