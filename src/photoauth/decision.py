@@ -133,9 +133,13 @@ _UNKNOWN_TOKEN = AuthDecision(DecisionKind.DENY, reason=REASON_UNKNOWN_TOKEN)
 
 
 def _same_network(a: str, b: str, prefix_len: int) -> bool:
+    # A prefix longer than an address is cut to its length: /64 compares
+    # IPv4 addresses whole and IPv6 addresses by their first 64 bits.
     try:
-        net_a = ipaddress.ip_network(f"{a}/{prefix_len}", strict=False)
-        net_b = ipaddress.ip_network(f"{b}/{prefix_len}", strict=False)
+        net_a, net_b = (
+            ipaddress.ip_network((ip, min(prefix_len, ip.max_prefixlen)), strict=False)
+            for ip in map(ipaddress.ip_address, (a, b))
+        )
     except ValueError:
         return False
     return net_a == net_b
@@ -151,7 +155,8 @@ class AuthEngine:
 
     Each `handle_*` call runs whole under one engine-wide lock, so a
     decision is always applied to the session state it was made from:
-    two clicks or two photos for one link never interleave.
+    two clicks or two photos for one link never interleave. That lock is
+    the store's only guard: nothing but the engine calls the store.
     """
 
     def __init__(
@@ -173,6 +178,12 @@ class AuthEngine:
         self.token_length = token_length
         self.outbox = outbox if outbox is not None else []
         self._lock = threading.Lock()
+
+    def session_state(self, session_id: str) -> SessionState | None:
+        """The state of a live session; None if there is none."""
+        with self._lock:
+            session = self.store.get(session_id)
+        return session.state if session is not None else None
 
     # -- flow steps --
 

@@ -141,9 +141,10 @@ class WireResponse:
 
 
 _COOKIE_MORSEL = re.compile(r"(?:^|;\s*)auth=([^;]*)")
-_TOKEN_PATH = re.compile(r"^/c/(\d+)$")
-_PHOTO_PATH = re.compile(r"^/c/(\d+)/photo$")
-_STATUS_PATH = re.compile(r"^/session/([0-9a-f]+)/status$")
+# Matched whole: a `$` would also match before a trailing newline.
+_TOKEN_PATH = re.compile(r"/c/([0-9]+)")
+_PHOTO_PATH = re.compile(r"/c/([0-9]+)/photo")
+_STATUS_PATH = re.compile(r"/session/([0-9a-f]+)/status")
 
 
 def _cookie_from_headers(headers: dict) -> Optional[str]:
@@ -278,10 +279,10 @@ class App:
         )
 
     def _status(self, session_id: str) -> WireResponse:
-        session = self.store.get(session_id)
-        if session is None:
+        state = self.engine.session_state(session_id)
+        if state is None:
             return WireResponse(403, {"status": "denied", "reason": "unknown-session"})
-        return WireResponse(200, {"status": session.state.value})
+        return WireResponse(200, {"status": state.value})
 
     def handle(self, req: WireRequest) -> WireResponse:
         # The route template, never the raw path: that carries live tokens.
@@ -305,13 +306,13 @@ class App:
         """The matched route template (None if none matched) and the response."""
         if req.method == "POST" and req.path == "/login":
             return "/login", self._login(req)
-        m = _TOKEN_PATH.match(req.path)
+        m = _TOKEN_PATH.fullmatch(req.path)
         if req.method == "GET" and m:
             return "/c/{token}", self._click(req, m.group(1))
-        m = _PHOTO_PATH.match(req.path)
+        m = _PHOTO_PATH.fullmatch(req.path)
         if req.method == "POST" and m:
             return "/c/{token}/photo", self._photo(req, m.group(1))
-        m = _STATUS_PATH.match(req.path)
+        m = _STATUS_PATH.fullmatch(req.path)
         if req.method == "GET" and m:
             return "/session/{id}/status", self._status(m.group(1))
         return None, WireResponse(404, {"status": "error", "reason": "no-such-endpoint"})
@@ -331,6 +332,8 @@ MAX_LINE_BYTES = 65536
 MAX_HEADERS = 100
 
 _VERSION = re.compile(r"HTTP/[0-9]\.[0-9]")
+# A request target holds no control character and no space (RFC 9112 §3.2).
+_TARGET = re.compile(r"[^\x00-\x20\x7f]+")
 _HEADER_LINE = re.compile(r"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*([^\r\n\x00]*?)[ \t]*")
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
 _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
@@ -366,7 +369,8 @@ def parse_head(head: bytes) -> Head | WireResponse:
     if len(request_line) > MAX_LINE_BYTES:
         return _error(414, "request-line-too-long")
     parts = request_line.split(" ")
-    if len(parts) != 3 or not parts[0] or not parts[1] or not _VERSION.fullmatch(parts[2]):
+    if (len(parts) != 3 or not parts[0] or not _TARGET.fullmatch(parts[1])
+            or not _VERSION.fullmatch(parts[2])):
         return _error(400, "bad-request-line")
     method, path, version = parts
     if version[5] != "1":

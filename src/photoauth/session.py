@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import re
 import secrets
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -132,15 +131,16 @@ def draw_token_digits(length: int, rng: random.Random | None = None) -> str:
 
 
 class SessionStore:
-    """Thread-safe session registry with token and cookie indexes.
+    """Session registry with token and cookie indexes.
 
-    Sessions expire `ttl_s` after creation; expiry is applied lazily on
-    every lookup so dead tokens can never resolve. Every session has the
-    same TTL and the clock is read under the lock, so creation order is
-    expiry order: expiry pops sessions from the front of the registry and
-    costs O(1) per call, however many sessions are live. The clock must
-    not run backwards. An optional seeded rng makes every generated id,
-    cookie and token reproducible.
+    The store is not thread-safe: its owner, `AuthEngine`, serialises
+    every call under its own lock. Sessions expire `ttl_s` after
+    creation; expiry is applied lazily on every call so dead tokens can
+    never resolve. Every session has the same TTL and calls never
+    overlap, so creation order is expiry order: expiry pops sessions from
+    the front of the registry and costs O(1) per call, however many
+    sessions are live. The clock must not run backwards. An optional
+    seeded rng makes every generated id, cookie and token reproducible.
     """
 
     def __init__(
@@ -161,7 +161,6 @@ class SessionStore:
         self.retake_cap = retake_cap
         self._rng = rng
         self._clock = clock if clock is not None else time.monotonic
-        self._lock = threading.Lock()
         # Both registries are kept in the order their entries started, and
         # expire from the front. OrderedDict rather than dict: a plain dict
         # leaves a hole per deleted entry until it resizes, and finding its
@@ -172,21 +171,24 @@ class SessionStore:
         # source -> (window start, lookups in the window), by window start.
         self._lookup_windows: OrderedDict[str, tuple[float, int]] = OrderedDict()
 
-    # -- internal helpers; a *_locked one needs its caller to hold the lock --
+    # -- internal helpers --
 
-    def _expire_locked(self, now: float) -> None:
+    def _now(self) -> float:
+        """Read the clock once, drop the sessions past their TTL, return the reading."""
+        now = self._clock()
         # Updates reassign an existing key, which keeps its position.
         sessions = self._sessions
         while sessions:
             s = next(iter(sessions.values()))
             if now - s.created_at <= self.ttl_s:
-                return
+                break
             sessions.popitem(last=False)
             if s.token is not None:
                 self._token_index.pop(s.token.digits, None)
             self._cookie_index.pop(s.cookie.value, None)
+        return now
 
-    def _count_lookup_locked(self, source: str, now: float) -> None:
+    def _count_lookup(self, source: str, now: float) -> None:
         # Ended windows leave from the front, so a source whose window
         # ended starts a new one at the back: the order stays start order.
         windows = self._lookup_windows
@@ -202,21 +204,19 @@ class SessionStore:
             raise RateLimited(f"token lookups from {source!r} exceed {LOOKUP_RATE_LIMIT}/s")
 
     def _advance(self, op: str, session_id: str, step: Callable[[Session], dict]) -> Session:
-        """Apply lifecycle operation `op` to a live session, atomically.
+        """Apply lifecycle operation `op` to a live session.
 
-        `step` runs under the lock and maps the session to the fields the
-        operation changes.
+        `step` maps the session to the fields the operation changes.
         """
-        with self._lock:
-            self._expire_locked(self._clock())
-            session = self._sessions.get(session_id)
-            if session is None:
-                raise InvalidState(f"no live session {session_id!r}")
-            if session.state not in _STARTS[op]:
-                raise InvalidState(f"{op} cannot start from {session.state.value}")
-            updated = replace(session, **step(session))
-            self._sessions[session_id] = updated
-            return updated
+        self._now()
+        session = self._sessions.get(session_id)
+        if session is None:
+            raise InvalidState(f"no live session {session_id!r}")
+        if session.state not in _STARTS[op]:
+            raise InvalidState(f"{op} cannot start from {session.state.value}")
+        updated = replace(session, **step(session))
+        self._sessions[session_id] = updated
+        return updated
 
     # -- public API --
 
@@ -230,32 +230,30 @@ class SessionStore:
     ) -> Session:
         if not username:
             raise ValueError("username must be non-empty")
-        with self._lock:
-            now = self._clock()
-            self._expire_locked(now)
-            while True:
-                sid = draw_cookie_value(self._rng)
-                if sid not in self._sessions:
-                    break
-            while True:
-                cookie_value = draw_cookie_value(self._rng)
-                if cookie_value not in self._cookie_index:
-                    break
-            session = Session(
-                id=sid,
-                username=username,
-                cookie=Cookie(value=cookie_value, origin=self.server_domain),
-                token=None,
-                preference=preference,
-                state=SessionState.CREDENTIALS_OK,
-                retakes=0,
-                created_at=now,
-                login_source=source,
-                login_channel=channel,
-            )
-            self._sessions[sid] = session
-            self._cookie_index[cookie_value] = sid
-            return session
+        now = self._now()
+        while True:
+            sid = draw_cookie_value(self._rng)
+            if sid not in self._sessions:
+                break
+        while True:
+            cookie_value = draw_cookie_value(self._rng)
+            if cookie_value not in self._cookie_index:
+                break
+        session = Session(
+            id=sid,
+            username=username,
+            cookie=Cookie(value=cookie_value, origin=self.server_domain),
+            token=None,
+            preference=preference,
+            state=SessionState.CREDENTIALS_OK,
+            retakes=0,
+            created_at=now,
+            login_source=source,
+            login_channel=channel,
+        )
+        self._sessions[sid] = session
+        self._cookie_index[cookie_value] = sid
+        return session
 
     def issue_short_link(self, session_id: str, length: int = DEFAULT_TOKEN_LENGTH) -> Session:
         """Attach a fresh token, moving the session to LINK_SENT.
@@ -277,26 +275,20 @@ class SessionStore:
 
     def resolve_token(self, digits: str, *, source: str | None = None) -> Session | None:
         """Look up the live session behind a token, rate limited per source."""
-        with self._lock:
-            now = self._clock()
-            if source is not None:
-                self._count_lookup_locked(source, now)
-            self._expire_locked(now)
-            sid = self._token_index.get(digits)
-            return self._sessions.get(sid) if sid is not None else None
+        now = self._now()
+        if source is not None:
+            self._count_lookup(source, now)
+        sid = self._token_index.get(digits)
+        return self._sessions.get(sid) if sid is not None else None
 
     def get(self, session_id: str) -> Session | None:
-        with self._lock:
-            now = self._clock()
-            self._expire_locked(now)
-            return self._sessions.get(session_id)
+        self._now()
+        return self._sessions.get(session_id)
 
     def find_by_cookie(self, cookie_value: str) -> Session | None:
-        with self._lock:
-            now = self._clock()
-            self._expire_locked(now)
-            sid = self._cookie_index.get(cookie_value)
-            return self._sessions.get(sid) if sid is not None else None
+        self._now()
+        sid = self._cookie_index.get(cookie_value)
+        return self._sessions.get(sid) if sid is not None else None
 
     def mark_awaiting_photo(self, session_id: str) -> Session:
         return self._advance(
@@ -329,7 +321,5 @@ class SessionStore:
         return self._advance("record_retake", session_id, step)
 
     def live_count(self) -> int:
-        with self._lock:
-            now = self._clock()
-            self._expire_locked(now)
-            return len(self._sessions)
+        self._now()
+        return len(self._sessions)

@@ -275,6 +275,17 @@ class TestColocationModes:
         )
         assert decision.kind is DecisionKind.REQUIRE_PHOTO
 
+    def test_same_network_prefix_longer_than_ipv4_compares_whole_addresses(self):
+        engine = make_engine(
+            policy=ColocationPolicy(mode=ColocationMode.SAME_NETWORK, prefix_len=64)
+        )
+        start_login(engine, source="10.0.0.1")
+        token = engine.outbox[0].link.rsplit("/", 1)[1]
+        decision = engine.handle_link_click(
+            LinkClick(token_digits=token, presented_cookie=None, source_address="10.0.0.1")
+        )
+        assert decision.kind is DecisionKind.AUTHORIZE
+
     def test_same_network_across_networks(self):
         engine = make_engine(
             policy=ColocationPolicy(mode=ColocationMode.SAME_NETWORK, prefix_len=24)

@@ -3,6 +3,7 @@ import contextlib
 import email.utils
 import encodings.punycode
 import http.client
+import itertools
 import json
 import logging
 import select
@@ -289,6 +290,23 @@ class TestClickEndpoint:
         response = click(app, "0000000000")
         assert response.status == 403
         assert response.body["reason"] == "unknown-token"
+
+    def test_a_newline_after_a_route_matches_no_route(self):
+        app = make_app()
+        first = login(app)
+        link = first.body["link"]
+        cookie = first.headers["Set-Cookie"].split(";")[0].split("=", 1)[1]
+        for method, path, body in (
+            ("GET", link + "\n", None),
+            ("POST", link + "/photo\n", photo_dict("microsoft.com")),
+            ("GET", f"/session/{first.body['session_id']}/status\n", None),
+        ):
+            response = app.handle(WireRequest(method, path, {"Cookie": f"auth={cookie}"}, body, PC))
+            assert response.status == 404, path
+        # The session is untouched: the click without the newline decides it.
+        assert app.handle(
+            WireRequest("GET", f"/session/{first.body['session_id']}/status")
+        ).body == {"status": "link-sent"}
 
     def test_colocated_click_authorizes(self):
         app = make_app()
@@ -676,6 +694,99 @@ class TestAtomicDecisions:
         finally:
             sys.setswitchinterval(interval)
         assert [getattr(a, "body", a) for a in answers] == [{"status": "authorized"}] * 160
+
+
+class TickClock:
+    """One distinct, larger reading per call, until frozen."""
+
+    def __init__(self):
+        self.ticks = itertools.count()
+        self.frozen_at = None
+
+    def __call__(self):
+        return float(next(self.ticks)) if self.frozen_at is None else self.frozen_at
+
+
+def run_threads(worker, n_threads=8):
+    """Run `worker(i)` on `n_threads` threads that switch often; return what they raised."""
+    errors = []
+
+    def run(i):
+        try:
+            worker(i)
+        except Exception as exc:  # pragma: no cover - failure report
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the engine and store too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return errors
+
+
+class TestConcurrency:
+    """Whole flows from 8 threads at once. The engine's lock is all that
+    serialises the store, so its indexes and its expiry order must hold."""
+
+    def test_parallel_sessions_keep_indexes_consistent(self):
+        app = make_app(clock=TickClock(), session_ttl_s=1e9)
+        per_thread = 200
+        photo = photo_dict("microsoft.com")
+
+        def worker(i):
+            for _ in range(per_thread):
+                first = login(app, source=f"198.51.100.{i}")
+                status = f"/session/{first.body['session_id']}/status"
+                assert app.handle(WireRequest("GET", status)).body == {"status": "link-sent"}
+                digits = first.body["link"].rsplit("/", 1)[-1]
+                assert click(app, digits).body["status"] == "photo-required"
+                assert submit_photo(app, digits, unreadable_dict()).body["status"] == "retake"
+                assert submit_photo(app, digits, photo).body == {"status": "authorized"}
+                assert app.handle(WireRequest("GET", status)).body == {"status": "authorized"}
+
+        assert run_threads(worker) == []
+        store = app.store
+        assert store.live_count() == 8 * per_thread
+        tokens = {s.token.digits: sid for sid, s in store._sessions.items()}
+        cookies = {s.cookie.value: sid for sid, s in store._sessions.items()}
+        assert (tokens, cookies) == (store._token_index, store._cookie_index)
+
+    def test_parallel_creation_expires_in_time_order(self):
+        ttl = 1e9
+        clock = TickClock()
+        app = make_app(clock=clock, session_ttl_s=ttl)
+        created = []
+
+        def worker(i):
+            for _ in range(500):
+                first = login(app, source=f"198.51.100.{i}")
+                created.append(first.body["session_id"])
+                status = app.handle(
+                    WireRequest("GET", f"/session/{created[-1 - len(created) // 2]}/status")
+                )
+                assert status.body == {"status": "link-sent"}
+
+        assert run_threads(worker) == []
+        clock.frozen_at = float(next(clock.ticks))
+        born = sorted((app.store.get(sid).created_at, sid) for sid in created)
+        # Move the clock so that the older half of the sessions is past its TTL.
+        cut = born[len(born) // 2][0]
+        clock.frozen_at = cut + ttl - 0.5
+        dead = {sid for t, sid in born if t < cut}
+        assert len(dead) == len(born) // 2
+        gone = {
+            sid for sid in created
+            if app.handle(WireRequest("GET", f"/session/{sid}/status")).status == 403
+        }
+        assert gone == dead
+        assert app.store.live_count() == len(born) - len(dead)
 
 
 class TestMisc:
@@ -1203,13 +1314,18 @@ class TestParseHead:
             (b"GET / HTTP/1.1\r\nX: a\nb", 400, "bad-header"),
             (b"GET /", 400, "bad-request-line"),
             (b"GET  / HTTP/1.1", 400, "bad-request-line"),
+            (b"GET /c/0123456789\n HTTP/1.1\r\nHost: x", 400, "bad-request-line"),
+            (b"GET /c/0\t1 HTTP/1.1", 400, "bad-request-line"),
+            (b"GET /\x00 HTTP/1.1", 400, "bad-request-line"),
+            (b"GET /\x7f HTTP/1.1", 400, "bad-request-line"),
             (b"GET / HTTP/0.9", 505, "http-version-not-supported"),
             (b"POST / HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 1",
              400, "bad-content-length"),
             (b"POST / HTTP/1.1\r\nContent-Length: 1" + b"0" * 5000, 413, "body-too-large"),
         ],
         ids=["long-request-line", "long-header-line", "101-headers", "folded", "space-in-name",
-             "bare-lf", "two-words", "two-spaces", "http-0.9", "two-lengths", "5001-digits"],
+             "bare-lf", "two-words", "two-spaces", "lf-in-target", "tab-in-target",
+             "nul-in-target", "del-in-target", "http-0.9", "two-lengths", "5001-digits"],
     )
     def test_errors(self, head, status, reason):
         assert parse_head(head) == WireResponse(status, {"status": "error", "reason": reason})

@@ -1,7 +1,5 @@
 import itertools
 import random
-import sys
-import threading
 from dataclasses import replace
 from unittest.mock import ANY
 
@@ -404,72 +402,6 @@ class TestUniqueness:
         b = store.issue_short_link(b.id)
         assert a.token.digits != b.token.digits
         assert token_index_is_one_to_one(store)
-
-
-class TestConcurrency:
-    def test_parallel_sessions_keep_indexes_consistent(self):
-        store = SessionStore(SERVER, clock=FakeClock(), ttl_s=1e9)
-        errors = []
-
-        def worker():
-            try:
-                for _ in range(200):
-                    s = store.create_session("bob", Preference.SMS)
-                    s = store.issue_short_link(s.id)
-                    assert store.resolve_token(s.token.digits).id == s.id
-                    store.mark_awaiting_photo(s.id)
-                    store.record_retake(s.id, "unreadable")
-                    store.authorize(s.id)
-            except Exception as exc:  # pragma: no cover - failure report
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert store.live_count() == 8 * 200
-        assert token_index_is_one_to_one(store)
-
-    def test_parallel_creation_expires_in_time_order(self):
-        class TickClock:
-            """One distinct, larger reading per call, until frozen."""
-
-            def __init__(self):
-                self.ticks = itertools.count()
-                self.frozen_at = None
-
-            def __call__(self):
-                return float(next(self.ticks)) if self.frozen_at is None else self.frozen_at
-
-        n_threads, per_thread = 8, 500
-        n = n_threads * per_thread
-        clock = TickClock()
-        store = SessionStore(SERVER, clock=clock, ttl_s=float(n))  # none expire while created
-        created = []
-
-        def worker():
-            for _ in range(per_thread):
-                created.append(store.create_session("bob", Preference.SMS))
-
-        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, inside the store too
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        # Readings 0..n-1 went to the n creations; expire the older half.
-        clock.frozen_at = n + n / 2 - 0.5
-        dead = {s.id for s in created if s.created_at < n / 2 - 0.5}
-        assert len(dead) == n // 2
-        assert {s.id for s in created if store.get(s.id) is None} == dead
-        assert store.live_count() == n // 2
 
 
 MODEL_TTL_S = 10.0

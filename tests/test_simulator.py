@@ -28,11 +28,13 @@ from photoauth.simulator import (
     run_token_bruteforce,
 )
 from photoauth.cli import _ATTACK_PRESETS
+from photoauth.service import App, Config, WireRequest
 from photoauth.synth import (
     DEFAULT_NOISY_PROFILE,
     AddrbarModel,
     DetectorProfile,
     GeneratorParams,
+    ORACLE_PROFILE,
     OcrModel,
     Theme,
     generate_layout,
@@ -411,9 +413,72 @@ def _golden_corpus_bytes():
     return "".join(line + "\n" for line in lines).encode()
 
 
+def _golden_wire_bytes():
+    """A scripted `App.handle` session at seed 7, one JSON line per request.
+
+    Each line holds the request's method and path and the response's
+    status, headers and body bytes. The clock moves only when the script
+    moves it: 1.5 s after each request, so the token lookup limit is
+    reached only by the burst that tests it.
+    """
+    now = [1000.0]
+    app = App(Config(seed=7), clock=lambda: now[0])
+    lines = []
+
+    def send(method, path, body=None, cookie=None, source="198.51.100.23", tick=1.5):
+        headers = {} if cookie is None else {"Cookie": f"auth={cookie}"}
+        response = app.handle(WireRequest(method, path, headers, body, source))
+        lines.append(json.dumps(
+            [method, path, response.status, response.headers, response.to_bytes().decode()],
+            sort_keys=True, separators=(",", ":"),
+        ))
+        now[0] += tick
+        return response
+
+    def login():
+        response = send("POST", "/login", {"username": "bob"})
+        cookie = response.headers["Set-Cookie"].split(";")[0][len("auth="):]
+        return response.body["link"], cookie, f"/session/{response.body['session_id']}/status"
+
+    phone = "203.0.113.7"
+    genuine = analysis_to_dict(simulate_detection(generate_layout("microsoft.com", seed=1),
+                                                  ORACLE_PROFILE))
+    lookalike = analysis_to_dict(simulate_detection(generate_layout("rnicrosoft.com", seed=1),
+                                                    ORACLE_PROFILE))
+    two_bars = {**genuine, "addrbars": genuine["addrbars"] * 2}
+    unreadable = {"resolution": {"w": 1920, "h": 1080}, "texts": [], "addrbars": []}
+
+    # Colocated click, then a returning login with the cookie it authorized.
+    link, cookie, status = login()
+    send("GET", status)
+    send("GET", link, cookie=cookie)
+    send("POST", "/login", {"username": "bob"}, cookie)
+    send("GET", status)
+    # Remote clicks, each followed by one kind of photo and a status poll.
+    for photos in ([genuine, genuine], [lookalike], [unreadable] * 6, [two_bars, genuine]):
+        link, _, status = login()
+        send("GET", link, source=phone)
+        send("GET", link, source=phone)  # a second click while the photo is awaited
+        for photo in photos:
+            send("POST", f"{link}/photo", photo, source=phone)
+        send("GET", link, source=phone)  # a click on the decided session
+        send("GET", status)
+    send("POST", f"{link}/photo", {"resolution": {}}, source=phone)
+    send("POST", "/login", {"username": "mallory"})
+    send("POST", "/login", {})
+    send("POST", "/login", {"username": "bob"}, "not-hex")
+    send("GET", "/c/0000000000", source=phone)
+    send("GET", f"/session/{'0' * 32}/status")
+    for _ in range(11):
+        send("GET", "/c/1234567890", source="192.0.2.99", tick=0.0)
+    send("GET", "/nope")
+    return "".join(line + "\n" for line in lines).encode()
+
+
 def golden_digests():
     digests = {key: _report_digests(report) for key, report in _golden_reports()}
     digests["export_corpus"] = hashlib.sha256(_golden_corpus_bytes()).hexdigest()
+    digests["wire"] = hashlib.sha256(_golden_wire_bytes()).hexdigest()
     return digests
 
 
