@@ -3,18 +3,18 @@
 The routing core is a pure function from (store state, request) to a
 response, so a recorded request log replayed against a fresh store with
 the same seed reproduces the original responses byte for byte. The HTTP
-server is a thin shell over that core: one asyncio event loop, one
-protocol per connection.
+server is a thin shell over that core: one `selectors` loop, one
+object per connection.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import logging
 import os
 import random
 import re
+import selectors
 import socket
 import time
 from collections import deque
@@ -330,6 +330,8 @@ REQUEST_DEADLINE_S = 10.0
 # http.server's limits on a request head: bytes per line, header lines.
 MAX_LINE_BYTES = 65536
 MAX_HEADERS = 100
+# The most bytes one read takes from a connection.
+RECV_BYTES = 65536
 
 _VERSION = re.compile(r"HTTP/[0-9]\.[0-9]")
 # A request target holds no control character and no space (RFC 9112 §3.2).
@@ -410,21 +412,21 @@ def parse_head(head: bytes) -> Head | WireResponse:
 
 
 class HttpServer:
-    """`app` served on (host, port) from one event loop, one protocol per connection.
+    """`app` served on (host, port) from one `selectors` loop, one object per connection.
 
-    The caller runs `loop` and, once it has stopped, calls `close`.
+    The caller runs `run`, which returns only by an exception such as
+    `KeyboardInterrupt`, and then calls `close`.
     """
 
-    def __init__(self, app: App, host: str, port: int, loop: asyncio.AbstractEventLoop):
+    def __init__(self, app: App, host: str, port: int):
         self.app = app
-        self.loop = loop
         self.connections: set[_Connection] = set()
         self._date = (-1, "")
-        sock = socket.create_server((host, port))
-        self.port = sock.getsockname()[1]
-        self._server = loop.run_until_complete(
-            loop.create_server(lambda: _Connection(self), sock=sock)
-        )
+        self.sock = socket.create_server((host, port))
+        self.sock.setblocking(False)
+        self.port = self.sock.getsockname()[1]
+        self.selector = selectors.DefaultSelector()
+        self.selector.register(self.sock, selectors.EVENT_READ, self._accept)
 
     def date(self) -> str:
         """The Date header's value, formatted once a second."""
@@ -436,67 +438,82 @@ class HttpServer:
                                   f"{t.tm_min:02d}:{t.tm_sec:02d} GMT")
         return self._date[1]
 
+    def run(self) -> None:
+        """Serve: wait for the sockets or the earliest deadline, then act on each."""
+        select = self.selector.select
+        while True:
+            deadline = min((conn.deadline for conn in self.connections), default=None)
+            timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
+            for key, mask in select(timeout):
+                key.data(mask)
+            now = time.monotonic()
+            for conn in [conn for conn in self.connections if conn.deadline <= now]:
+                conn.expire()
+
+    def _accept(self, mask: int) -> None:
+        try:
+            sock, peer = self.sock.accept()
+        except OSError:  # the peer gave up before it was accepted
+            return
+        # Without it an answer can wait on the peer's delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        conn = _Connection(self, sock, peer[0])
+        if len(self.connections) > MAX_CONNECTIONS:
+            conn.write(_error(503, "too-many-connections"), close=True)
+        else:
+            conn.on_ready(selectors.EVENT_READ)  # the request has often arrived already
+
     def close(self) -> None:
         """Stop listening and drop every connection."""
-        self._server.close()
         for conn in list(self.connections):
-            conn.transport.abort()
-        # The transports close their sockets from the loop.
-        self.loop.run_until_complete(asyncio.sleep(0))
+            conn.close()
+        self.selector.close()
+        self.sock.close()
 
 
-class _Connection(asyncio.Protocol):
+class _Connection:
     """One client connection: splits requests off the byte stream and answers each.
 
-    One timer serves both limits: `deadline` is the idle timeout between
-    requests and the request deadline from a request's first byte.
+    `deadline` is the idle timeout between requests and the request
+    deadline from a request's first byte. What the peer has not taken yet
+    waits in `out`; until it has, the connection reads and answers nothing.
     """
 
-    def __init__(self, server: HttpServer):
+    def __init__(self, server: HttpServer, sock: socket.socket, peer: str):
         self.server = server
-        self.loop = server.loop
-        self.transport: Optional[asyncio.Transport] = None
-        self.peer = "0.0.0.0"
+        self.sock = sock
+        self.peer = peer
         self.buf = bytearray()
+        self.out = b""
         self.head: Optional[Head] = None  # read, its body not yet all here
         # Of an unfinished head: the line ends seen, and where its last line starts.
         self.head_lines = 0
         self.line_start = 0
-        self.paused = False  # the peer reads too slowly: answer nothing more
-        self.deadline = 0.0
-        self.timer: Optional[asyncio.TimerHandle] = None
+        self.closing = False  # answer nothing more; close once `out` is sent
+        self.deadline = time.monotonic() + IDLE_TIMEOUT_S
+        sock.setblocking(False)
+        server.connections.add(self)
+        server.selector.register(sock, selectors.EVENT_READ, self.on_ready)
 
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-        if len(self.server.connections) >= MAX_CONNECTIONS:
-            self._write(_error(503, "too-many-connections"), close=True)
+    def on_ready(self, mask: int) -> None:
+        """Send what is pending or, with nothing pending, read and answer."""
+        if self.out:
+            self._send(b"")
+            if not (self.out or self.closing):
+                self._answer_buffered(0)
             return
-        self.server.connections.add(self)
-        peer = transport.get_extra_info("peername")
-        if peer:  # None if the peer has already gone
-            self.peer = peer[0]
-        self.deadline = self.loop.time() + IDLE_TIMEOUT_S
-        self.timer = self.loop.call_at(self.deadline, self._expire)
-
-    def connection_lost(self, exc) -> None:
-        self.server.connections.discard(self)
-        if self.timer is not None:
-            self.timer.cancel()
-
-    def pause_writing(self) -> None:
-        self.paused = True
-        self.transport.pause_reading()
-
-    def resume_writing(self) -> None:
-        self.paused = False
-        if not self.transport.is_closing():
-            self.transport.resume_reading()
-            self._answer_buffered(0)
-
-    def data_received(self, data: bytes) -> None:
+        try:
+            data = self.sock.recv(RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:  # reset by the peer
+            data = b""
+        if not data:
+            self.close()
+            return
         buf = self.buf
         if self.head is None and not buf:
-            self._arm(REQUEST_DEADLINE_S)
+            self.deadline = time.monotonic() + REQUEST_DEADLINE_S
         # The bytes of an unfinished head have been looked at already.
         searched = len(buf) if self.head is None else 0
         buf += data
@@ -505,33 +522,31 @@ class _Connection(asyncio.Protocol):
     def _answer_buffered(self, searched: int) -> None:
         """Answer each complete request in the buffer, in order."""
         buf = self.buf
-        while not self.paused:
+        while not (self.out or self.closing):
             head = self.head
             if head is None:
                 end = buf.find(b"\r\n\r\n", max(0, searched - 3))
                 if end < 0:
                     error = self._unfinished_head_error(searched)
                     if error is not None:
-                        self._write(error, close=True)
+                        self.write(error, close=True)
                     return
                 head = parse_head(bytes(buf[:end]))
                 del buf[:end + 4]
                 searched = self.head_lines = self.line_start = 0
                 if isinstance(head, WireResponse):
-                    self._write(head, close=True)
+                    self.write(head, close=True)
                     return
                 if head.expect_continue and len(buf) < head.length:
-                    self.transport.write(_CONTINUE)
+                    self._send(_CONTINUE)
                 self.head = head
             if len(buf) < head.length:
                 return
             body = buf[:head.length]
             del buf[:head.length]
             self.head = None
-            self._write(self._respond(head, body), close=not head.keep_alive)
-            if not head.keep_alive:
-                return
-            self._arm(REQUEST_DEADLINE_S if buf else IDLE_TIMEOUT_S)
+            self.write(self._respond(head, body), close=not head.keep_alive)
+            self.deadline = time.monotonic() + (REQUEST_DEADLINE_S if buf else IDLE_TIMEOUT_S)
 
     def _unfinished_head_error(self, searched: int) -> Optional[WireResponse]:
         """The error for an unfinished head that already breaks a limit.
@@ -567,59 +582,75 @@ class _Connection(asyncio.Protocol):
             logger.exception("unhandled error in %s request", head.method)
             return _error(500, "internal-error")
 
-    def _write(self, response: WireResponse, close: bool) -> None:
+    def write(self, response: WireResponse, close: bool) -> None:
         """Send the response in one write; with `close`, then close."""
         payload = response.to_bytes()
         headers = "Connection: close\r\n" if close else ""
         for key, value in response.headers.items():
             headers += f"{key}: {value}\r\n"
-        self.transport.write(
+        if close:
+            self.closing = True
+        self._send(
             f"HTTP/1.1 {response.status} {_PHRASES[response.status]}\r\n"
             f"Date: {self.server.date()}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(payload)}\r\n"
             f"{headers}\r\n".encode("latin-1") + payload
         )
-        if close:
-            self.transport.close()
 
-    def _arm(self, delay: float) -> None:
-        """Move the deadline to `delay` from now; the timer is reset only if that is sooner."""
-        self.deadline = self.loop.time() + delay
-        if self.deadline < self.timer.when():
-            self.timer.cancel()
-            self.timer = self.loop.call_at(self.deadline, self._expire)
+    def _send(self, data: bytes) -> None:
+        """Send `data` after the pending output, as much as the peer takes now.
 
-    def _expire(self) -> None:
-        now = self.loop.time()
-        if now < self.deadline:
-            self.timer = self.loop.call_at(self.deadline, self._expire)
+        While output is pending the socket is watched for writing only,
+        so a peer that reads too slowly stops its own requests being read.
+        """
+        pending = bool(self.out)
+        data = self.out + data
+        try:
+            sent = self.sock.send(data)
+        except BlockingIOError:
+            sent = 0
+        except OSError:  # the peer has gone
+            self.close()
             return
-        if self.transport.is_closing():  # the peer reads nothing, so the close never ends
-            self.transport.abort()
-            return
-        if self.buf or self.head is not None:
-            self._write(_error(408, "request-timeout"), close=True)
+        self.out = data[sent:]
+        if self.closing and not self.out:
+            self.close()
+        elif pending != bool(self.out):
+            events = selectors.EVENT_WRITE if self.out else selectors.EVENT_READ
+            self.server.selector.modify(self.sock, events, self.on_ready)
+
+    def expire(self) -> None:
+        """The deadline has passed: answer 408 to a request under way, or close."""
+        if self.closing:  # the peer reads nothing, so the close never ends
+            self.close()
+        elif self.buf or self.head is not None:
+            self.write(_error(408, "request-timeout"), close=True)
         else:
-            self.transport.close()
-        self.deadline = now + REQUEST_DEADLINE_S
-        self.timer = self.loop.call_at(self.deadline, self._expire)
+            self.closing = True
+            self._send(b"")
+        self.deadline = time.monotonic() + REQUEST_DEADLINE_S
+
+    def close(self) -> None:
+        """Close the socket now, dropping any output still pending."""
+        self.closing = True
+        if self in self.server.connections:
+            self.server.connections.remove(self)
+            self.server.selector.unregister(self.sock)
+            self.sock.close()
 
 
 def serve(config: Config) -> None:
     """Run the HTTP server until interrupted."""
     app = App(config)
-    loop = asyncio.new_event_loop()
+    server = HttpServer(app, "0.0.0.0", config.port)
     try:
-        server = HttpServer(app, "0.0.0.0", config.port, loop)
         logger.info(
             "%s", json.dumps({"event": "listening", "port": config.port,
                               "domain": str(app.store.server_domain)}, sort_keys=True)
         )
-        try:
-            loop.run_forever()
-        except KeyboardInterrupt:
-            pass
-        server.close()
+        server.run()
+    except KeyboardInterrupt:
+        pass
     finally:
-        loop.close()
+        server.close()

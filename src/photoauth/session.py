@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import re
-import secrets
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -114,11 +113,14 @@ class Session:
     login_channel: Optional[Channel] = None
 
 
+# Unseeded draws come from the OS's CSPRNG, as `secrets` draws them; importing
+# `secrets` would also load OpenSSL, through `hmac`, at every server start.
+_SYSTEM_RANDOM = random.SystemRandom()
+
+
 def draw_cookie_value(rng: random.Random | None = None) -> str:
     """128-bit lowercase hex cookie value."""
-    if rng is None:
-        return secrets.token_hex(COOKIE_BITS // 8)
-    return f"{rng.getrandbits(COOKIE_BITS):032x}"
+    return f"{(rng or _SYSTEM_RANDOM).getrandbits(COOKIE_BITS):032x}"
 
 
 def draw_token_digits(length: int, rng: random.Random | None = None) -> str:
@@ -126,7 +128,7 @@ def draw_token_digits(length: int, rng: random.Random | None = None) -> str:
     if not MIN_TOKEN_LENGTH <= length <= MAX_TOKEN_LENGTH:
         raise ValueError(f"token length must be in [{MIN_TOKEN_LENGTH}, {MAX_TOKEN_LENGTH}]")
     bound = 10**length
-    n = secrets.randbelow(bound) if rng is None else rng.randrange(bound)
+    n = (rng or _SYSTEM_RANDOM).randrange(bound)
     return f"{n:0{length}d}"
 
 

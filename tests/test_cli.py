@@ -165,12 +165,20 @@ class TestEvaluate:
 
 
 class TestServe:
-    def test_imports_neither_the_simulator_nor_the_generator(self):
-        probe = ("import sys, photoauth.cli; "
-                 "print([m for m in ('photoauth.simulator', 'photoauth.synth') if m in sys.modules])")
+    @staticmethod
+    def loaded_by_serve(*modules: str) -> str:
+        """Which of `modules` a fresh interpreter loads to import what `serve` runs."""
+        probe = ("import sys, photoauth.cli, photoauth.service; "
+                 f"print([m for m in {modules!r} if m in sys.modules])")
         out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": SRC},
                              capture_output=True, text=True, check=True, timeout=60).stdout
-        assert out.strip() == "[]"
+        return out.strip()
+
+    def test_imports_neither_the_simulator_nor_the_generator(self):
+        assert self.loaded_by_serve("photoauth.simulator", "photoauth.synth") == "[]"
+
+    def test_imports_neither_asyncio_nor_openssl(self):
+        assert self.loaded_by_serve("asyncio", "ssl", "_hashlib") == "[]"
 
     def test_missing_config_exits_two(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "serve", "--config", str(tmp_path / "absent.json"))

@@ -1,4 +1,3 @@
-import asyncio
 import contextlib
 import email.utils
 import encodings.punycode
@@ -6,14 +5,15 @@ import http.client
 import itertools
 import json
 import logging
+import re
 import select
+import selectors
 import socket
 import sys
 import threading
 import time
 import urllib.error
 import urllib.request
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -875,19 +875,33 @@ class TestReplayDeterminism:
 
 class TestHttpShell:
     @pytest.fixture()
-    def live(self):
-        """The app and the port of the HTTP server `serve` runs, its loop on a thread."""
-        app = make_app(seed=33)
-        loop = asyncio.new_event_loop()
-        server = HttpServer(app, "127.0.0.1", 0, loop)
-        thread = threading.Thread(target=loop.run_forever, daemon=True)
+    def http(self):
+        """The HTTP server `serve` runs, its loop on a thread until interrupted."""
+        server = HttpServer(make_app(seed=33), "127.0.0.1", 0)
+        wake, waker = socket.socketpair()
+
+        def interrupt(mask):  # as SIGTERM does to `photoauth serve`
+            raise KeyboardInterrupt
+
+        def run():
+            with contextlib.suppress(KeyboardInterrupt):
+                server.run()
+
+        server.selector.register(wake, selectors.EVENT_READ, interrupt)
+        thread = threading.Thread(target=run, daemon=True)
         thread.start()
-        yield app, server.port
-        loop.call_soon_threadsafe(loop.stop)
+        yield server
+        waker.send(b"\0")
         thread.join(timeout=5)
         assert not thread.is_alive()
         server.close()
-        loop.close()
+        wake.close()
+        waker.close()
+
+    @pytest.fixture()
+    def live(self, http):
+        """The app and the port of the live server."""
+        return http.app, http.port
 
     @pytest.fixture()
     def server(self, live):
@@ -1181,64 +1195,84 @@ class TestHttpShell:
             for sock in socks:
                 sock.close()
 
-
-class FakeTransport:
-    """Records writes. A slow reader's fills the peer's window with its first write."""
-
-    def __init__(self, slow_reader=False):
-        self.protocol = None
-        self.slow_reader = slow_reader
-        self.writes = []
-        self.reading = True
-        self.closing = False
-
-    def write(self, data):
-        self.writes.append(data)
-        if self.slow_reader and len(self.writes) == 1:
-            self.protocol.pause_writing()
-
-    def pause_reading(self):
-        self.reading = False
-
-    def resume_reading(self):
-        self.reading = True
-
-    def is_closing(self):
-        return self.closing
-
-    def close(self):
-        self.closing = True
-        self.reading = False
-
-    def get_extra_info(self, name):
-        return ("127.0.0.1", 50000)
+    def test_accepted_sockets_send_without_delay(self, http):
+        # Else a small answer can wait for the peer's delayed ACK.
+        with socket.create_connection(("127.0.0.1", http.port), timeout=5) as sock:
+            sock.sendall(b"GET /nope HTTP/1.1\r\nHost: x\r\n\r\n")
+            self.read_response(sock.makefile("rb"))
+            [conn] = http.connections
+            assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
 
 @contextlib.contextmanager
-def fake_connection(transport):
-    """A connection protocol on `transport`, its event loop never run."""
-    loop = asyncio.new_event_loop()
+def socketpair_connection():
+    """A connection over one end of a socket pair and its peer, the other end; no loop runs."""
+    server = HttpServer(make_app(), "127.0.0.1", 0)
+    ours, peer = socket.socketpair()
     try:
-        server = SimpleNamespace(app=make_app(), loop=loop, connections=set(),
-                                 date=lambda: "Thu, 01 Jan 1970 00:00:00 GMT")
-        protocol = _Connection(server)
-        transport.protocol = protocol
-        protocol.connection_made(transport)
-        yield protocol
-        protocol.connection_lost(None)
+        yield _Connection(server, ours, "127.0.0.1"), peer
     finally:
-        loop.close()
+        server.close()
+        peer.close()
+
+
+def feed(conn, peer, data):
+    """The peer sends `data` and the connection reads it, as the loop would."""
+    peer.sendall(data)
+    conn.on_ready(selectors.EVENT_READ)
+
+
+def fill(sock) -> int:
+    """Send zeros on a non-blocking socket until the peer's window is full; their count."""
+    sent = 0
+    with contextlib.suppress(BlockingIOError):
+        while True:
+            sent += sock.send(bytes(65536))
+    return sent
+
+
+def received(peer) -> bytes:
+    """What the peer has been sent and not yet read."""
+    chunks = []
+    peer.setblocking(False)
+    with contextlib.suppress(BlockingIOError):
+        while chunk := peer.recv(65536):
+            chunks.append(chunk)
+    peer.setblocking(True)
+    return b"".join(chunks)
+
+
+def split_replies(stream: bytes) -> list[bytes]:
+    """The responses in a byte stream, each its head and body."""
+    replies = []
+    while stream:
+        head, _, rest = stream.partition(b"\r\n\r\n")
+        length = re.search(rb"\r\nContent-Length: ([0-9]+)", head)
+        length = int(length[1]) if length else 0
+        replies.append(head + b"\r\n\r\n" + rest[:length])
+        stream = rest[length:]
+    return replies
+
+
+def watched_for(conn) -> int:
+    """The events the loop waits for on the connection's socket."""
+    return conn.server.selector.get_key(conn.sock).events
 
 
 class TestConnectionProtocol:
     def test_a_paused_writer_pauses_reading(self):
-        transport = FakeTransport(slow_reader=True)
-        with fake_connection(transport) as protocol:
-            protocol.data_received(b"GET /nope HTTP/1.1\r\n\r\n" * 2)
-            assert len(transport.writes) == 1 and not transport.reading
-            protocol.resume_writing()
-        assert len(transport.writes) == 2 and transport.reading
-        assert all(w.startswith(b"HTTP/1.1 404 ") for w in transport.writes)
+        with socketpair_connection() as (conn, peer):
+            filled = fill(conn.sock)  # the peer has not read: its window is full
+            feed(conn, peer, b"GET /nope HTTP/1.1\r\n\r\n" * 2)
+            # One answer, waiting; the second request stays unread.
+            assert conn.out.startswith(b"HTTP/1.1 404 ") and conn.buf
+            assert watched_for(conn) == selectors.EVENT_WRITE
+            assert received(peer) == bytes(filled)
+            conn.on_ready(selectors.EVENT_WRITE)
+            assert watched_for(conn) == selectors.EVENT_READ and not conn.buf
+            replies = split_replies(received(peer))
+        assert len(replies) == 2
+        assert all(r.startswith(b"HTTP/1.1 404 ") for r in replies)
 
     @pytest.mark.parametrize(
         "head, status",
@@ -1251,14 +1285,14 @@ class TestConnectionProtocol:
     )
     def test_an_unfinished_head_is_refused_at_its_limit(self, head, status):
         # Each head breaks its limit with its last byte and never ends.
-        transport = FakeTransport()
-        with fake_connection(transport) as protocol:
+        with socketpair_connection() as (conn, peer):
             for i in range(0, len(head) - 1, 7):
-                protocol.data_received(head[i:min(i + 7, len(head) - 1)])
-            assert transport.writes == []
-            protocol.data_received(head[-1:])
-            assert transport.closing
-        assert transport.writes[0].startswith(b"HTTP/1.1 %d " % status)
+                feed(conn, peer, head[i:min(i + 7, len(head) - 1)])
+            assert received(peer) == b""
+            feed(conn, peer, head[-1:])
+            assert conn.closing and conn not in conn.server.connections
+            reply = received(peer)
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
 
 
 # Request heads: arbitrary bytes, and lines built from the parts a parser branches on.
@@ -1347,14 +1381,14 @@ class TestParseHead:
     @given(st.lists(_heads | st.binary(max_size=40), max_size=4), st.integers(1, 64))
     @settings(max_examples=100)
     def test_any_byte_stream_gets_well_formed_answers(self, parts, chunk):
-        transport = FakeTransport()
         data = b"\r\n\r\n".join(parts)
-        with fake_connection(transport) as protocol:
+        with socketpair_connection() as (conn, peer):
             for i in range(0, len(data), chunk):
-                if not transport.reading:
+                if conn.closing:
                     break
-                protocol.data_received(data[i:i + chunk])
-        for reply in transport.writes:
+                feed(conn, peer, data[i:i + chunk])
+            replies = split_replies(received(peer))
+        for reply in replies:
             assert reply.startswith(b"HTTP/1.1 ") and not reply.startswith(b"HTTP/1.1 500 ")
 
 
