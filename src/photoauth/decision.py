@@ -107,11 +107,11 @@ class AuthDecision:
     kind: DecisionKind
     reason: Optional[str] = None
     session_id: Optional[str] = None
-    link: Optional[str] = None
+    link: Optional[str] = field(default=None, repr=False)
     message: Optional[str] = None
     warning: bool = False
     retakes_left: Optional[int] = None
-    token_digits: Optional[str] = None
+    token_digits: Optional[str] = field(default=None, repr=False)
     cookie: Optional[str] = field(default=None, repr=False)
     preference: Optional[Preference] = None
 
@@ -122,7 +122,7 @@ class Notification:
 
     username: str
     preference: Preference
-    link: str
+    link: str = field(repr=False)
     session_id: str
 
 
@@ -212,8 +212,7 @@ class AuthEngine:
                 channel=request.channel,
             )
             session = self.store.issue_short_link(session.id, self.token_length)
-            assert session.token is not None
-            link = session.token.link(self.store.server_domain)
+            link = f"{self.store.server_domain}/c/{session.token}"
             self.outbox.append(
                 Notification(
                     username=session.username,
@@ -226,7 +225,7 @@ class AuthEngine:
                 DecisionKind.LINK_SENT,
                 session_id=session.id,
                 link=link,
-                token_digits=session.token.digits,
+                token_digits=session.token,
                 cookie=session.cookie.value,
                 preference=preference,
             )

@@ -12,7 +12,6 @@ import random
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 HOSTNAME_MAX_LEN = 253
 LABEL_MAX_LEN = 63
@@ -137,17 +136,6 @@ def extract_hostname(text: str) -> DomainName:
 extract_hostname.__wrapped__ = _parse_hostname
 extract_hostname.cache_info = _parse_hostname_cached.cache_info
 extract_hostname.cache_clear = _parse_hostname_cached.cache_clear
-
-
-def domains_equal(found: DomainName, accepted: Iterable[DomainName]) -> bool:
-    """True when the found name exactly matches one of the accepted names.
-
-    Label sequences must be identical; "www.example.com" and
-    "example.com" are different names, so servers that answer on both
-    must register both. Names hash and compare by labels alone, so this
-    is a membership test: a hash lookup when `accepted` is a set.
-    """
-    return found in accepted
 
 
 def confusable_mutate(

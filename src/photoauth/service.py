@@ -87,8 +87,7 @@ class Config:
             raise ValueError(
                 f"token_length must be in [{MIN_TOKEN_LENGTH}, {MAX_TOKEN_LENGTH}]"
             )
-        if not 0.0 < self.cr_threshold <= 1.0:
-            raise ValueError("cr_threshold must be in (0, 1]")
+        VerifyConfig(self.cr_threshold)  # checks cr_threshold
         self.policy  # checks colocation_mode and colocation_prefix_len
         if not self.session_ttl_s > 0:  # NaN too
             raise ValueError("session_ttl_s must be positive")

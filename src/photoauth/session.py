@@ -11,7 +11,7 @@ import random
 import re
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -81,29 +81,13 @@ def cookie_value_well_formed(value: str) -> bool:
 
 
 @dataclass(frozen=True)
-class ShortLinkToken:
-    """Decimal token addressed as <server-domain>/c/<digits>."""
-
-    digits: str
-
-    def __post_init__(self):
-        if not self.digits.isdigit():
-            raise ValueError(f"token must be decimal digits, got {self.digits!r}")
-        if not MIN_TOKEN_LENGTH <= len(self.digits) <= MAX_TOKEN_LENGTH:
-            raise ValueError(f"token length must be in [{MIN_TOKEN_LENGTH}, {MAX_TOKEN_LENGTH}]")
-
-    def link(self, server_domain: DomainName | str) -> str:
-        return f"{server_domain}/c/{self.digits}"
-
-
-@dataclass(frozen=True)
 class Session:
     """Immutable snapshot of one login attempt."""
 
     id: str
     username: str
-    cookie: Cookie
-    token: Optional[ShortLinkToken]
+    cookie: Cookie = field(repr=False)
+    token: Optional[str] = field(repr=False)
     preference: Preference
     state: SessionState
     retakes: int
@@ -186,7 +170,7 @@ class SessionStore:
                 break
             sessions.popitem(last=False)
             if s.token is not None:
-                self._token_index.pop(s.token.digits, None)
+                self._token_index.pop(s.token, None)
             self._cookie_index.pop(s.cookie.value, None)
         return now
 
@@ -269,9 +253,8 @@ class SessionStore:
                 digits = draw_token_digits(length, self._rng)
                 if digits not in self._token_index:
                     break
-            token = ShortLinkToken(digits)
             self._token_index[digits] = session_id
-            return {"token": token, "state": SessionState.LINK_SENT}
+            return {"token": digits, "state": SessionState.LINK_SENT}
 
         return self._advance("issue_short_link", session_id, step)
 

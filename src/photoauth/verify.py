@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .domain import DomainError, DomainName, domains_equal, extract_hostname
+from .domain import DomainError, DomainName, extract_hostname
 from .geometry import BoundingBox, Resolution, area, cover_rate
 
 RETAKE_MULTIPLE_ADDRBARS = "multiple-addrbars"
@@ -157,7 +157,7 @@ def verify_photo(
     if outcome.kind in (ExtractionKind.NO_ADDRESS_BAR, ExtractionKind.NO_QUALIFYING_TEXT):
         return VerifyResult(VerdictKind.RETAKE, reason=RETAKE_UNREADABLE)
     assert outcome.domain is not None
-    if domains_equal(outcome.domain, accept_set):
+    if outcome.domain in accept_set:
         return VerifyResult(VerdictKind.MATCH, found=outcome.domain)
     return VerifyResult(VerdictKind.MISMATCH, found=outcome.domain)
 

@@ -87,6 +87,23 @@ class TestAuthRequest:
         assert note.preference is Preference.SMS
         assert note.link == decision.link
 
+    def test_link_keeps_leading_zeros(self):
+        engine = make_engine()
+        for _ in range(100):
+            decision = start_login(engine)
+            if decision.token_digits.startswith("0"):
+                break
+        assert decision.token_digits.startswith("0") and len(decision.token_digits) == 10
+        assert engine.outbox[-1].link == f"microsoft.com/c/{decision.token_digits}"
+
+    def test_reprs_hide_cookie_and_token(self):
+        engine = make_engine()
+        decision = start_login(engine)
+        session = engine.store.get(decision.session_id)
+        secrets = (session.cookie.value, session.token)
+        for value in (session, decision, engine.outbox[0]):
+            assert not any(secret in repr(value) for secret in secrets), repr(value)
+
     @pytest.mark.parametrize("preference", list(Preference))
     def test_every_preference_carries_the_same_link(self, preference):
         engine = make_engine(users={"bob": preference})

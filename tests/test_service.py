@@ -239,7 +239,7 @@ class TestLoginEndpoint:
         assert calls == ["create_session", "issue_short_link"]
         # The response still shows exactly what the store holds.
         session = app.store.get(response.body["session_id"])
-        assert response.body["link"] == f"/c/{session.token.digits}"
+        assert response.body["link"] == f"/c/{session.token}"
         assert response.body["notification"]["preference"] == session.preference.value
         assert response.headers["Set-Cookie"] == f"auth={session.cookie.value}; Path=/; HttpOnly"
 
@@ -754,7 +754,7 @@ class TestConcurrency:
         assert run_threads(worker) == []
         store = app.store
         assert store.live_count() == 8 * per_thread
-        tokens = {s.token.digits: sid for sid, s in store._sessions.items()}
+        tokens = {s.token: sid for sid, s in store._sessions.items()}
         cookies = {s.cookie.value: sid for sid, s in store._sessions.items()}
         assert (tokens, cookies) == (store._token_index, store._cookie_index)
 

@@ -161,6 +161,17 @@ class TestVerifyPhoto:
         names = container([extract_hostname("example.com"), extract_hostname("microsoft.com")])
         assert verify_photo(analysis, names).kind is VerdictKind.MATCH
 
+    def test_match_needs_exact_labels(self):
+        def verdict(text, *names):
+            analysis = make_analysis([TextRegion(URL_BOX, text)], [AddressBarPrediction(BAR, 0.95)])
+            return verify_photo(analysis, accepted(*names)).kind
+
+        both = ("www.example.com", "example.com")
+        assert verdict("example.com", *both) is VerdictKind.MATCH
+        assert verdict("www.example.com", *both) is VerdictKind.MATCH
+        assert verdict("www.example.com", "example.com") is VerdictKind.MISMATCH
+        assert verdict("example.com", "www.example.com") is VerdictKind.MISMATCH
+
     def test_accept_set_with_multiple_names(self):
         analysis = make_analysis(
             [TextRegion(URL_BOX, "www.microsoft.com")], [AddressBarPrediction(BAR, 0.95)]
