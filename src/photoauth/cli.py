@@ -73,14 +73,15 @@ def _cmd_evaluate(args) -> int:
     if args.seed is not None:
         profile = DetectorProfile(ocr=profile.ocr, addrbar=profile.addrbar, seed=args.seed)
     domains = tuple(args.domain) if args.domain else ("microsoft.com",)
-    accept = frozenset(extract_hostname(d) for d in domains)
-    report = evaluate_corpus(
-        args.n,
-        GeneratorParams(domains=domains),
-        profile,
-        VerifyConfig(),
-        accept,
-    )
+    # A bad domain or a non-positive --n is refused before the first cycle.
+    try:
+        accept = frozenset(extract_hostname(d) for d in domains)
+        report = evaluate_corpus(
+            args.n, GeneratorParams(domains=domains), profile, VerifyConfig(), accept
+        )
+    except ValueError as exc:
+        print(f"cannot evaluate: {exc}", file=sys.stderr)
+        return 2
     print(report.to_json())
     return 0
 

@@ -100,20 +100,17 @@ class AuthDecision:
     """What the engine decided.
 
     A `LINK_SENT` decision also carries what the login response needs from
-    the new session: its short-link token digits, cookie value and the
-    user's notification preference.
+    the new session: its short-link token digits and cookie value.
     """
 
     kind: DecisionKind
     reason: Optional[str] = None
     session_id: Optional[str] = None
-    link: Optional[str] = field(default=None, repr=False)
     message: Optional[str] = None
     warning: bool = False
     retakes_left: Optional[int] = None
     token_digits: Optional[str] = field(default=None, repr=False)
     cookie: Optional[str] = field(default=None, repr=False)
-    preference: Optional[Preference] = None
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,6 @@ class Notification:
     username: str
     preference: Preference
     link: str = field(repr=False)
-    session_id: str
 
 
 # The answer to a token with no live session. A store write refused after
@@ -206,28 +202,21 @@ class AuthEngine:
                 raise UnknownUser(request.username)
 
             session = self.store.create_session(
-                request.username,
-                preference,
-                source=request.source_address,
-                channel=request.channel,
+                request.username, source=request.source_address, channel=request.channel
             )
             session = self.store.issue_short_link(session.id, self.token_length)
-            link = f"{self.store.server_domain}/c/{session.token}"
             self.outbox.append(
                 Notification(
                     username=session.username,
                     preference=preference,
-                    link=link,
-                    session_id=session.id,
+                    link=f"{self.store.server_domain}/c/{session.token}",
                 )
             )
             return AuthDecision(
                 DecisionKind.LINK_SENT,
                 session_id=session.id,
-                link=link,
                 token_digits=session.token,
                 cookie=session.cookie.value,
-                preference=preference,
             )
 
     def _colocated(self, click: LinkClick, session: Session) -> bool:
@@ -235,12 +224,7 @@ class AuthEngine:
         if mode is ColocationMode.COOKIE_EQUALITY:
             return click.presented_cookie == session.cookie.value
         if mode is ColocationMode.IP_EQUALITY:
-            return (
-                session.login_source is not None
-                and click.source_address == session.login_source
-            )
-        if session.login_source is None:
-            return False
+            return click.source_address == session.login_source
         return _same_network(click.source_address, session.login_source, self.policy.prefix_len)
 
     def handle_link_click(self, click: LinkClick) -> AuthDecision:
@@ -311,8 +295,8 @@ class AuthEngine:
                         warning=True,
                     )
 
-                assert result.reason is not None
-                updated = self.store.record_retake(session.id, result.reason)
+                warned = result.reason == RETAKE_MULTIPLE_ADDRBARS
+                updated = self.store.record_retake(session.id, warned)
                 if updated.state is SessionState.FALLBACK_OFFERED:
                     return AuthDecision(
                         DecisionKind.FALLBACK,
@@ -323,7 +307,7 @@ class AuthEngine:
                     DecisionKind.REQUEST_RETAKE,
                     reason=result.reason,
                     session_id=session.id,
-                    warning=result.reason == RETAKE_MULTIPLE_ADDRBARS,
+                    warning=warned,
                     retakes_left=self.store.retake_cap - updated.retakes,
                 )
             except InvalidState:

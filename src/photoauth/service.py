@@ -74,7 +74,6 @@ class Config:
     session_ttl_s: float = DEFAULT_TTL_S
     port: int = 8443
     seed: Optional[int] = None
-    expose_notifications: bool = False
 
     def __post_init__(self):
         if not self.server_domains:
@@ -160,7 +159,6 @@ class App:
     """One service instance: store, engine and routing."""
 
     def __init__(self, config: Config, clock: Callable[[], float] | None = None):
-        self.config = config
         rng = random.Random(config.seed) if config.seed is not None else None
         names = [extract_hostname(d) for d in config.server_domains]
         self.store = SessionStore(
@@ -201,20 +199,14 @@ class App:
             return WireResponse(200, {"status": "authorized", "session_id": decision.session_id})
         if decision.kind is DecisionKind.BAD_REQUEST:
             return WireResponse(400, {"status": "error", "reason": decision.reason})
-        assert decision.kind is DecisionKind.LINK_SENT and decision.preference is not None
-        payload = {
-            "status": "link-sent",
-            "session_id": decision.session_id,
-            "link": f"/c/{decision.token_digits}",
-        }
-        if self.config.expose_notifications:
-            payload["notification"] = {
-                "preference": decision.preference.value,
-                "link": decision.link,
-            }
+        assert decision.kind is DecisionKind.LINK_SENT
         return WireResponse(
             200,
-            payload,
+            {
+                "status": "link-sent",
+                "session_id": decision.session_id,
+                "link": f"/c/{decision.token_digits}",
+            },
             headers={"Set-Cookie": f"auth={decision.cookie}; Path=/; HttpOnly"},
         )
 

@@ -70,10 +70,9 @@ _STARTS: dict[str, frozenset[SessionState]] = {
 
 @dataclass(frozen=True)
 class Cookie:
-    """Session cookie bound to the origin that set it."""
+    """Session cookie, set for the server's own origin."""
 
     value: str
-    origin: DomainName
 
 
 def cookie_value_well_formed(value: str) -> bool:
@@ -88,13 +87,12 @@ class Session:
     username: str
     cookie: Cookie = field(repr=False)
     token: Optional[str] = field(repr=False)
-    preference: Preference
     state: SessionState
     retakes: int
     created_at: float
+    login_source: str
+    login_channel: Channel
     phishing_warned: bool = False
-    login_source: Optional[str] = None
-    login_channel: Optional[Channel] = None
 
 
 # Unseeded draws come from the OS's CSPRNG, as `secrets` draws them; importing
@@ -206,14 +204,7 @@ class SessionStore:
 
     # -- public API --
 
-    def create_session(
-        self,
-        username: str,
-        preference: Preference,
-        *,
-        source: str | None = None,
-        channel: Channel | None = None,
-    ) -> Session:
+    def create_session(self, username: str, *, source: str, channel: Channel) -> Session:
         if not username:
             raise ValueError("username must be non-empty")
         now = self._now()
@@ -228,9 +219,8 @@ class SessionStore:
         session = Session(
             id=sid,
             username=username,
-            cookie=Cookie(value=cookie_value, origin=self.server_domain),
+            cookie=Cookie(value=cookie_value),
             token=None,
-            preference=preference,
             state=SessionState.CREDENTIALS_OK,
             retakes=0,
             created_at=now,
@@ -286,18 +276,17 @@ class SessionStore:
     def deny(self, session_id: str) -> Session:
         return self._advance("deny", session_id, lambda _: {"state": SessionState.DENIED})
 
-    def record_retake(self, session_id: str, reason: str) -> Session:
+    def record_retake(self, session_id: str, warned: bool) -> Session:
         """Count one failed photo; past the cap the session falls back.
 
-        A retake caused by multiple detected address bars marks the
-        session as phishing-warned.
+        A `warned` retake marks the session as phishing-warned for good.
         """
 
         def step(session: Session) -> dict:
             retakes = session.retakes + 1
             return {
                 "retakes": retakes,
-                "phishing_warned": session.phishing_warned or reason == "multiple-addrbars",
+                "phishing_warned": session.phishing_warned or warned,
                 "state": SessionState.FALLBACK_OFFERED
                 if retakes > self.retake_cap
                 else SessionState.AWAITING_PHOTO,

@@ -158,6 +158,16 @@ class TestEvaluate:
         assert code == 2
         assert "cannot load profile" in err
 
+    @pytest.mark.parametrize(
+        "args", [["--n", "0"], ["--n", "-3"], ["--n", "5", "--domain", "a_b.com"]]
+    )
+    def test_bad_arguments_exit_two(self, capsys, args):
+        code, out, err = run_cli(capsys, "evaluate", *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("cannot evaluate: ")
+        assert "Traceback" not in err
+
     def test_seed_reproducibility(self, capsys):
         _, out_a, _ = run_cli(capsys, "evaluate", "--n", "30", "--seed", "4")
         _, out_b, _ = run_cli(capsys, "evaluate", "--n", "30", "--seed", "4")
@@ -212,7 +222,6 @@ def _profile(**ocr):
 _MALFORMED_INPUTS = {
     "config-not-an-object": ("serve", "[]", "cannot load config"),
     "config-string-int": ("serve", '{"token_length": "10"}', "cannot load config"),
-    "config-string-bool": ("serve", '{"expose_notifications": "no"}', "cannot load config"),
     "config-bool-float": ("serve", '{"cr_threshold": true}', "cannot load config"),
     "config-string-seed": ("serve", '{"seed": "abc"}', "cannot load config"),
     "config-nan-ttl": ("serve", '{"session_ttl_s": NaN}', "cannot load config"),

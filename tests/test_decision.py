@@ -68,6 +68,17 @@ def unreadable_photo():
     return PhotoAnalysis(resolution=Resolution(1920, 1080), texts=(), addrbars=())
 
 
+def two_bar_photo():
+    """The genuine name under a second, embedded address bar."""
+    bar = BoundingBox(20, 50, 1000, 50)
+    second = BoundingBox(100, 600, 800, 48)
+    return PhotoAnalysis(
+        resolution=Resolution(1920, 1080),
+        texts=(TextRegion(BoundingBox(120, 62, 300, 26), "microsoft.com"),),
+        addrbars=(AddressBarPrediction(bar, 0.97), AddressBarPrediction(second, 0.9)),
+    )
+
+
 def start_login(engine, cookie=None, source=PC, channel=Channel.PC_BROWSER):
     return engine.handle_auth_request(
         AuthRequest(username="bob", presented_cookie=cookie,
@@ -80,12 +91,11 @@ class TestAuthRequest:
         engine = make_engine()
         decision = start_login(engine)
         assert decision.kind is DecisionKind.LINK_SENT
-        assert decision.link.startswith("microsoft.com/c/")
         assert len(engine.outbox) == 1
         note = engine.outbox[0]
         assert note.username == "bob"
         assert note.preference is Preference.SMS
-        assert note.link == decision.link
+        assert note.link == f"microsoft.com/c/{decision.token_digits}"
 
     def test_link_keeps_leading_zeros(self):
         engine = make_engine()
@@ -110,7 +120,7 @@ class TestAuthRequest:
         decision = start_login(engine)
         assert decision.kind is DecisionKind.LINK_SENT
         assert engine.outbox[0].preference is preference
-        assert engine.outbox[0].link == decision.link
+        assert engine.outbox[0].link == f"microsoft.com/c/{decision.token_digits}"
 
     def test_malformed_cookie_is_bad_request(self):
         engine = make_engine()
@@ -235,7 +245,7 @@ class TestLinkClick:
         sent = start_login(engine)
         token = engine.outbox[0].link.rsplit("/", 1)[1]
         engine.store.mark_awaiting_photo(sent.session_id)
-        engine.store.record_retake(sent.session_id, "unreadable")
+        engine.store.record_retake(sent.session_id, False)
         decision = engine.handle_link_click(
             LinkClick(token_digits=token, presented_cookie=None, source_address=PHONE)
         )
@@ -384,17 +394,21 @@ class TestPhotoSubmission:
     def test_two_bars_warns_phishing(self):
         engine = make_engine()
         _, token = reach_awaiting_photo(engine)
-        bar = BoundingBox(20, 50, 1000, 50)
-        second = BoundingBox(100, 600, 800, 48)
-        analysis = PhotoAnalysis(
-            resolution=Resolution(1920, 1080),
-            texts=(TextRegion(BoundingBox(120, 62, 300, 26), "microsoft.com"),),
-            addrbars=(AddressBarPrediction(bar, 0.97), AddressBarPrediction(second, 0.9)),
-        )
-        decision = engine.handle_photo_submission(token, analysis)
+        decision = engine.handle_photo_submission(token, two_bar_photo())
         assert decision.kind is DecisionKind.REQUEST_RETAKE
         assert decision.reason == "multiple-addrbars"
         assert decision.warning
+
+    @pytest.mark.parametrize("first,warned", [(two_bar_photo, True), (unreadable_photo, False)])
+    def test_fallback_keeps_the_two_bar_warning(self, first, warned):
+        engine = make_engine(retake_cap=2)
+        _, token = reach_awaiting_photo(engine)
+        decision = engine.handle_photo_submission(token, first())
+        for _ in range(2):
+            assert decision.kind is DecisionKind.REQUEST_RETAKE
+            decision = engine.handle_photo_submission(token, unreadable_photo())
+        assert decision.kind is DecisionKind.FALLBACK
+        assert decision.warning is warned
 
     def test_photo_for_unknown_token_denied(self):
         engine = make_engine()
@@ -425,4 +439,4 @@ class TestPhotoSubmission:
 class TestDecisionDataclass:
     def test_defaults(self):
         d = AuthDecision(DecisionKind.DENY)
-        assert d.reason is None and d.link is None and not d.warning
+        assert d.reason is None and d.session_id is None and not d.warning

@@ -54,6 +54,7 @@ class TestFromJson:
             ('{"name": "a", "count": true}', "x.count:"),
             ('{"name": "a", "count": 1.0}', "x.count:"),
             ('{"name": "a", "flag": 1}', "x.flag:"),
+            ('{"name": "a", "flag": "no"}', "x.flag:"),
             ('{"name": "a", "seed": "3"}', "x.seed:"),
             ('{"name": "a", "names": "pq"}', "x.names:"),
             ('{"name": "a", "names": ["p", 1]}', "x.names[1]:"),

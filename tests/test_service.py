@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photoauth.decision import SAME_BROWSER_HINT, AuthRequest
+from photoauth.decision import SAME_BROWSER_HINT
 from photoauth.domain import LABEL_MAX_LEN
 from photoauth.service import (
     App,
@@ -226,7 +226,7 @@ class TestLoginEndpoint:
         assert response.status == 400
 
     def test_login_takes_two_store_calls(self):
-        app = make_app(expose_notifications=True)
+        app = make_app()
         calls = []
         for op in ("create_session", "issue_short_link", "resolve_token", "get",
                    "find_by_cookie", "mark_awaiting_photo", "authorize", "deny",
@@ -237,38 +237,17 @@ class TestLoginEndpoint:
             setattr(app.store, op, counted)
         response = login(app)
         assert calls == ["create_session", "issue_short_link"]
-        # The response still shows exactly what the store holds.
+        # The response and the notification show exactly what the store holds.
         session = app.store.get(response.body["session_id"])
         assert response.body["link"] == f"/c/{session.token}"
-        assert response.body["notification"]["preference"] == session.preference.value
+        assert app.engine.outbox[-1].link == f"microsoft.com/c/{session.token}"
         assert response.headers["Set-Cookie"] == f"auth={session.cookie.value}; Path=/; HttpOnly"
 
-    def test_notification_exposed_when_configured(self):
-        app = make_app(expose_notifications=True)
-        response = login(app)
-        note = response.body["notification"]
-        assert note["preference"] == "sms"
-        assert note["link"] == "microsoft.com" + response.body["link"]
-
-    def test_notification_hidden_by_default(self):
-        app = make_app()
-        assert "notification" not in login(app).body
-
-    def test_notification_is_the_callers_own(self):
-        app = make_app(expose_notifications=True, users={"bob": "sms", "alice": "push"})
-        handle_auth_request = app.engine.handle_auth_request
-
-        def with_another_login_in_between(request):
-            decision = handle_auth_request(request)
-            handle_auth_request(AuthRequest("alice", None, PHONE))
-            return decision
-
-        app.engine.handle_auth_request = with_another_login_in_between
-        response = login(app)
-        assert response.body["notification"] == {
-            "preference": "sms",
-            "link": "microsoft.com" + response.body["link"],
-        }
+    def test_login_answer_has_three_fields_and_one_header(self):
+        # The notification goes only to the outbox, the phone's channel.
+        response = login(make_app())
+        assert response.body.keys() == {"status", "session_id", "link"}
+        assert response.headers.keys() == {"Set-Cookie"}
 
     def test_app_keeps_a_bounded_number_of_notifications(self):
         app = make_app()

@@ -13,7 +13,6 @@ from photoauth.session import (
     Channel,
     InvalidState,
     LOOKUP_RATE_LIMIT,
-    Preference,
     RateLimited,
     SessionState,
     SessionStore,
@@ -23,6 +22,7 @@ from photoauth.session import (
 )
 
 SERVER = extract_hostname("microsoft.com")
+LOGIN = {"source": "198.51.100.23", "channel": Channel.PC_BROWSER}
 
 
 class FakeClock:
@@ -85,18 +85,17 @@ class TestValues:
 class TestLifecycle:
     def test_create_starts_at_credentials_ok(self):
         store = make_store()
-        s = store.create_session("bob", Preference.SMS, source="1.2.3.4",
-                                 channel=Channel.PC_BROWSER)
+        s = store.create_session("bob", source="1.2.3.4", channel=Channel.PHONE_BROWSER)
         assert s.state is SessionState.CREDENTIALS_OK
         assert s.token is None
         assert s.retakes == 0
-        assert s.cookie.origin == SERVER
+        assert not s.phishing_warned
         assert s.login_source == "1.2.3.4"
-        assert s.login_channel is Channel.PC_BROWSER
+        assert s.login_channel is Channel.PHONE_BROWSER
 
     def test_issue_link_then_resolve(self):
         store = make_store()
-        s = store.create_session("bob", Preference.SMS)
+        s = store.create_session("bob", **LOGIN)
         s = store.issue_short_link(s.id)
         assert s.state is SessionState.LINK_SENT
         assert s.token is not None
@@ -105,7 +104,7 @@ class TestLifecycle:
 
     def test_happy_path_to_authorized(self):
         store = make_store()
-        s = store.create_session("bob", Preference.SMS)
+        s = store.create_session("bob", **LOGIN)
         s = store.issue_short_link(s.id)
         s = store.mark_awaiting_photo(s.id)
         assert s.state is SessionState.AWAITING_PHOTO
@@ -114,7 +113,7 @@ class TestLifecycle:
 
     def test_direct_authorize_from_link_sent(self):
         store = make_store()
-        s = store.create_session("bob", Preference.SMS)
+        s = store.create_session("bob", **LOGIN)
         s = store.issue_short_link(s.id)
         assert store.authorize(s.id).state is SessionState.AUTHORIZED
 
@@ -125,7 +124,7 @@ class TestLifecycle:
             "await": lambda st, sid: st.mark_awaiting_photo(sid),
             "authorize": lambda st, sid: st.authorize(sid),
             "deny": lambda st, sid: st.deny(sid),
-            "retake": lambda st, sid: st.record_retake(sid, "unreadable"),
+            "retake": lambda st, sid: st.record_retake(sid, False),
         }
         allowed = {
             SessionState.CREDENTIALS_OK: {"link"},
@@ -137,7 +136,7 @@ class TestLifecycle:
         }
 
         def put_in_state(store, target):
-            s = store.create_session("bob", Preference.SMS)
+            s = store.create_session("bob", **LOGIN)
             if target is SessionState.CREDENTIALS_OK:
                 return s
             s = store.issue_short_link(s.id)
@@ -151,7 +150,7 @@ class TestLifecycle:
             if target is SessionState.DENIED:
                 return store.deny(s.id)
             for _ in range(store.retake_cap + 1):
-                s = store.record_retake(s.id, "unreadable")
+                s = store.record_retake(s.id, False)
             assert s.state is SessionState.FALLBACK_OFFERED
             return s
 
@@ -167,61 +166,61 @@ class TestLifecycle:
 
     def test_mark_awaiting_is_idempotent(self):
         store = make_store()
-        s = store.create_session("bob", Preference.SMS)
+        s = store.create_session("bob", **LOGIN)
         store.issue_short_link(s.id)
         store.mark_awaiting_photo(s.id)
         assert store.mark_awaiting_photo(s.id).state is SessionState.AWAITING_PHOTO
 
     def test_empty_username_rejected(self):
         with pytest.raises(ValueError):
-            make_store().create_session("", Preference.SMS)
+            make_store().create_session("", **LOGIN)
 
 
 class TestRetakes:
     def test_fallback_exactly_past_cap(self):
         store = make_store(retake_cap=5)
-        s = store.create_session("bob", Preference.SMS)
+        s = store.create_session("bob", **LOGIN)
         store.issue_short_link(s.id)
         store.mark_awaiting_photo(s.id)
         for i in range(1, 6):
-            s = store.record_retake(s.id, "unreadable")
+            s = store.record_retake(s.id, False)
             assert s.state is SessionState.AWAITING_PHOTO
             assert s.retakes == i
-        s = store.record_retake(s.id, "unreadable")
+        s = store.record_retake(s.id, False)
         assert s.state is SessionState.FALLBACK_OFFERED
         assert s.retakes == 6
 
     def test_cap_zero_falls_back_immediately(self):
         store = make_store(retake_cap=0)
-        s = store.create_session("bob", Preference.SMS)
+        s = store.create_session("bob", **LOGIN)
         store.issue_short_link(s.id)
         store.mark_awaiting_photo(s.id)
-        assert store.record_retake(s.id, "unreadable").state is SessionState.FALLBACK_OFFERED
+        assert store.record_retake(s.id, False).state is SessionState.FALLBACK_OFFERED
 
     def test_multiple_addrbars_sets_phishing_flag(self):
         store = make_store()
-        s = store.create_session("bob", Preference.SMS)
+        s = store.create_session("bob", **LOGIN)
         store.issue_short_link(s.id)
         store.mark_awaiting_photo(s.id)
-        s = store.record_retake(s.id, "multiple-addrbars")
+        s = store.record_retake(s.id, True)
         assert s.phishing_warned
         # The flag is sticky across later plain retakes.
-        s = store.record_retake(s.id, "unreadable")
+        s = store.record_retake(s.id, False)
         assert s.phishing_warned
 
     def test_plain_retake_does_not_warn(self):
         store = make_store()
-        s = store.create_session("bob", Preference.SMS)
+        s = store.create_session("bob", **LOGIN)
         store.issue_short_link(s.id)
         store.mark_awaiting_photo(s.id)
-        assert not store.record_retake(s.id, "unreadable").phishing_warned
+        assert not store.record_retake(s.id, False).phishing_warned
 
 
 class TestExpiry:
     def test_expired_session_vanishes_everywhere(self):
         clock = FakeClock()
         store = make_store(clock=clock, ttl_s=300.0)
-        s = store.create_session("bob", Preference.SMS)
+        s = store.create_session("bob", **LOGIN)
         s = store.issue_short_link(s.id)
         clock.advance(301.0)
         assert store.get(s.id) is None
@@ -232,14 +231,14 @@ class TestExpiry:
     def test_session_alive_within_ttl(self):
         clock = FakeClock()
         store = make_store(clock=clock, ttl_s=300.0)
-        s = store.create_session("bob", Preference.SMS)
+        s = store.create_session("bob", **LOGIN)
         clock.advance(299.0)
         assert store.get(s.id) is not None
 
     def test_operations_on_expired_session_raise(self):
         clock = FakeClock()
         store = make_store(clock=clock, ttl_s=10.0)
-        s = store.create_session("bob", Preference.SMS)
+        s = store.create_session("bob", **LOGIN)
         clock.advance(11.0)
         with pytest.raises(InvalidState):
             store.issue_short_link(s.id)
@@ -247,7 +246,7 @@ class TestExpiry:
     def test_expired_token_frees_digits_for_reuse(self):
         clock = FakeClock()
         store = make_store(clock=clock, ttl_s=10.0)
-        s = store.create_session("bob", Preference.SMS)
+        s = store.create_session("bob", **LOGIN)
         s = store.issue_short_link(s.id)
         clock.advance(11.0)
         assert store.resolve_token(s.token) is None
@@ -264,9 +263,9 @@ class TestExpiry:
     def test_expiry_order_survives_state_changes(self):
         clock = FakeClock()
         store = make_store(clock=clock, ttl_s=10.0)
-        a = store.issue_short_link(store.create_session("alice", Preference.SMS).id)
+        a = store.issue_short_link(store.create_session("alice", **LOGIN).id)
         clock.advance(5.0)
-        b = store.issue_short_link(store.create_session("bob", Preference.SMS).id)
+        b = store.issue_short_link(store.create_session("bob", **LOGIN).id)
         store.authorize(a.id)  # rewrites A after B was created
         clock.advance(6.0)  # A is 11 s old, B 6 s
         assert store.get(a.id) is None
@@ -283,7 +282,7 @@ class TestExpiry:
         store = make_store(clock=clock, ttl_s=10_000.0)
         created = []
         for i in range(10_000):
-            s = store.create_session(f"user{i}", Preference.SMS)
+            s = store.create_session(f"user{i}", **LOGIN)
             if i % 2:
                 s = store.issue_short_link(s.id)
             created.append(s)
@@ -367,7 +366,7 @@ class TestUniqueness:
         store = make_store(ttl_s=1e9)
         seen_ids, seen_cookies = set(), set()
         for i in range(1000):
-            s = store.create_session(f"user{i}", Preference.SMS)
+            s = store.create_session(f"user{i}", **LOGIN)
             seen_ids.add(s.id)
             seen_cookies.add(s.cookie.value)
         assert len(seen_ids) == 1000
@@ -393,8 +392,8 @@ class TestUniqueness:
                 return super().randrange(*args, **kwargs)
 
         store = SessionStore(SERVER, rng=RiggedRandom(), clock=FakeClock(), ttl_s=1e9)
-        a = store.create_session("a", Preference.SMS)
-        b = store.create_session("b", Preference.SMS)
+        a = store.create_session("a", **LOGIN)
+        b = store.create_session("b", **LOGIN)
         a = store.issue_short_link(a.id)
         b = store.issue_short_link(b.id)
         assert a.token != b.token
@@ -453,7 +452,7 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(target=sessions, username=st.sampled_from(["alice", "bob"]))
     def create(self, username):
-        s = self.store.create_session(username, Preference.SMS)
+        s = self.store.create_session(username, **LOGIN)
         assert s.state is SessionState.CREDENTIALS_OK and s.created_at == self.clock.t
         self._expire()
         self.model[s.id] = s
@@ -502,19 +501,19 @@ class StoreMachine(RuleBasedStateMachine):
     def deny(self, sid):
         self._mutate("deny", sid, step=lambda _: {"state": SessionState.DENIED})
 
-    @rule(sid=sessions, reason=st.sampled_from(["unreadable", "multiple-addrbars"]))
-    def record_retake(self, sid, reason):
+    @rule(sid=sessions, warned=st.booleans())
+    def record_retake(self, sid, warned):
         def step(s):
             retakes = s.retakes + 1
             return {
                 "retakes": retakes,
-                "phishing_warned": s.phishing_warned or reason == "multiple-addrbars",
+                "phishing_warned": s.phishing_warned or warned,
                 "state": SessionState.FALLBACK_OFFERED
                 if retakes > MODEL_RETAKE_CAP
                 else SessionState.AWAITING_PHOTO,
             }
 
-        self._mutate("record_retake", sid, reason, step=step)
+        self._mutate("record_retake", sid, warned, step=step)
 
     @rule(dt=st.sampled_from([0.0, 1.0, MODEL_TTL_S / 2, MODEL_TTL_S + 1.0]))
     def step_clock(self, dt):
