@@ -9,26 +9,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Rectangle with strictly positive size and non-negative position."""
-
+class _BoxFields(NamedTuple):
     x: float
     y: float
     width: float
     height: float
 
-    def __post_init__(self):
-        x, y, w, h = self.x, self.y, self.width, self.height
-        if not (isfinite(x) and isfinite(y) and isfinite(w) and isfinite(h)):
-            bad = next(v for v in (x, y, w, h) if not isfinite(v))
+
+class BoundingBox(_BoxFields):
+    """Rectangle with strictly positive size and non-negative position."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, y: float, width: float, height: float):
+        if not (isfinite(x) and isfinite(y) and isfinite(width) and isfinite(height)):
+            bad = next(v for v in (x, y, width, height) if not isfinite(v))
             raise ValueError(f"box coordinates must be finite, got {bad!r}")
         if x < 0 or y < 0:
             raise ValueError(f"box position must be non-negative, got ({x}, {y})")
-        if w <= 0 or h <= 0:
-            raise ValueError(f"box size must be positive, got {w}x{h}")
+        if width <= 0 or height <= 0:
+            raise ValueError(f"box size must be positive, got {width}x{height}")
+        return tuple.__new__(cls, (x, y, width, height))
 
     @property
     def right(self) -> float:

@@ -16,11 +16,12 @@ import random
 import re
 import selectors
 import socket
+import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from http import HTTPStatus
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, TextIO
 
 from .decision import (
     AuthEngine,
@@ -135,7 +136,13 @@ class WireResponse:
     headers: dict = field(default_factory=dict)
 
     def to_bytes(self) -> bytes:
-        return json.dumps(self.body, sort_keys=True, separators=(",", ":")).encode()
+        return _BODY_ENCODER.encode(self.body).encode()
+
+
+# Built once: `json.dumps` with any option builds a new encoder per call.
+_BODY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# The access line is what `json.dumps(line, sort_keys=True)` gives.
+_ACCESS_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 _COOKIE_MORSEL = re.compile(r"(?:^|;\s*)auth=([^;]*)")
@@ -156,9 +163,14 @@ def _cookie_from_headers(headers: dict) -> Optional[str]:
 
 
 class App:
-    """One service instance: store, engine and routing."""
+    """One service instance: store, engine and routing.
+
+    With `access_log` set to a text stream, `handle` writes one JSON line
+    to it per request; a line the stream refuses is dropped.
+    """
 
     def __init__(self, config: Config, clock: Callable[[], float] | None = None):
+        self.access_log: Optional[TextIO] = None
         rng = random.Random(config.seed) if config.seed is not None else None
         names = [extract_hostname(d) for d in config.server_domains]
         self.store = SessionStore(
@@ -278,19 +290,17 @@ class App:
     def handle(self, req: WireRequest) -> WireResponse:
         # The route template, never the raw path: that carries live tokens.
         route, response = self._route(req)
-        if logger.isEnabledFor(logging.INFO):
-            logger.info(
-                "%s",
-                json.dumps(
-                    {
-                        "method": req.method,
-                        "path": route,
-                        "status": response.status,
-                        "body_status": response.body.get("status"),
-                    },
-                    sort_keys=True,
-                ),
-            )
+        if self.access_log is not None:
+            line = _ACCESS_ENCODER.encode({
+                "method": req.method,
+                "path": route,
+                "status": response.status,
+                "body_status": response.body.get("status"),
+            })
+            try:
+                self.access_log.write(line + "\n")
+            except (OSError, ValueError):  # a closed or failing stream
+                pass
         return response
 
     def _route(self, req: WireRequest) -> tuple[Optional[str], WireResponse]:
@@ -632,12 +642,13 @@ class _Connection:
 
 
 def serve(config: Config) -> None:
-    """Run the HTTP server until interrupted."""
+    """Run the HTTP server until interrupted, one access line per request on stderr."""
     app = App(config)
+    app.access_log = sys.stderr
     server = HttpServer(app, "0.0.0.0", config.port)
     try:
         logger.info(
-            "%s", json.dumps({"event": "listening", "port": config.port,
+            "%s", json.dumps({"event": "listening", "port": server.port,
                               "domain": str(app.store.server_domain)}, sort_keys=True)
         )
         server.run()

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from enum import Enum
+from typing import NamedTuple
 
 from .domain import DomainName, confusable_mutate, extract_hostname
 from .geometry import BoundingBox, Resolution, intersection_area
@@ -44,21 +45,32 @@ class InjectionPlacement(Enum):
     PAGE_CONTENT = "page-content"
 
 
-@dataclass(frozen=True)
-class BarTruth:
-    """One rendered address bar and the URL text inside it."""
-
+class _BarFields(NamedTuple):
     box: BoundingBox
     url_text_box: BoundingBox
     url_string: str
 
-    def __post_init__(self):
-        if not self.box.contains(self.url_text_box):
+
+class BarTruth(_BarFields):
+    """One rendered address bar and the URL text inside it."""
+
+    __slots__ = ()
+
+    def __new__(cls, box: BoundingBox, url_text_box: BoundingBox, url_string: str):
+        if not box.contains(url_text_box):
             raise ValueError("URL text must sit inside its address bar")
+        return tuple.__new__(cls, (box, url_text_box, url_string))
 
 
-@dataclass(frozen=True)
-class BrowserLayout:
+class _LayoutFields(NamedTuple):
+    resolution: Resolution
+    bars: tuple[BarTruth, ...]
+    title_boxes: tuple[TextRegion, ...]
+    content_boxes: tuple[TextRegion, ...]
+    theme: Theme = Theme.LIGHT
+
+
+class BrowserLayout(_LayoutFields):
     """Ground truth for one synthetic screenshot.
 
     `bars[0]` is the genuine browser chrome; any further bar is content
@@ -66,25 +78,29 @@ class BrowserLayout:
     regions never overlap the genuine bar.
     """
 
-    resolution: Resolution
-    bars: tuple[BarTruth, ...]
-    title_boxes: tuple[TextRegion, ...]
-    content_boxes: tuple[TextRegion, ...]
-    theme: Theme = Theme.LIGHT
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.bars:
+    def __new__(
+        cls,
+        resolution: Resolution,
+        bars: tuple[BarTruth, ...],
+        title_boxes: tuple[TextRegion, ...],
+        content_boxes: tuple[TextRegion, ...],
+        theme: Theme = Theme.LIGHT,
+    ):
+        if not bars:
             raise ValueError("layout needs at least one address bar")
-        bounds = self.resolution.bounds()
-        genuine = self.bars[0].box
-        for bar in self.bars:
+        bounds = resolution.bounds()
+        genuine = bars[0].box
+        for bar in bars:
             if not bounds.contains(bar.box):
                 raise ValueError("address bar outside the screenshot")
-        for region in self.title_boxes + self.content_boxes:
+        for region in title_boxes + content_boxes:
             if not bounds.contains(region.box):
                 raise ValueError("text region outside the screenshot")
             if intersection_area(region.box, genuine) > 0:
                 raise ValueError("title/content text may not overlap the genuine bar")
+        return tuple.__new__(cls, (resolution, bars, title_boxes, content_boxes, theme))
 
 
 @dataclass(frozen=True)
@@ -408,8 +424,7 @@ class GeneratorParams:
             raise ValueError("dark_fraction must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class EvalCounts:
+class EvalCounts(NamedTuple):
     true_positives: int
     false_positives: int
     false_negatives: int
@@ -417,8 +432,7 @@ class EvalCounts:
     total: int
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Corpus metrics.
 
     A cycle counts as a true positive when the photo matched, as a false

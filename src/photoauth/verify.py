@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .domain import DomainError, DomainName, extract_hostname
 from .geometry import BoundingBox, Resolution, area, cover_rate
@@ -21,48 +21,65 @@ RETAKE_UNREADABLE = "unreadable"
 CONFIDENCE_FLOOR = 0.5
 
 
-@dataclass(frozen=True)
-class TextRegion:
-    """One OCR result: where the text sits and what it reads as."""
-
+class _TextFields(NamedTuple):
     box: BoundingBox
     text: str
 
-    def __post_init__(self):
-        if not isinstance(self.text, str):
-            raise ValueError(f"text region text must be a string, got {type(self.text).__name__}")
-        if not self.text:
+
+class TextRegion(_TextFields):
+    """One OCR result: where the text sits and what it reads as."""
+
+    __slots__ = ()
+
+    def __new__(cls, box: BoundingBox, text: str):
+        if not isinstance(text, str):
+            raise ValueError(f"text region text must be a string, got {type(text).__name__}")
+        if not text:
             raise ValueError("text region must carry non-empty text")
+        return tuple.__new__(cls, (box, text))
 
 
-@dataclass(frozen=True)
-class AddressBarPrediction:
-    """One detector result with its confidence score."""
-
+class _PredictionFields(NamedTuple):
     box: BoundingBox
     confidence: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+
+class AddressBarPrediction(_PredictionFields):
+    """One detector result with its confidence score."""
+
+    __slots__ = ()
+
+    def __new__(cls, box: BoundingBox, confidence: float):
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"confidence must be in [0, 1], got {confidence}")
+        return tuple.__new__(cls, (box, confidence))
 
 
-@dataclass(frozen=True)
-class PhotoAnalysis:
-    """Everything extracted from one photo, in photo pixel coordinates."""
-
+class _AnalysisFields(NamedTuple):
     resolution: Resolution
     texts: tuple[TextRegion, ...]
     addrbars: tuple[AddressBarPrediction, ...]
 
-    def __post_init__(self):
-        bounds = self.resolution.bounds()
-        for region in self.texts:
+
+class PhotoAnalysis(_AnalysisFields):
+    """Everything extracted from one photo, in photo pixel coordinates."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        resolution: Resolution,
+        texts: tuple[TextRegion, ...],
+        addrbars: tuple[AddressBarPrediction, ...],
+    ):
+        bounds = resolution.bounds()
+        for region in texts:
             if not bounds.contains(region.box):
-                raise ValueError(f"text box outside {self.resolution}: {region.box}")
-        for pred in self.addrbars:
+                raise ValueError(f"text box outside {resolution}: {region.box}")
+        for pred in addrbars:
             if not bounds.contains(pred.box):
-                raise ValueError(f"address-bar box outside {self.resolution}: {pred.box}")
+                raise ValueError(f"address-bar box outside {resolution}: {pred.box}")
+        return tuple.__new__(cls, (resolution, texts, addrbars))
 
 
 @dataclass(frozen=True)
@@ -81,8 +98,7 @@ class ExtractionKind(Enum):
     NO_QUALIFYING_TEXT = "no-qualifying-text"
 
 
-@dataclass(frozen=True)
-class ExtractionOutcome:
+class ExtractionOutcome(NamedTuple):
     kind: ExtractionKind
     domain: DomainName | None = None
     cover_rate: float | None = None
@@ -94,8 +110,7 @@ class VerdictKind(Enum):
     RETAKE = "retake"
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     kind: VerdictKind
     found: DomainName | None = None
     reason: str | None = None

@@ -1,5 +1,8 @@
+import http.client
 import json
 import os
+import select
+import signal
 import subprocess
 import sys
 
@@ -208,6 +211,62 @@ class TestServe:
         code, _, err = run_cli(capsys, "serve", "--config", str(path))
         assert code == 2
         assert "cannot load config" in err
+
+    def test_serves_and_writes_one_access_line_per_request(self, tmp_path):
+        """`photoauth serve` on port 0: the port it bound, one access line per request."""
+        config = tmp_path / "serve.json"
+        config.write_text(json.dumps({"seed": 5}), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": SRC, ENV_PORT: "0"}
+        env.pop(ENV_SEED, None)
+        with subprocess.Popen(
+            [sys.executable, "-m", "photoauth.cli", "serve", "--config", str(config)],
+            stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            try:
+                assert select.select([proc.stderr], [], [], 30)[0], "server did not start"
+                listening = json.loads(proc.stderr.readline())
+                port = listening["port"]
+                assert listening == {"domain": "microsoft.com", "event": "listening", "port": port}
+                assert port != 0
+                secrets = self.drive_one_flow(port)
+            finally:
+                proc.send_signal(signal.SIGINT)
+                _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0
+        assert err.splitlines() == [
+            b'{"body_status": "link-sent", "method": "POST", "path": "/login", "status": 200}',
+            b'{"body_status": "photo-required", "method": "GET", "path": "/c/{token}", '
+            b'"status": 200}',
+            b'{"body_status": "authorized", "method": "POST", "path": "/c/{token}/photo", '
+            b'"status": 200}',
+            b'{"body_status": "error", "method": "GET", "path": null, "status": 404}',
+        ]
+        assert not [s for s in secrets if s.encode() in err]
+
+    @staticmethod
+    def drive_one_flow(port: int) -> list[str]:
+        """A login, a click, a photo and a 404; returns the token and the session id."""
+        from photoauth.synth import ORACLE_PROFILE, generate_layout, simulate_detection
+        from photoauth.verify import analysis_to_dict
+
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            def exchange(method, path, body=None):
+                conn.request(method, path, body=None if body is None else json.dumps(body))
+                response = conn.getresponse()
+                return response.status, json.loads(response.read())
+
+            status, login = exchange("POST", "/login", {"username": "bob"})
+            assert (status, login["status"]) == (200, "link-sent")
+            digits = login["link"].rsplit("/", 1)[-1]
+            assert exchange("GET", f"/c/{digits}")[1]["status"] == "photo-required"
+            photo = analysis_to_dict(
+                simulate_detection(generate_layout("microsoft.com", seed=1), ORACLE_PROFILE))
+            assert exchange("POST", f"/c/{digits}/photo", photo) == (200, {"status": "authorized"})
+            assert exchange("GET", "/nope")[0] == 404
+        finally:
+            conn.close()
+        return [digits, login["session_id"]]
 
 
 def _scenario(**fields):

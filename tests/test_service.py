@@ -2,6 +2,7 @@ import contextlib
 import email.utils
 import encodings.punycode
 import http.client
+import io
 import itertools
 import json
 import logging
@@ -780,46 +781,81 @@ class TestMisc:
         response = app.handle(WireRequest("GET", "/session/deadbeef/status"))
         assert response.status == 403
 
-    def test_handle_logs_one_json_line(self, caplog):
+    def test_handle_logs_one_json_line(self):
         app = make_app()
-        with caplog.at_level("INFO", logger="photoauth.service"):
-            login(app)
-        entries = [json.loads(r.message) for r in caplog.records]
-        assert {"method": "POST", "path": "/login", "status": 200,
-                "body_status": "link-sent"} in entries
+        app.access_log = io.StringIO()
+        login(app)
+        lines = app.access_log.getvalue().splitlines()
+        assert lines == ['{"body_status": "link-sent", "method": "POST", "path": "/login", '
+                         '"status": 200}']
 
-    def test_log_line_is_built_only_when_info_is_on(self, caplog, monkeypatch):
-        dumped = []
-        dumps = json.dumps
+    def test_log_line_is_built_only_when_a_stream_is_set(self, monkeypatch):
+        encoded = []
 
-        def counting_dumps(obj, **kwargs):
-            dumped.append(obj)
-            return dumps(obj, **kwargs)
+        class CountingEncoder(json.JSONEncoder):
+            def encode(self, obj):
+                encoded.append(obj)
+                return super().encode(obj)
 
-        monkeypatch.setattr(json, "dumps", counting_dumps)
+        monkeypatch.setattr("photoauth.service._ACCESS_ENCODER", CountingEncoder(sort_keys=True))
         app = make_app()
-        with caplog.at_level(logging.WARNING, logger="photoauth.service"):
-            app.handle(WireRequest("GET", "/nope"))
-        assert dumped == []
-        with caplog.at_level(logging.INFO, logger="photoauth.service"):
-            app.handle(WireRequest("GET", "/nope"))
-        assert len(dumped) == 1
-        assert [json.loads(r.message) for r in caplog.records] == [
-            {"method": "GET", "path": None, "status": 404, "body_status": "error"}
-        ]
+        app.handle(WireRequest("GET", "/nope"))
+        assert encoded == []
+        app.access_log = io.StringIO()
+        app.handle(WireRequest("GET", "/nope"))
+        assert len(encoded) == 1
+        assert app.access_log.getvalue() == json.dumps(
+            {"method": "GET", "path": None, "status": 404, "body_status": "error"},
+            sort_keys=True,
+        ) + "\n"
 
-    def test_logs_route_templates(self, caplog):
+    def test_logs_route_templates(self):
         app = make_app()
-        with caplog.at_level("INFO", logger="photoauth.service"):
-            first = login(app)
-            digits = first.body["link"].rsplit("/", 1)[-1]
-            click(app, digits)
-            submit_photo(app, digits, photo_dict("microsoft.com"))
-            app.handle(WireRequest("GET", f"/session/{first.body['session_id']}/status"))
-            app.handle(WireRequest("POST", f"/c/{digits}"))
-        paths = [json.loads(r.message)["path"] for r in caplog.records]
+        app.access_log = io.StringIO()
+        first = login(app)
+        digits = first.body["link"].rsplit("/", 1)[-1]
+        click(app, digits)
+        submit_photo(app, digits, photo_dict("microsoft.com"))
+        app.handle(WireRequest("GET", f"/session/{first.body['session_id']}/status"))
+        app.handle(WireRequest("POST", f"/c/{digits}"))
+        paths = [json.loads(line)["path"] for line in app.access_log.getvalue().splitlines()]
         assert paths == ["/login", "/c/{token}", "/c/{token}/photo",
                          "/session/{id}/status", None]
+
+    def test_failing_access_log_leaves_every_answer_unchanged(self):
+        class Refusing(io.StringIO):
+            def __init__(self, exc):
+                super().__init__()
+                self.exc = exc
+                self.calls = 0
+
+            def write(self, text):
+                self.calls += 1
+                raise self.exc
+
+        def drive(stream):
+            app = make_app(seed=21)
+            app.access_log = stream
+            first = login(app)
+            digits = first.body["link"].rsplit("/", 1)[-1]
+            answers = [first]
+            answers += [
+                click(app, digits),
+                submit_photo(app, digits, unreadable_dict()),
+                submit_photo(app, digits, photo_dict("microsoft.com")),
+                app.handle(WireRequest("GET", f"/session/{first.body['session_id']}/status")),
+                app.handle(WireRequest("GET", "/nope")),
+            ]
+            return [(r.status, r.to_bytes(), r.headers) for r in answers]
+
+        expected = drive(None)
+        closed = io.StringIO()
+        closed.close()  # its write raises ValueError
+        for stream in (Refusing(OSError("disk full")), Refusing(BrokenPipeError()), closed):
+            assert drive(stream) == expected
+        refusing = Refusing(OSError())
+        drive(refusing)
+        assert refusing.calls == len(expected)
 
     def test_response_bytes_are_canonical_json(self):
         response = WireResponse(200, {"b": 1, "a": 2})
@@ -1036,6 +1072,8 @@ class TestHttpShell:
         assert status == 404
 
     def test_no_token_or_session_id_reaches_the_log(self, live, conn, caplog):
+        app, _ = live
+        app.access_log = io.StringIO()
         secrets = []
         with caplog.at_level(logging.DEBUG, logger="photoauth.service"):
             for _ in range(3):
@@ -1049,6 +1087,7 @@ class TestHttpShell:
                 self.exchange(conn, "GET", f"/session/{body['session_id']}/status")
                 self.exchange(conn, "GET", f"/c/{digits}/nope")
         messages = [r.getMessage() for r in caplog.records]
+        messages += app.access_log.getvalue().splitlines()
         assert any("/c/{token}" in m for m in messages)
         assert not [m for m in messages for secret in secrets if secret in m]
 
