@@ -241,7 +241,8 @@ class AuthEngine:
                     DecisionKind.DENY, reason=REASON_SESSION_DENIED, session_id=session.id
                 )
             if session.state is SessionState.FALLBACK_OFFERED:
-                return AuthDecision(DecisionKind.FALLBACK, session_id=session.id, warning=True)
+                return AuthDecision(DecisionKind.FALLBACK, session_id=session.id,
+                                    warning=session.phishing_warned)
             if session.state is SessionState.AWAITING_PHOTO:
                 return AuthDecision(DecisionKind.REQUIRE_PHOTO, session_id=session.id)
 

@@ -240,7 +240,7 @@ class App:
                 body["message"] = decision.message
             return WireResponse(200, body)
         if decision.kind is DecisionKind.FALLBACK:
-            return WireResponse(200, {"status": "fallback", "warning": True})
+            return WireResponse(200, {"status": "fallback", "warning": decision.warning})
         assert decision.kind is DecisionKind.DENY
         return WireResponse(403, {"status": "denied", "reason": decision.reason})
 

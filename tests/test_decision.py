@@ -251,6 +251,18 @@ class TestLinkClick:
         )
         assert decision.kind is DecisionKind.FALLBACK
 
+    @pytest.mark.parametrize("warned", [True, False])
+    def test_click_on_fallback_session_answers_its_warning(self, warned):
+        engine = make_engine(retake_cap=0)
+        sent = start_login(engine)
+        token = engine.outbox[0].link.rsplit("/", 1)[1]
+        engine.store.mark_awaiting_photo(sent.session_id)
+        engine.store.record_retake(sent.session_id, warned)
+        decision = engine.handle_link_click(
+            LinkClick(token_digits=token, presented_cookie=None, source_address=PHONE)
+        )
+        assert (decision.kind, decision.warning) == (DecisionKind.FALLBACK, warned)
+
 
 class TestColocationModes:
     def test_cookie_mode_rejects_different_cookie(self):

@@ -409,6 +409,14 @@ class TestPhotoEndpoint:
         response = submit_photo(app, digits, unreadable_dict())
         assert response.body == {"status": "fallback", "warning": False}
 
+    def test_click_after_fallback_answers_as_the_photo_did(self):
+        app = make_app(seed=1, retake_cap=0)
+        _, digits = self.start_pending(app)
+        photo = submit_photo(app, digits, unreadable_dict())
+        assert (photo.status, photo.body) == (200, {"status": "fallback", "warning": False})
+        again = click(app, digits)
+        assert (again.status, again.body) == (200, {"status": "fallback", "warning": False})
+
     def test_photo_before_click_conflicts(self):
         app = make_app()
         first = login(app)
