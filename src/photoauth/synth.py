@@ -67,7 +67,7 @@ class _LayoutFields(NamedTuple):
     bars: tuple[BarTruth, ...]
     title_boxes: tuple[TextRegion, ...]
     content_boxes: tuple[TextRegion, ...]
-    theme: Theme = Theme.LIGHT
+    theme: Theme
 
 
 class BrowserLayout(_LayoutFields):
