@@ -8,7 +8,6 @@ they slot directly into shell-level checks.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 
 # The commands that use the simulator and the corpus generator import
@@ -92,7 +91,6 @@ def _cmd_serve(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot load config: {exc}", file=sys.stderr)
         return 2
-    logging.basicConfig(level=logging.INFO, format="%(message)s")
     serve(config)
     return 0
 

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import ipaddress
 import threading
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, MutableSequence, Optional
+from typing import Iterable, MutableSequence, NamedTuple, Optional
 
 from .domain import DomainName
 from .session import (
@@ -32,6 +31,7 @@ from .session import (
     SessionState,
     SessionStore,
     cookie_value_well_formed,
+    repr_without,
 )
 from .verify import (
     PhotoAnalysis,
@@ -58,28 +58,31 @@ class ColocationMode(Enum):
     SAME_NETWORK = "same-network"
 
 
-@dataclass(frozen=True)
-class ColocationPolicy:
-    """How the server decides the link click came from the login device."""
-
+class _PolicyFields(NamedTuple):
     mode: ColocationMode = ColocationMode.COOKIE_EQUALITY
     prefix_len: int = 24
 
-    def __post_init__(self):
+
+class ColocationPolicy(_PolicyFields):
+    """How the server decides the link click came from the login device."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.prefix_len <= 128:
             raise ValueError(f"prefix_len must be in [0, 128], got {self.prefix_len}")
+        return self
 
 
-@dataclass(frozen=True)
-class AuthRequest:
+class AuthRequest(NamedTuple):
     username: Optional[str]
     presented_cookie: Optional[str]
     source_address: str
     channel: Channel = Channel.PC_BROWSER
 
 
-@dataclass(frozen=True)
-class LinkClick:
+class LinkClick(NamedTuple):
     token_digits: str
     presented_cookie: Optional[str]
     source_address: str
@@ -95,12 +98,12 @@ class DecisionKind(Enum):
     BAD_REQUEST = "bad-request"
 
 
-@dataclass(frozen=True)
-class AuthDecision:
+class AuthDecision(NamedTuple):
     """What the engine decided.
 
     A `LINK_SENT` decision also carries what the login response needs from
-    the new session: its short-link token digits and cookie value.
+    the new session: its short-link token digits and cookie value. The
+    repr leaves both out.
     """
 
     kind: DecisionKind
@@ -109,17 +112,25 @@ class AuthDecision:
     message: Optional[str] = None
     warning: bool = False
     retakes_left: Optional[int] = None
-    token_digits: Optional[str] = field(default=None, repr=False)
-    cookie: Optional[str] = field(default=None, repr=False)
+    token_digits: Optional[str] = None
+    cookie: Optional[str] = None
+
+    def __repr__(self) -> str:
+        return repr_without(self, ("token_digits", "cookie"))
 
 
-@dataclass(frozen=True)
-class Notification:
-    """Short-link message delivered to the account's registered phone."""
+class Notification(NamedTuple):
+    """Short-link message delivered to the account's registered phone.
+
+    The repr leaves the link out.
+    """
 
     username: str
     preference: Preference
-    link: str = field(repr=False)
+    link: str
+
+    def __repr__(self) -> str:
+        return repr_without(self, ("link",))
 
 
 # The answer to a token with no live session. A store write refused after

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 HOSTNAME_MAX_LEN = 253
 LABEL_MAX_LEN = 63
@@ -41,22 +41,26 @@ class InvalidLabel(DomainError):
     """Raised when a hostname label violates length or charset rules."""
 
 
-@dataclass(frozen=True)
-class DomainName:
-    """Canonical hostname: lowercase ASCII labels, already punycoded."""
-
+class _DomainFields(NamedTuple):
     labels: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.labels:
+
+class DomainName(_DomainFields):
+    """Canonical hostname: lowercase ASCII labels, already punycoded."""
+
+    __slots__ = ()
+
+    def __new__(cls, labels: tuple[str, ...]):
+        if not labels:
             raise InvalidLabel("hostname needs at least one label")
-        for label in self.labels:
+        for label in labels:
             if not label or len(label) > LABEL_MAX_LEN:
                 raise InvalidLabel(f"label length out of range: {label!r}")
             if not _LDH_LABEL.match(label):
                 raise InvalidLabel(f"label has characters outside letters/digits/hyphen: {label!r}")
-        if len(str(self)) > HOSTNAME_MAX_LEN:
+        if len(".".join(labels)) > HOSTNAME_MAX_LEN:
             raise InvalidLabel(f"hostname longer than {HOSTNAME_MAX_LEN} chars")
+        return tuple.__new__(cls, (labels,))
 
     def __str__(self) -> str:
         return ".".join(self.labels)

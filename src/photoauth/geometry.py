@@ -7,7 +7,6 @@ not pixel grids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isfinite
 from typing import NamedTuple
 
@@ -53,22 +52,29 @@ class BoundingBox(_BoxFields):
         )
 
 
-@dataclass(frozen=True)
-class Resolution:
-    """Image size in whole pixels."""
-
+class _ResolutionFields(NamedTuple):
     width: int
     height: int
 
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"resolution must be positive, got {self.width}x{self.height}")
-        # Built once: every photo and layout checks its boxes against it.
+
+class Resolution(_ResolutionFields):
+    """Image size in whole pixels.
+
+    Unlike the other validated records it keeps a `__dict__`, to hold the
+    bounds box built once here: every photo and layout checks its boxes
+    against it.
+    """
+
+    def __new__(cls, width: int, height: int):
+        if width <= 0 or height <= 0:
+            raise ValueError(f"resolution must be positive, got {width}x{height}")
         try:
-            bounds = BoundingBox(0, 0, float(self.width), float(self.height))
+            bounds = BoundingBox(0, 0, float(width), float(height))
         except (OverflowError, ValueError) as exc:
             raise ValueError("resolution must be finite and fit a float") from exc
-        object.__setattr__(self, "_bounds", bounds)
+        self = tuple.__new__(cls, (width, height))
+        self._bounds = bounds
+        return self
 
     def bounds(self) -> BoundingBox:
         return self._bounds

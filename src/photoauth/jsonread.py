@@ -1,18 +1,23 @@
 """Typed reading of parsed JSON, for the files the CLI loads.
 
 `from_json` builds a value of a given type from what `json.load`
-returned, taking each dataclass's field types from its own annotations,
-so a loader states no field, type or default a second time.
+returned, taking each record's field types from its own annotations,
+so a loader states no field, type or default a second time. A record
+is a `typing.NamedTuple`, or a subclass of one that checks its fields.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import types
 import typing
 from enum import Enum
 from typing import Any
+
+
+def is_record(tp: Any) -> bool:
+    """True for a `typing.NamedTuple` class or a subclass of one."""
+    return isinstance(tp, type) and issubclass(tp, tuple) and hasattr(tp, "_fields")
 
 
 def from_json(tp: Any, value: Any, where: str) -> Any:
@@ -22,12 +27,12 @@ def from_json(tp: Any, value: Any, where: str) -> Any:
     a bool); `float` (an int too, but never NaN or an infinity); `X | None`
     and other unions (the first member that accepts the value wins);
     `tuple[X, ...]` from a list; a bare `dict` from an object, as it is;
-    Enums by value; dataclasses from objects. A field missing from the
+    Enums by value; records from objects. A field missing from the
     object keeps its default, and keys that name no field are ignored.
 
     Raises:
         ValueError: the value does not fit `tp`, a required field is
-            missing, or the dataclass rejects its fields. The message
+            missing, or the record rejects its fields. The message
             starts with the key path, `where` for the top level.
     """
     if typing.get_origin(tp) in (typing.Union, types.UnionType):
@@ -58,7 +63,7 @@ def from_json(tp: Any, value: Any, where: str) -> Any:
         except ValueError:
             names = ", ".join(repr(member.value) for member in tp)
             raise ValueError(f"{where}: expected one of {names}, got {value!r}") from None
-    if tp is not dict and not dataclasses.is_dataclass(tp):
+    if tp is not dict and not is_record(tp):
         raise TypeError(f"no JSON reading for {tp!r}")
     if type(value) is not dict:
         raise ValueError(f"{where}: expected an object, got {type(value).__name__}")
@@ -66,11 +71,11 @@ def from_json(tp: Any, value: Any, where: str) -> Any:
         return value
     hints = typing.get_type_hints(tp)
     kwargs = {}
-    for f in dataclasses.fields(tp):
-        if f.name in value:
-            kwargs[f.name] = from_json(hints[f.name], value[f.name], f"{where}.{f.name}")
-        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
-            raise ValueError(f"{where}.{f.name}: missing")
+    for name in tp._fields:
+        if name in value:
+            kwargs[name] = from_json(hints[name], value[name], f"{where}.{name}")
+        elif name not in tp._field_defaults:
+            raise ValueError(f"{where}.{name}: missing")
     try:
         return tp(**kwargs)
     except ValueError as exc:

@@ -10,7 +10,6 @@ object per connection.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import random
 import re
@@ -19,18 +18,20 @@ import socket
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from http import HTTPStatus
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional, TextIO
 
 from .decision import (
+    AuthDecision,
     AuthEngine,
     AuthRequest,
     ColocationMode,
     ColocationPolicy,
     DecisionKind,
     LinkClick,
-    REASON_UNKNOWN_TOKEN,
+    REASON_PHISHING,
     UnknownUser,
 )
 from .domain import extract_hostname
@@ -49,8 +50,6 @@ from .session import (
 )
 from .verify import VerifyConfig, analysis_from_dict
 
-logger = logging.getLogger("photoauth.service")
-
 ENV_PORT = "PHOTOAUTH_PORT"
 ENV_SEED = "PHOTOAUTH_SEED"
 
@@ -61,12 +60,11 @@ MAX_BODY_BYTES = 64 * 1024
 # A kept-alive connection with no request for this long is closed.
 IDLE_TIMEOUT_S = 30.0
 
-@dataclass(frozen=True)
-class Config:
-    """Service settings; `server_domains[0]` names the service itself."""
 
+class _ConfigFields(NamedTuple):
     server_domains: tuple[str, ...] = ("microsoft.com",)
-    users: dict = field(default_factory=lambda: {"bob": "sms"})
+    # Read from JSON as a dict; the default is a read-only view.
+    users: dict = MappingProxyType({"bob": "sms"})
     token_length: int = DEFAULT_TOKEN_LENGTH
     retake_cap: int = DEFAULT_RETAKE_CAP
     cr_threshold: float = 0.8
@@ -76,7 +74,14 @@ class Config:
     port: int = 8443
     seed: Optional[int] = None
 
-    def __post_init__(self):
+
+class Config(_ConfigFields):
+    """Service settings; `server_domains[0]` names the service itself."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.server_domains:
             raise ValueError("need at least one server domain")
         for name in self.server_domains:
@@ -97,6 +102,7 @@ class Config:
             raise ValueError("port must be in [0, 65535]")
         for pref in self.users.values():
             Preference(pref)
+        return self
 
     @property
     def policy(self) -> ColocationPolicy:
@@ -120,20 +126,21 @@ def load_config(path: str) -> Config:
         return config_from_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class WireRequest:
+_NO_HEADERS: Mapping[str, str] = MappingProxyType({})
+
+
+class WireRequest(NamedTuple):
     method: str
     path: str
-    headers: dict = field(default_factory=dict)
+    headers: Mapping[str, str] = _NO_HEADERS
     body: Optional[dict] = None
     source_address: str = "0.0.0.0"
 
 
-@dataclass(frozen=True)
-class WireResponse:
+class WireResponse(NamedTuple):
     status: int
     body: dict
-    headers: dict = field(default_factory=dict)
+    headers: Mapping[str, str] = _NO_HEADERS
 
     def to_bytes(self) -> bytes:
         return _BODY_ENCODER.encode(self.body).encode()
@@ -152,7 +159,7 @@ _PHOTO_PATH = re.compile(r"/c/([0-9]+)/photo")
 _STATUS_PATH = re.compile(r"/session/([0-9a-f]+)/status")
 
 
-def _cookie_from_headers(headers: dict) -> Optional[str]:
+def _cookie_from_headers(headers: Mapping[str, str]) -> Optional[str]:
     raw = headers.get("Cookie") or headers.get("cookie")
     if raw is None:
         return None
@@ -160,6 +167,40 @@ def _cookie_from_headers(headers: dict) -> Optional[str]:
     # A Cookie header that does not carry our morsel is malformed for us:
     # report it rather than silently starting a new session.
     return m.group(1) if m else ""
+
+
+def _write(stream: TextIO, text: str) -> None:
+    """Write `text` in one call; a closed or failing stream drops it."""
+    try:
+        stream.write(text)
+    except (OSError, ValueError):
+        pass
+
+
+def _answer(decision: AuthDecision, digits: str) -> WireResponse:
+    """The answer to a click or a photo decision, the same on both routes."""
+    kind = decision.kind
+    if kind is DecisionKind.AUTHORIZE:
+        return WireResponse(200, {"status": "authorized"})
+    if kind is DecisionKind.FALLBACK:
+        return WireResponse(200, {"status": "fallback", "warning": decision.warning})
+    if kind is DecisionKind.REQUIRE_PHOTO:
+        body = {"status": "photo-required", "upload": f"/c/{digits}/photo"}
+        if decision.message:
+            body["message"] = decision.message
+        return WireResponse(200, body)
+    if kind is DecisionKind.REQUEST_RETAKE:
+        return WireResponse(200, {
+            "status": "retake",
+            "reason": decision.reason,
+            "warning": decision.warning,
+            "retakes_left": decision.retakes_left,
+        })
+    assert kind is DecisionKind.DENY
+    if decision.reason == REASON_PHISHING:
+        # The photo was read and decided the login; the user is warned.
+        return WireResponse(200, {"status": "denied", "reason": decision.reason, "warning": True})
+    return WireResponse(403, {"status": "denied", "reason": decision.reason})
 
 
 class App:
@@ -232,17 +273,7 @@ class App:
             )
         except RateLimited:
             return WireResponse(429, {"status": "error", "reason": "rate-limited"})
-        if decision.kind is DecisionKind.AUTHORIZE:
-            return WireResponse(200, {"status": "authorized"})
-        if decision.kind is DecisionKind.REQUIRE_PHOTO:
-            body = {"status": "photo-required", "upload": f"/c/{digits}/photo"}
-            if decision.message:
-                body["message"] = decision.message
-            return WireResponse(200, body)
-        if decision.kind is DecisionKind.FALLBACK:
-            return WireResponse(200, {"status": "fallback", "warning": decision.warning})
-        assert decision.kind is DecisionKind.DENY
-        return WireResponse(403, {"status": "denied", "reason": decision.reason})
+        return _answer(decision, digits)
 
     def _photo(self, req: WireRequest, digits: str) -> WireResponse:
         if req.body is None:
@@ -259,27 +290,7 @@ class App:
             return WireResponse(409, {"status": "error", "reason": "not-awaiting-photo"})
         except RateLimited:
             return WireResponse(429, {"status": "error", "reason": "rate-limited"})
-        if decision.kind is DecisionKind.AUTHORIZE:
-            return WireResponse(200, {"status": "authorized"})
-        if decision.kind is DecisionKind.DENY and decision.reason == REASON_UNKNOWN_TOKEN:
-            return WireResponse(403, {"status": "denied", "reason": decision.reason})
-        if decision.kind is DecisionKind.DENY:
-            return WireResponse(
-                200,
-                {"status": "denied", "reason": decision.reason, "warning": True},
-            )
-        if decision.kind is DecisionKind.FALLBACK:
-            return WireResponse(200, {"status": "fallback", "warning": decision.warning})
-        assert decision.kind is DecisionKind.REQUEST_RETAKE
-        return WireResponse(
-            200,
-            {
-                "status": "retake",
-                "reason": decision.reason,
-                "warning": decision.warning,
-                "retakes_left": decision.retakes_left,
-            },
-        )
+        return _answer(decision, digits)
 
     def _status(self, session_id: str) -> WireResponse:
         state = self.engine.session_state(session_id)
@@ -297,10 +308,7 @@ class App:
                 "status": response.status,
                 "body_status": response.body.get("status"),
             })
-            try:
-                self.access_log.write(line + "\n")
-            except (OSError, ValueError):  # a closed or failing stream
-                pass
+            _write(self.access_log, line + "\n")
         return response
 
     def _route(self, req: WireRequest) -> tuple[Optional[str], WireResponse]:
@@ -580,7 +588,10 @@ class _Connection:
         try:
             return self.server.app.handle(req)
         except Exception:
-            logger.exception("unhandled error in %s request", head.method)
+            import traceback  # loaded on the first failure, not at every start
+
+            _write(sys.stderr, f"unhandled error in {head.method} request\n"
+                               + traceback.format_exc())
             return _error(500, "internal-error")
 
     def write(self, response: WireResponse, close: bool) -> None:
@@ -642,15 +653,18 @@ class _Connection:
 
 
 def serve(config: Config) -> None:
-    """Run the HTTP server until interrupted, one access line per request on stderr."""
+    """Run the HTTP server until interrupted.
+
+    Writes to stderr a `listening` line, one access line per request, and
+    the traceback of any request that fails.
+    """
     app = App(config)
     app.access_log = sys.stderr
     server = HttpServer(app, "0.0.0.0", config.port)
     try:
-        logger.info(
-            "%s", json.dumps({"event": "listening", "port": server.port,
-                              "domain": str(app.store.server_domain)}, sort_keys=True)
-        )
+        _write(sys.stderr, json.dumps({"event": "listening", "port": server.port,
+                                       "domain": str(app.store.server_domain)},
+                                      sort_keys=True) + "\n")
         server.run()
     except KeyboardInterrupt:
         pass

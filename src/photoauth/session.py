@@ -11,9 +11,8 @@ import random
 import re
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .domain import DomainName
 
@@ -68,8 +67,7 @@ _STARTS: dict[str, frozenset[SessionState]] = {
 }
 
 
-@dataclass(frozen=True)
-class Cookie:
+class Cookie(NamedTuple):
     """Session cookie, set for the server's own origin."""
 
     value: str
@@ -79,20 +77,30 @@ def cookie_value_well_formed(value: str) -> bool:
     return bool(_COOKIE_RE.match(value))
 
 
-@dataclass(frozen=True)
-class Session:
+def repr_without(record: tuple, hidden: tuple[str, ...]) -> str:
+    """A record's repr with the `hidden` fields left out, so no secret reaches a log."""
+    shown = ", ".join(
+        f"{name}={value!r}" for name, value in zip(record._fields, record) if name not in hidden
+    )
+    return f"{type(record).__name__}({shown})"
+
+
+class Session(NamedTuple):
     """Immutable snapshot of one login attempt."""
 
     id: str
     username: str
-    cookie: Cookie = field(repr=False)
-    token: Optional[str] = field(repr=False)
+    cookie: Cookie
+    token: Optional[str]
     state: SessionState
     retakes: int
     created_at: float
     login_source: str
     login_channel: Channel
     phishing_warned: bool = False
+
+    def __repr__(self) -> str:
+        return repr_without(self, ("cookie", "token"))
 
 
 # Unseeded draws come from the OS's CSPRNG, as `secrets` draws them; importing
@@ -198,7 +206,7 @@ class SessionStore:
             raise InvalidState(f"no live session {session_id!r}")
         if session.state not in _STARTS[op]:
             raise InvalidState(f"{op} cannot start from {session.state.value}")
-        updated = replace(session, **step(session))
+        updated = Session(**{**session._asdict(), **step(session)})
         self._sessions[session_id] = updated
         return updated
 

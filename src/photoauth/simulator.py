@@ -18,13 +18,13 @@ across repeats.
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import json
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, NamedTuple, Optional
 
 from .decision import (
     AuthDecision,
@@ -37,7 +37,7 @@ from .decision import (
     Notification,
 )
 from .domain import extract_hostname
-from .jsonread import from_json
+from .jsonread import from_json, is_record
 from .session import Channel, Preference, SessionStore, draw_token_digits
 from .synth import (
     DetectorProfile,
@@ -68,8 +68,7 @@ class OutcomeKind(Enum):
     FALLBACK = "fallback"
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     kind: OutcomeKind
     detail: Optional[str] = None
 
@@ -111,14 +110,14 @@ class RtpProxy:
         return text.replace(self.upstream_domain, self.fake_domain)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Declarative description of one run: who acts, what happens, what should hold."""
 
     name: str
     kind: str
     seed: int
-    params: dict = field(default_factory=dict)
+    # Read from JSON as a dict; the default is a read-only view.
+    params: dict = MappingProxyType({})
     expected: Optional[Outcome] = None
 
 
@@ -650,10 +649,10 @@ def load_scenario(path: str, seed_override: int | None = None) -> Scenario:
         if key == "seed" or key not in accepted:
             raise ValueError(f"scenario kind {scenario.kind!r} takes no param {key!r}")
         tp = accepted[key].annotation
-        if dataclasses.is_dataclass(tp):
+        if is_record(tp):
             raise ValueError(f"param {key!r} cannot be set from a scenario file")
         params[key] = from_json(tp, value, f"scenario.params.{key}")
-    return dataclasses.replace(scenario, params=params)
+    return Scenario(scenario.name, scenario.kind, scenario.seed, params, scenario.expected)
 
 
 def matches_expectation(report: ScenarioReport, expected: Outcome | None) -> bool:

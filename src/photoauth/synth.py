@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
 from difflib import SequenceMatcher
 from enum import Enum
 from typing import NamedTuple
@@ -103,8 +102,14 @@ class BrowserLayout(_LayoutFields):
         return tuple.__new__(cls, (resolution, bars, title_boxes, content_boxes, theme))
 
 
-@dataclass(frozen=True)
-class OcrModel:
+class _OcrFields(NamedTuple):
+    oracle: bool = True
+    sub_rate: float = 0.0
+    dot_drop_rate_dark: float = 0.0
+    split_url: bool = False
+
+
+class OcrModel(_OcrFields):
     """Character recognition model.
 
     Oracle mode returns every string exactly. Noisy mode substitutes each
@@ -113,19 +118,25 @@ class OcrModel:
     the URL into two adjacent regions.
     """
 
-    oracle: bool = True
-    sub_rate: float = 0.0
-    dot_drop_rate_dark: float = 0.0
-    split_url: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for p in (self.sub_rate, self.dot_drop_rate_dark):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"rate must be in [0, 1], got {p}")
+        return self
 
 
-@dataclass(frozen=True)
-class AddrbarModel:
+class _AddrbarFields(NamedTuple):
+    oracle: bool = True
+    jitter_px: float = 0.0
+    cutoff_prob: float = 0.0
+    miss_prob: float = 0.0
+    spurious_prob: float = 0.0
+
+
+class AddrbarModel(_AddrbarFields):
     """Address-bar detection model.
 
     Oracle mode reports every true bar at confidence 1.0. Noisy mode
@@ -134,22 +145,19 @@ class AddrbarModel:
     sometimes invents a spurious bar elsewhere.
     """
 
-    oracle: bool = True
-    jitter_px: float = 0.0
-    cutoff_prob: float = 0.0
-    miss_prob: float = 0.0
-    spurious_prob: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.jitter_px < 0:
             raise ValueError("jitter_px must be non-negative")
         for p in (self.cutoff_prob, self.miss_prob, self.spurious_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability must be in [0, 1], got {p}")
+        return self
 
 
-@dataclass(frozen=True)
-class DetectorProfile:
+class DetectorProfile(NamedTuple):
     ocr: OcrModel = OcrModel()
     addrbar: AddrbarModel = AddrbarModel()
     seed: int = 0
@@ -230,12 +238,13 @@ def generate_layout(
     `seed`.
     """
     rng = random.Random(seed)
+    width, height = resolution.width, resolution.height
     name = extract_hostname(domain)
     url = str(name)
 
     bar_x = float(rng.randint(8, 40))
     bar_y = float(rng.randint(36, 90))
-    bar_w = rng.uniform(0.45, 0.75) * resolution.width
+    bar_w = rng.uniform(0.45, 0.75) * width
     bar_h = float(rng.randint(38, 64))
     bar = _clamp_box(bar_x, bar_y, bar_w, bar_h, resolution)
 
@@ -259,7 +268,7 @@ def generate_layout(
     title_h = float(rng.randint(18, min(26, int(bar.y) - 6)))
     title_y = rng.uniform(2, bar.y - title_h - 2)
     title_w = rng.uniform(180, 420)
-    title_x = rng.uniform(60, resolution.width * 0.4)
+    title_x = rng.uniform(60, width * 0.4)
     titles = [TextRegion(_clamp_box(title_x, title_y, title_w, title_h, resolution), title_text)]
     # Titles may not dip into the bar.
     if titles[0].box.bottom > bar.y:
@@ -279,18 +288,18 @@ def generate_layout(
     for line in content_lines[: rng.randint(2, 3)]:
         h = rng.uniform(22, 34)
         w = rng.uniform(240, 700)
-        x = rng.uniform(40, resolution.width * 0.5)
-        if y + h >= resolution.height:
+        x = rng.uniform(40, width * 0.5)
+        if y + h >= height:
             break
         contents.append(TextRegion(_clamp_box(x, y, w, h, resolution), line))
         y += h + rng.uniform(16, 44)
 
     if variant is LayoutVariant.PICTURE_IN_PICTURE:
         spoof_url = injected_text if injected_text is not None else url
-        spoof_w = rng.uniform(0.35, 0.55) * resolution.width
+        spoof_w = rng.uniform(0.35, 0.55) * width
         spoof_h = rng.uniform(36, 56)
-        spoof_x = rng.uniform(60, resolution.width - spoof_w - 20)
-        spoof_y = rng.uniform(y + 20, resolution.height - spoof_h - 20)
+        spoof_x = rng.uniform(60, width - spoof_w - 20)
+        spoof_y = rng.uniform(y + 20, height - spoof_h - 20)
         spoof = _clamp_box(spoof_x, spoof_y, spoof_w, spoof_h, resolution)
         bars.append(
             BarTruth(box=spoof, url_text_box=url_box_inside(spoof, spoof_url), url_string=spoof_url)
@@ -337,8 +346,9 @@ def _detect_bar(
     u_miss = rng.random()
     u_cut = rng.random()
     cut_frac = rng.uniform(0.2, 0.55)
-    dx = rng.uniform(-model.jitter_px, model.jitter_px)
-    dy = rng.uniform(-model.jitter_px, model.jitter_px)
+    jitter = model.jitter_px
+    dx = rng.uniform(-jitter, jitter)
+    dy = rng.uniform(-jitter, jitter)
     conf = rng.uniform(0.82, 0.99)
 
     if model.oracle:
@@ -367,13 +377,16 @@ def simulate_detection(
     if rng is None:
         rng = random.Random(profile.seed)
     res = layout.resolution
+    # Each read once: a record's field costs more to read than a local.
+    ocr, addrbar, theme = profile.ocr, profile.addrbar, layout.theme
+    split_url = ocr.split_url and not ocr.oracle
 
     texts: list[TextRegion] = []
     for region in layout.title_boxes:
-        texts.append(TextRegion(region.box, apply_ocr_noise(region.text, profile.ocr, layout.theme, rng)))
+        texts.append(TextRegion(region.box, apply_ocr_noise(region.text, ocr, theme, rng)))
     for bar in layout.bars:
-        seen = apply_ocr_noise(bar.url_string, profile.ocr, layout.theme, rng)
-        if profile.ocr.split_url and not profile.ocr.oracle and len(seen) >= 2:
+        seen = apply_ocr_noise(bar.url_string, ocr, theme, rng)
+        if split_url and len(seen) >= 2:
             half = len(seen) // 2
             box = bar.url_text_box
             left_w = box.width * (half / len(seen))
@@ -385,11 +398,11 @@ def simulate_detection(
         else:
             texts.append(TextRegion(bar.url_text_box, seen))
     for region in layout.content_boxes:
-        texts.append(TextRegion(region.box, apply_ocr_noise(region.text, profile.ocr, layout.theme, rng)))
+        texts.append(TextRegion(region.box, apply_ocr_noise(region.text, ocr, theme, rng)))
 
     bars: list[AddressBarPrediction] = []
     for bar in layout.bars:
-        pred = _detect_bar(bar, profile.addrbar, res, rng)
+        pred = _detect_bar(bar, addrbar, res, rng)
         if pred is not None:
             bars.append(pred)
     # Spurious bar draws happen unconditionally to keep streams aligned.
@@ -399,7 +412,7 @@ def simulate_detection(
     spur_x = rng.uniform(0, res.width - spur_w)
     spur_y = rng.uniform(res.height * 0.5, res.height - spur_h)
     spur_conf = rng.uniform(0.25, 0.95)
-    if not profile.addrbar.oracle and u_spur < profile.addrbar.spurious_prob:
+    if not addrbar.oracle and u_spur < addrbar.spurious_prob:
         bars.append(AddressBarPrediction(_clamp_box(spur_x, spur_y, spur_w, spur_h, res), spur_conf))
 
     return PhotoAnalysis(resolution=res, texts=tuple(texts), addrbars=tuple(bars))
@@ -410,18 +423,23 @@ def simulate_detection(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
+class _GeneratorFields(NamedTuple):
     domains: tuple[str, ...] = ("microsoft.com",)
     resolution: Resolution = Resolution(1920, 1080)
     dark_fraction: float = 0.5
     variant: LayoutVariant = LayoutVariant.DEFAULT
 
-    def __post_init__(self):
+
+class GeneratorParams(_GeneratorFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.domains:
             raise ValueError("need at least one domain")
         if not 0.0 <= self.dark_fraction <= 1.0:
             raise ValueError("dark_fraction must be in [0, 1]")
+        return self
 
 
 class EvalCounts(NamedTuple):
@@ -491,17 +509,20 @@ def evaluate_corpus(
     if n <= 0:
         raise ValueError("n must be positive")
     base = profile.seed if seed is None else seed
+    domains, resolution, dark_fraction, variant = (
+        params.domains, params.resolution, params.dark_fraction, params.variant
+    )
     tp = fp = fn = retakes = 0
     for i in range(n):
         rng = random.Random(base * 1_000_003 + i)
-        domain = params.domains[i % len(params.domains)]
-        theme = Theme.DARK if rng.random() < params.dark_fraction else Theme.LIGHT
+        domain = domains[i % len(domains)]
+        theme = Theme.DARK if rng.random() < dark_fraction else Theme.LIGHT
         layout = generate_layout(
             domain,
             theme=theme,
-            variant=params.variant,
+            variant=variant,
             seed=rng.getrandbits(32),
-            resolution=params.resolution,
+            resolution=resolution,
         )
         result = verify_photo(simulate_detection(layout, profile, rng), accept_set, verify_cfg)
         if result.kind is VerdictKind.MATCH:

@@ -8,7 +8,6 @@ server's accepted names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
 
@@ -82,13 +81,18 @@ class PhotoAnalysis(_AnalysisFields):
         return tuple.__new__(cls, (resolution, texts, addrbars))
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
+class _VerifyConfigFields(NamedTuple):
     cr_threshold: float = 0.8
 
-    def __post_init__(self):
+
+class VerifyConfig(_VerifyConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.cr_threshold <= 1.0:
             raise ValueError(f"cr_threshold must be in (0, 1], got {self.cr_threshold}")
+        return self
 
 
 class ExtractionKind(Enum):
@@ -139,9 +143,10 @@ def extract_domain(analysis: PhotoAnalysis, cfg: VerifyConfig = VerifyConfig()) 
     bar = bars[0]
 
     candidates = []
+    threshold = cfg.cr_threshold
     for region in analysis.texts:
         cr = cover_rate(region.box, bar.box)
-        if cr >= cfg.cr_threshold:
+        if cr >= threshold:
             candidates.append((cr, region))
     if not candidates:
         return ExtractionOutcome(ExtractionKind.NO_QUALIFYING_TEXT)

@@ -18,8 +18,17 @@ from math import isfinite
 
 import numpy as np
 
+from photoauth.decision import ColocationMode
+from photoauth.domain import (
+    HOSTNAME_MAX_LEN,
+    LABEL_MAX_LEN,
+    InvalidLabel,
+    _LDH_LABEL,
+    extract_hostname,
+)
 from photoauth.geometry import BoundingBox, intersection_area
-from photoauth.synth import CONFUSION_MAP, Theme, _FALLBACK_ALPHABET
+from photoauth.session import MAX_TOKEN_LENGTH, MIN_TOKEN_LENGTH, Channel, Preference
+from photoauth.synth import CONFUSION_MAP, LayoutVariant, Theme, _FALLBACK_ALPHABET
 
 
 def paint(box, grid=128):
@@ -174,3 +183,157 @@ OldVerifyResult = _frozen("VerifyResult",
 OldEvalCounts = _frozen("EvalCounts",
                         ["true_positives", "false_positives", "false_negatives", "retakes", "total"])
 OldEvalReport = _frozen("EvalReport", ["counts"])
+
+
+# The records that were dataclasses until every value type became a named tuple.
+
+
+def check_domain_name(self):
+    if not self.labels:
+        raise InvalidLabel("hostname needs at least one label")
+    for label in self.labels:
+        if not label or len(label) > LABEL_MAX_LEN:
+            raise InvalidLabel(f"label length out of range: {label!r}")
+        if not _LDH_LABEL.match(label):
+            raise InvalidLabel(f"label has characters outside letters/digits/hyphen: {label!r}")
+    if len(str(self)) > HOSTNAME_MAX_LEN:
+        raise InvalidLabel(f"hostname longer than {HOSTNAME_MAX_LEN} chars")
+
+
+def check_resolution(self):
+    if self.width <= 0 or self.height <= 0:
+        raise ValueError(f"resolution must be positive, got {self.width}x{self.height}")
+    try:
+        bounds = BoundingBox(0, 0, float(self.width), float(self.height))
+    except (OverflowError, ValueError) as exc:
+        raise ValueError("resolution must be finite and fit a float") from exc
+    object.__setattr__(self, "_bounds", bounds)
+
+
+def check_verify_config(self):
+    if not 0.0 < self.cr_threshold <= 1.0:
+        raise ValueError(f"cr_threshold must be in (0, 1], got {self.cr_threshold}")
+
+
+def check_colocation_policy(self):
+    if not 0 <= self.prefix_len <= 128:
+        raise ValueError(f"prefix_len must be in [0, 128], got {self.prefix_len}")
+
+
+def check_config(self):
+    if not self.server_domains:
+        raise ValueError("need at least one server domain")
+    for name in self.server_domains:
+        if not isinstance(name, str):
+            raise ValueError(f"server domain must be a string, got {name!r}")
+        extract_hostname(name)
+    if not MIN_TOKEN_LENGTH <= self.token_length <= MAX_TOKEN_LENGTH:
+        raise ValueError(f"token_length must be in [{MIN_TOKEN_LENGTH}, {MAX_TOKEN_LENGTH}]")
+    OldVerifyConfig(self.cr_threshold)
+    self.policy
+    if not self.session_ttl_s > 0:
+        raise ValueError("session_ttl_s must be positive")
+    if self.retake_cap < 0:
+        raise ValueError("retake_cap must be non-negative")
+    if not 0 <= self.port <= 65535:
+        raise ValueError("port must be in [0, 65535]")
+    for pref in self.users.values():
+        Preference(pref)
+
+
+def check_ocr_model(self):
+    for p in (self.sub_rate, self.dot_drop_rate_dark):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"rate must be in [0, 1], got {p}")
+
+
+def check_addrbar_model(self):
+    if self.jitter_px < 0:
+        raise ValueError("jitter_px must be non-negative")
+    for p in (self.cutoff_prob, self.miss_prob, self.spurious_prob):
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"probability must be in [0, 1], got {p}")
+
+
+def check_generator_params(self):
+    if not self.domains:
+        raise ValueError("need at least one domain")
+    if not 0.0 <= self.dark_fraction <= 1.0:
+        raise ValueError("dark_fraction must be in [0, 1]")
+
+
+def _hidden(name, default=dataclasses.MISSING):
+    """A field left out of the repr."""
+    return (name, object, dataclasses.field(default=default, repr=False))
+
+
+def _fresh(name, factory):
+    """A field whose default is a new mutable object per value."""
+    return (name, object, dataclasses.field(default_factory=factory))
+
+
+OldDomainName = _frozen("DomainName", ["labels"], check_domain_name,
+                        __str__=lambda self: ".".join(self.labels))
+OldResolution = _frozen("Resolution", ["width", "height"], check_resolution,
+                        bounds=lambda self: self._bounds)
+OldVerifyConfig = _frozen("VerifyConfig", [("cr_threshold", float, 0.8)], check_verify_config)
+OldColocationPolicy = _frozen(
+    "ColocationPolicy",
+    [("mode", ColocationMode, ColocationMode.COOKIE_EQUALITY), ("prefix_len", int, 24)],
+    check_colocation_policy,
+)
+OldAuthRequest = _frozen("AuthRequest", ["username", "presented_cookie", "source_address",
+                                         ("channel", Channel, Channel.PC_BROWSER)])
+OldLinkClick = _frozen("LinkClick", ["token_digits", "presented_cookie", "source_address"])
+OldAuthDecision = _frozen(
+    "AuthDecision",
+    ["kind", ("reason", object, None), ("session_id", object, None), ("message", object, None),
+     ("warning", bool, False), ("retakes_left", object, None),
+     _hidden("token_digits", None), _hidden("cookie", None)],
+)
+OldNotification = _frozen("Notification", ["username", "preference", _hidden("link")])
+OldCookie = _frozen("Cookie", ["value"])
+OldSession = _frozen(
+    "Session",
+    ["id", "username", _hidden("cookie"), _hidden("token"), "state", "retakes", "created_at",
+     "login_source", "login_channel", ("phishing_warned", bool, False)],
+)
+OldConfig = _frozen(
+    "Config",
+    [("server_domains", tuple, ("microsoft.com",)), _fresh("users", lambda: {"bob": "sms"}),
+     ("token_length", int, 10), ("retake_cap", int, 5), ("cr_threshold", float, 0.8),
+     ("colocation_mode", str, "cookie"), ("colocation_prefix_len", int, 24),
+     ("session_ttl_s", float, 300.0), ("port", int, 8443), ("seed", object, None)],
+    check_config,
+    policy=property(lambda self: OldColocationPolicy(ColocationMode(self.colocation_mode),
+                                                     self.colocation_prefix_len)),
+)
+OldWireRequest = _frozen("WireRequest", ["method", "path", _fresh("headers", dict),
+                                         ("body", object, None),
+                                         ("source_address", str, "0.0.0.0")])
+OldWireResponse = _frozen("WireResponse", ["status", "body", _fresh("headers", dict)])
+OldOcrModel = _frozen(
+    "OcrModel",
+    [("oracle", bool, True), ("sub_rate", float, 0.0), ("dot_drop_rate_dark", float, 0.0),
+     ("split_url", bool, False)],
+    check_ocr_model,
+)
+OldAddrbarModel = _frozen(
+    "AddrbarModel",
+    [("oracle", bool, True), ("jitter_px", float, 0.0), ("cutoff_prob", float, 0.0),
+     ("miss_prob", float, 0.0), ("spurious_prob", float, 0.0)],
+    check_addrbar_model,
+)
+OldDetectorProfile = _frozen(
+    "DetectorProfile",
+    [("ocr", object, OldOcrModel()), ("addrbar", object, OldAddrbarModel()), ("seed", int, 0)],
+)
+OldGeneratorParams = _frozen(
+    "GeneratorParams",
+    [("domains", tuple, ("microsoft.com",)), ("resolution", object, OldResolution(1920, 1080)),
+     ("dark_fraction", float, 0.5), ("variant", LayoutVariant, LayoutVariant.DEFAULT)],
+    check_generator_params,
+)
+OldOutcome = _frozen("Outcome", ["kind", ("detail", object, None)])
+OldScenario = _frozen("Scenario", ["name", "kind", "seed", _fresh("params", dict),
+                                   ("expected", object, None)])

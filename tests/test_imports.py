@@ -1,8 +1,12 @@
 """The runtime stays stdlib-only: every absolute import in the package
-names a standard library module or the package itself."""
+names a standard library module or the package itself. And what the
+server and the corpus generator import at start stays small."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -30,3 +34,30 @@ def test_imports_only_the_stdlib_and_the_package(path):
     allowed = sys.stdlib_module_names | {"photoauth"}
     outside = [(line, name) for line, name in absolute_imports(path) if name not in allowed]
     assert outside == []
+
+
+def modules_loaded_by(statement):
+    """The modules a fresh interpreter holds after `statement`.
+
+    `-S` skips site-packages, so no `.pth` file there can load a module
+    the package itself does not.
+    """
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return set(json.loads(out))
+
+
+def test_the_server_loads_no_dataclasses_inspect_or_logging():
+    loaded = modules_loaded_by("import photoauth.cli")
+    assert "photoauth.service" in loaded
+    assert loaded & {"dataclasses", "inspect", "logging"} == set()
+
+
+def test_the_corpus_path_loads_no_dataclasses():
+    loaded = modules_loaded_by("import photoauth.synth, photoauth.verify, photoauth.domain")
+    assert "photoauth.synth" in loaded
+    assert "dataclasses" not in loaded

@@ -1,7 +1,6 @@
 import json
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -12,13 +11,11 @@ class Color(Enum):
     RED = "red"
 
 
-@dataclass(frozen=True)
-class Inner:
+class Inner(NamedTuple):
     rate: float = 0.5
 
 
-@dataclass(frozen=True)
-class Outer:
+class _OuterFields(NamedTuple):
     name: str
     count: int = 1
     flag: bool = False
@@ -27,9 +24,17 @@ class Outer:
     color: Color | str = Color.RED
     inner: Inner = Inner()
 
-    def __post_init__(self):
+
+class Outer(_OuterFields):
+    """A record that checks its fields, as the package's validated records do."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.count < 0:
             raise ValueError("count must be non-negative")
+        return self
 
 
 class TestFromJson:

@@ -5,7 +5,6 @@ import http.client
 import io
 import itertools
 import json
-import logging
 import re
 import select
 import selectors
@@ -1079,25 +1078,41 @@ class TestHttpShell:
         status, _, _ = self.exchange(conn, "GET", "/nope")
         assert status == 404
 
-    def test_no_token_or_session_id_reaches_the_log(self, live, conn, caplog):
+    def test_no_token_or_session_id_reaches_the_log(self, live, conn, capsys):
         app, _ = live
-        app.access_log = io.StringIO()
+        app.access_log = sys.stderr  # as `serve` sets it
         secrets = []
-        with caplog.at_level(logging.DEBUG, logger="photoauth.service"):
-            for _ in range(3):
-                _, body, _ = self.exchange(conn, "POST", "/login",
-                                           json.dumps({"username": "bob"}))
-                digits = body["link"].rsplit("/", 1)[-1]
-                secrets += [digits, body["session_id"]]
-                self.exchange(conn, "GET", f"/c/{digits}")
-                self.exchange(conn, "POST", f"/c/{digits}/photo",
-                              json.dumps(photo_dict("microsoft.com")))
-                self.exchange(conn, "GET", f"/session/{body['session_id']}/status")
-                self.exchange(conn, "GET", f"/c/{digits}/nope")
-        messages = [r.getMessage() for r in caplog.records]
-        messages += app.access_log.getvalue().splitlines()
-        assert any("/c/{token}" in m for m in messages)
-        assert not [m for m in messages for secret in secrets if secret in m]
+        for _ in range(3):
+            _, body, _ = self.exchange(conn, "POST", "/login", json.dumps({"username": "bob"}))
+            digits = body["link"].rsplit("/", 1)[-1]
+            secrets += [digits, body["session_id"]]
+            self.exchange(conn, "GET", f"/c/{digits}")
+            self.exchange(conn, "POST", f"/c/{digits}/photo",
+                          json.dumps(photo_dict("microsoft.com")))
+            self.exchange(conn, "GET", f"/session/{body['session_id']}/status")
+            self.exchange(conn, "GET", f"/c/{digits}/nope")
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 15
+        assert any("/c/{token}" in line for line in lines)
+        assert not [line for line in lines for secret in secrets if secret in line]
+
+    def test_an_unhandled_error_writes_one_record_and_its_traceback(self, live, conn, capsys,
+                                                                     monkeypatch):
+        app, _ = live
+
+        def broken(req, digits):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(app, "_click", broken)
+        status, body, response = self.exchange(conn, "GET", "/c/1234567890")
+        assert (status, body) == (500, {"status": "error", "reason": "internal-error"})
+        assert response.getheader("Connection") is None  # the connection stays open
+        err = capsys.readouterr().err
+        assert err.startswith("unhandled error in GET request\nTraceback (most recent call last):\n")
+        assert err.endswith("\nRuntimeError: boom\n")
+        assert err.count("unhandled error") == 1 and err.count("Traceback") == 1
+        assert self.exchange(conn, "GET", "/nope")[0] == 404
+        assert capsys.readouterr().err == ""
 
     @staticmethod
     def read_response(rfile) -> tuple[bytes, dict]:
@@ -1443,6 +1458,72 @@ def _photo_reading(text):
     assert body["texts"][1]["text"] == "microsoft.com"
     body["texts"][1]["text"] = text
     return body
+
+
+_TERMINAL = {"authorized", "denied", "fallback-offered"}
+
+
+class TestOneAnswerPerSession:
+    """Once a session is decided, a click repeats the answer that decided it."""
+
+    @staticmethod
+    def photos():
+        genuine = photo_dict("microsoft.com")
+        return {
+            "genuine": genuine,
+            "lookalike": photo_dict("rnicrosoft.com"),
+            "two-bars": {**genuine, "addrbars": genuine["addrbars"] * 2},
+            "unreadable": unreadable_dict(),
+        }
+
+    @given(
+        opening=st.sampled_from(["click", "colocated-click"]),
+        # Unreadable photos are drawn most, so that many sessions fall back.
+        steps=st.lists(st.sampled_from(["click", "click", "genuine", "lookalike", "two-bars",
+                                        "unreadable", "unreadable", "unreadable", "expire"]),
+                       max_size=10),
+        retake_cap=st.integers(0, 2),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_decided_session_answers_alike_on_both_routes(self, opening, steps, retake_cap):
+        photos = self.photos()
+        clock = FakeClock(step=0.0)
+        app = make_app(clock=clock, retake_cap=retake_cap, session_ttl_s=100.0)
+        first = login(app)
+        digits = first.body["link"].rsplit("/", 1)[-1]
+        cookie = first.headers["Set-Cookie"].split(";")[0].split("=", 1)[1]
+        status_path = f"/session/{first.body['session_id']}/status"
+        decided = None  # (status, warning) of the answer that decided the session
+        for step in [opening, *steps]:
+            if step == "expire":
+                clock.advance(101.0)
+                continue
+            if step == "colocated-click":
+                response = click(app, digits, cookie=cookie, source=PC)
+            elif step == "click":
+                response = click(app, digits)
+            else:
+                response = submit_photo(app, digits, photos[step])
+            clock.advance(1.0)  # a new lookup window: no answer is rate limited
+            answer = (response.body["status"], response.body.get("warning"))
+            status = app.handle(WireRequest("GET", status_path))
+            if status.status == 403:  # expired: unknown on both routes
+                assert response.status == 403
+                assert response.body == {"status": "denied", "reason": "unknown-token"}
+            elif status.body["status"] not in _TERMINAL:
+                continue
+            elif decided is None:
+                decided = answer
+            elif step in ("click", "colocated-click"):
+                if decided[0] == "denied":
+                    # The click leaves out the warning its photo carried (CHANGES.md).
+                    assert response.status == 403 and answer[0] == "denied"
+                    assert response.body["reason"] == "session-denied"
+                else:
+                    assert answer == decided
+            else:
+                assert response.status == 409
+                assert response.body["reason"] == "not-awaiting-photo"
 
 
 class TestAppFuzz:

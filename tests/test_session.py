@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from unittest.mock import ANY
 
 import pytest
@@ -446,7 +445,7 @@ class StoreMachine(RuleBasedStateMachine):
                 call(sid, *args)
             return None
         after = call(sid, *args)
-        assert after == replace(before, **step(before))
+        assert after == before._replace(**step(before))
         self.model[sid] = after
         return after
 

@@ -429,7 +429,8 @@ def _golden_wire_bytes():
         headers = {} if cookie is None else {"Cookie": f"auth={cookie}"}
         response = app.handle(WireRequest(method, path, headers, body, source))
         lines.append(json.dumps(
-            [method, path, response.status, response.headers, response.to_bytes().decode()],
+            [method, path, response.status, dict(response.headers),
+             response.to_bytes().decode()],
             sort_keys=True, separators=(",", ":"),
         ))
         now[0] += tick

@@ -1,4 +1,4 @@
-"""The photo value types are named tuples that behave as the dataclasses did.
+"""The value types are named tuples that behave as the dataclasses did.
 
 Each type is built side by side with its reference in `_oracles`: the same
 fields must be accepted or refused alike, with the same exception type and
@@ -10,13 +10,39 @@ import math
 import os
 import pickle
 import re
+import types
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photoauth.domain import extract_hostname
+import _oracles
+from photoauth.decision import (
+    AuthDecision,
+    AuthRequest,
+    ColocationMode,
+    ColocationPolicy,
+    DecisionKind,
+    LinkClick,
+    Notification,
+)
+from photoauth.domain import DomainName, extract_hostname
 from photoauth.geometry import BoundingBox, Resolution
-from photoauth.synth import BarTruth, BrowserLayout, EvalCounts, EvalReport, Theme
+from photoauth.service import Config, WireRequest, WireResponse
+from photoauth.session import Channel, Cookie, Preference, Session, SessionState
+from photoauth.simulator import Outcome, OutcomeKind, Scenario
+from photoauth.synth import (
+    AddrbarModel,
+    BarTruth,
+    BrowserLayout,
+    DetectorProfile,
+    EvalCounts,
+    EvalReport,
+    GeneratorParams,
+    LayoutVariant,
+    OcrModel,
+    Theme,
+)
 from photoauth.verify import (
     AddressBarPrediction,
     ExtractionKind,
@@ -24,6 +50,7 @@ from photoauth.verify import (
     PhotoAnalysis,
     TextRegion,
     VerdictKind,
+    VerifyConfig,
     VerifyResult,
 )
 
@@ -62,7 +89,11 @@ def outcome(build, *args):
         value = build(*args)
     except Exception as exc:  # noqa: BLE001 - the type is compared
         return ("refused", type(exc), str(exc))
-    return ("built", repr(value), hash(value))
+    try:
+        digest = hash(value)
+    except TypeError as exc:  # a dict field
+        digest = ("unhashable", str(exc))
+    return ("built", repr(value), digest)
 
 
 def same(new, old, *args):
@@ -156,6 +187,180 @@ class TestAgainstTheDataclasses:
     def test_eval_counts_and_report(self, counts):
         same(EvalCounts, OldEvalCounts, *counts)
         same(lambda: EvalReport(EvalCounts(*counts)), lambda: OldEvalReport(OldEvalCounts(*counts)))
+
+
+# The records converted from dataclasses, by name: `_oracles.Old<name>` is each one's reference.
+NEW = types.SimpleNamespace(
+    DomainName=DomainName, Resolution=Resolution, VerifyConfig=VerifyConfig,
+    ColocationPolicy=ColocationPolicy, AuthRequest=AuthRequest, LinkClick=LinkClick,
+    AuthDecision=AuthDecision, Notification=Notification, Cookie=Cookie, Session=Session,
+    Config=Config, WireRequest=WireRequest, WireResponse=WireResponse, OcrModel=OcrModel,
+    AddrbarModel=AddrbarModel, DetectorProfile=DetectorProfile,
+    GeneratorParams=GeneratorParams, Outcome=Outcome, Scenario=Scenario,
+)
+OLD = types.SimpleNamespace(**{name: getattr(_oracles, "Old" + name) for name in vars(NEW)})
+
+OPTIONAL_TEXT = st.none() | st.sampled_from(["", "a", "bob"]) | st.text(max_size=3)
+LABELS = st.sampled_from(["a", "com", "xn--bcher-kva", "A", "a_b", "", "-", "a" * 63, "a" * 64])
+HOSTS = st.sampled_from(["microsoft.com", "bücher.de", "a_b.com", ".", "", 5, None])
+RATES = st.one_of(EDGES, st.floats(-0.5, 1.5), st.text(max_size=1), st.none())
+PLAIN = st.sampled_from([0, 1, "a", None])
+MAPPINGS = st.sampled_from([{}, {"bob": "sms"}, {"bob": "push", "eve": "email"},
+                            {"bob": "pigeon"}, {"a": [1]}])
+OCR = st.tuples(st.booleans(), RATES, RATES, st.booleans())
+ADDRBAR = st.tuples(st.booleans(), RATES, RATES, RATES, RATES)
+
+# name -> (build from a namespace of types and drawn fields, the fields' strategy)
+RECORDS = {
+    "DomainName": (
+        lambda T, labels: T.DomainName(labels),
+        st.tuples(st.lists(LABELS, max_size=5).map(tuple)),
+    ),
+    "Resolution": (
+        lambda T, w, h: T.Resolution(w, h),
+        st.tuples(NUMBERS | st.just(10**400), NUMBERS | st.sampled_from(["1", None])),
+    ),
+    "VerifyConfig": (lambda T, cr: T.VerifyConfig(cr), st.tuples(RATES)),
+    "ColocationPolicy": (
+        lambda T, mode, n: T.ColocationPolicy(mode, n),
+        st.tuples(st.sampled_from(ColocationMode), st.sampled_from([-1, 0, 24, 128, 129, None])),
+    ),
+    "AuthRequest": (
+        lambda T, *fields: T.AuthRequest(*fields),
+        st.tuples(OPTIONAL_TEXT, OPTIONAL_TEXT, st.text(max_size=3), st.sampled_from(Channel)),
+    ),
+    "LinkClick": (
+        lambda T, *fields: T.LinkClick(*fields),
+        st.tuples(st.text(max_size=3), OPTIONAL_TEXT, st.text(max_size=3)),
+    ),
+    "AuthDecision": (
+        lambda T, *fields: T.AuthDecision(*fields),
+        st.tuples(st.sampled_from(DecisionKind), OPTIONAL_TEXT, OPTIONAL_TEXT, OPTIONAL_TEXT,
+                  st.booleans(), st.none() | st.integers(-1, 5), OPTIONAL_TEXT, OPTIONAL_TEXT),
+    ),
+    "Notification": (
+        lambda T, *fields: T.Notification(*fields),
+        st.tuples(st.text(max_size=3), st.sampled_from(Preference), st.text(max_size=3)),
+    ),
+    "Cookie": (lambda T, value: T.Cookie(value), st.tuples(st.text(max_size=3))),
+    "Session": (
+        lambda T, sid, user, cookie, *rest: T.Session(sid, user, T.Cookie(cookie), *rest),
+        st.tuples(st.text(max_size=3), st.text(max_size=3), st.text(max_size=3), OPTIONAL_TEXT,
+                  st.sampled_from(SessionState), st.integers(0, 6), NUMBERS,
+                  st.text(max_size=3), st.sampled_from(Channel), st.booleans()),
+    ),
+    "Config": (
+        lambda T, *fields: T.Config(*fields),
+        st.tuples(
+            st.lists(HOSTS, max_size=2).map(tuple), MAPPINGS,
+            st.sampled_from([5, 6, 10, 12, 13, 10.5, "10"]), st.sampled_from([-1, 0, 5, "5"]),
+            RATES, st.sampled_from(["cookie", "ip", "same-network", "telepathy"]),
+            st.sampled_from([-1, 0, 24, 128, 129]), RATES | st.just(300.0),
+            st.sampled_from([-1, 0, 8443, 65535, 65536]), st.none() | st.integers(0, 9),
+        ),
+    ),
+    "WireRequest": (
+        lambda T, *fields: T.WireRequest(*fields),
+        st.tuples(st.sampled_from(["GET", "POST"]), st.text(max_size=3), MAPPINGS,
+                  st.none() | MAPPINGS, st.text(max_size=3)),
+    ),
+    "WireResponse": (
+        lambda T, *fields: T.WireResponse(*fields),
+        st.tuples(st.sampled_from([200, 403]), MAPPINGS, MAPPINGS),
+    ),
+    "OcrModel": (lambda T, *fields: T.OcrModel(*fields), OCR),
+    "AddrbarModel": (lambda T, *fields: T.AddrbarModel(*fields), ADDRBAR),
+    "DetectorProfile": (
+        lambda T, ocr, addrbar, seed: T.DetectorProfile(T.OcrModel(*ocr),
+                                                        T.AddrbarModel(*addrbar), seed),
+        st.tuples(OCR, ADDRBAR, st.integers(0, 3)),
+    ),
+    "GeneratorParams": (
+        lambda T, domains, size, dark, variant: T.GeneratorParams(
+            domains, T.Resolution(*size), dark, variant),
+        st.tuples(st.lists(HOSTS, max_size=2).map(tuple),
+                  st.tuples(st.integers(-1, 3), st.integers(1, 3)), RATES,
+                  st.sampled_from(LayoutVariant)),
+    ),
+    "Outcome": (
+        lambda T, kind, detail: T.Outcome(kind, detail),
+        st.tuples(st.sampled_from(OutcomeKind), OPTIONAL_TEXT),
+    ),
+    "Scenario": (
+        lambda T, name, kind, seed, params, expected: T.Scenario(
+            name, kind, seed, params, None if expected is None else T.Outcome(*expected)),
+        st.tuples(st.text(max_size=3), st.sampled_from(["rtp", "benign"]), st.integers(0, 3),
+                  MAPPINGS, st.none() | st.tuples(st.sampled_from(OutcomeKind), OPTIONAL_TEXT)),
+    ),
+}
+
+
+class TestRecordsAgainstTheDataclasses:
+    def test_every_reference_is_a_frozen_dataclass(self):
+        for name in vars(NEW):
+            assert getattr(OLD, name).__dataclass_params__.frozen, name
+            assert issubclass(getattr(NEW, name), tuple), name
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_same_checks_repr_hash_and_equality(self, name, data):
+        build, fields = RECORDS[name]
+        a, b = data.draw(fields), data.draw(fields)
+        built = same(lambda *f: build(NEW, *f), lambda *f: build(OLD, *f), *a)
+        if built[0] == "built" and outcome(build, NEW, *b)[0] == "built":
+            assert (build(NEW, *a) == build(NEW, *b)) == (build(OLD, *a) == build(OLD, *b))
+
+    @pytest.mark.parametrize("name", ["VerifyConfig", "ColocationPolicy", "AuthDecision",
+                                      "OcrModel", "AddrbarModel", "DetectorProfile",
+                                      "GeneratorParams", "Outcome"])
+    def test_defaults_match(self, name):
+        new, old = getattr(NEW, name), getattr(OLD, name)
+        args = {"AuthDecision": (DecisionKind.DENY,), "Outcome": (OutcomeKind.DENIED,)}
+        assert repr(new(*args.get(name, ()))) == repr(old(*args.get(name, ())))
+
+    @pytest.mark.parametrize("record, field, old_default", [
+        (Config(), "users", {"bob": "sms"}),
+        (WireRequest("GET", "/"), "headers", {}),
+        (WireResponse(200, {}), "headers", {}),
+        (Scenario("s", "rtp", 0), "params", {}),
+    ])
+    def test_mapping_defaults_are_read_only(self, record, field, old_default):
+        default = getattr(record, field)
+        assert default == old_default
+        assert isinstance(default, types.MappingProxyType)
+        with pytest.raises(TypeError):
+            default["x"] = "sms"
+        assert getattr(record, field) == old_default
+
+
+SECRETS = st.text("0123456789abcdef", min_size=32, max_size=32)
+DIGITS = st.text("0123456789", min_size=10, max_size=10)
+
+
+class TestSecretsStayOutOfTheRepr:
+    # The shown fields hold no run of hex digits as long as a secret.
+    @given(SECRETS, DIGITS)
+    def test_session(self, cookie, token):
+        session = Session("session-id", "bob", Cookie(cookie), token, SessionState.LINK_SENT,
+                          0, 1.0, "198.51.100.23", Channel.PC_BROWSER)
+        text = repr(session)
+        assert "id='session-id'" in text
+        assert cookie not in text and token not in text
+
+    @given(SECRETS, DIGITS)
+    def test_auth_decision(self, cookie, token):
+        decision = AuthDecision(DecisionKind.LINK_SENT, session_id="session-id",
+                                token_digits=token, cookie=cookie)
+        text = repr(decision)
+        assert "session_id='session-id'" in text
+        assert cookie not in text and token not in text
+
+    @given(DIGITS)
+    def test_notification(self, token):
+        note = Notification("bob", Preference.SMS, f"microsoft.com/c/{token}")
+        assert token not in repr(note)
+        assert repr(note) == "Notification(username='bob', preference=<Preference.SMS: 'sms'>)"
 
 
 class TestNamedTupleSemantics:
