@@ -248,9 +248,8 @@ class AuthEngine:
                 # Replayed click on a finished session changes nothing.
                 return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
             if session.state is SessionState.DENIED:
-                return AuthDecision(
-                    DecisionKind.DENY, reason=REASON_SESSION_DENIED, session_id=session.id
-                )
+                return AuthDecision(DecisionKind.DENY, reason=REASON_SESSION_DENIED,
+                                    session_id=session.id, warning=session.phishing_warned)
             if session.state is SessionState.FALLBACK_OFFERED:
                 return AuthDecision(DecisionKind.FALLBACK, session_id=session.id,
                                     warning=session.phishing_warned)

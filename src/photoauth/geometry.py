@@ -7,8 +7,10 @@ not pixel grids.
 
 from __future__ import annotations
 
-from math import isfinite
+from math import inf, isfinite
 from typing import NamedTuple
+
+_new = tuple.__new__
 
 
 class _BoxFields(NamedTuple):
@@ -24,6 +26,16 @@ class BoundingBox(_BoxFields):
     __slots__ = ()
 
     def __new__(cls, x: float, y: float, width: float, height: float):
+        # Four floats that pass every check below take one chained comparison
+        # each; anything else is checked, and refused, as before.
+        if (
+            type(x) is type(y) is type(width) is type(height) is float
+            and 0.0 <= x < inf
+            and 0.0 <= y < inf
+            and 0.0 < width < inf
+            and 0.0 < height < inf
+        ):
+            return _new(cls, (x, y, width, height))
         if not (isfinite(x) and isfinite(y) and isfinite(width) and isfinite(height)):
             bad = next(v for v in (x, y, width, height) if not isfinite(v))
             raise ValueError(f"box coordinates must be finite, got {bad!r}")
@@ -31,7 +43,7 @@ class BoundingBox(_BoxFields):
             raise ValueError(f"box position must be non-negative, got ({x}, {y})")
         if width <= 0 or height <= 0:
             raise ValueError(f"box size must be positive, got {width}x{height}")
-        return tuple.__new__(cls, (x, y, width, height))
+        return _new(cls, (x, y, width, height))
 
     @property
     def right(self) -> float:
@@ -122,4 +134,6 @@ def cover_rate(text_box: BoundingBox, addrbar_box: BoundingBox) -> float:
     does not. In [0, 1]; the overlap is recomputed from box edges, so the
     ratio is clamped against one-ulp float spill past 1.0.
     """
-    return min(intersection_area(text_box, addrbar_box) / area(text_box), 1.0)
+    # min(rate, 1.0) and area() written out, keeping the builtin's choice on ties.
+    rate = intersection_area(text_box, addrbar_box) / (text_box.width * text_box.height)
+    return 1.0 if 1.0 < rate else rate

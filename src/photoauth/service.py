@@ -32,6 +32,7 @@ from .decision import (
     DecisionKind,
     LinkClick,
     REASON_PHISHING,
+    REASON_SESSION_DENIED,
     UnknownUser,
 )
 from .domain import extract_hostname
@@ -200,6 +201,10 @@ def _answer(decision: AuthDecision, digits: str) -> WireResponse:
     if decision.reason == REASON_PHISHING:
         # The photo was read and decided the login; the user is warned.
         return WireResponse(200, {"status": "denied", "reason": decision.reason, "warning": True})
+    if decision.reason == REASON_SESSION_DENIED:
+        # A click on a session its photo denied repeats that photo's warning.
+        return WireResponse(403, {"status": "denied", "reason": decision.reason,
+                                  "warning": decision.warning})
     return WireResponse(403, {"status": "denied", "reason": decision.reason})
 
 

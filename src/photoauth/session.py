@@ -282,7 +282,11 @@ class SessionStore:
         return self._advance("authorize", session_id, lambda _: {"state": SessionState.AUTHORIZED})
 
     def deny(self, session_id: str) -> Session:
-        return self._advance("deny", session_id, lambda _: {"state": SessionState.DENIED})
+        """Deny the login: its photo showed another domain, so the session
+        is phishing-warned for good."""
+        return self._advance(
+            "deny", session_id, lambda _: {"state": SessionState.DENIED, "phishing_warned": True}
+        )
 
     def record_retake(self, session_id: str, warned: bool) -> Session:
         """Count one failed photo; past the cap the session falls back.

@@ -9,9 +9,7 @@ configurable failure modes (noisy).
 
 from __future__ import annotations
 
-import json
 import random
-from difflib import SequenceMatcher
 from enum import Enum
 from typing import NamedTuple
 
@@ -27,6 +25,8 @@ from .verify import (
     VerifyConfig,
     verify_photo,
 )
+
+_new = tuple.__new__
 
 
 class Theme(Enum):
@@ -58,7 +58,7 @@ class BarTruth(_BarFields):
     def __new__(cls, box: BoundingBox, url_text_box: BoundingBox, url_string: str):
         if not box.contains(url_text_box):
             raise ValueError("URL text must sit inside its address bar")
-        return tuple.__new__(cls, (box, url_text_box, url_string))
+        return _new(cls, (box, url_text_box, url_string))
 
 
 class _LayoutFields(NamedTuple):
@@ -89,17 +89,27 @@ class BrowserLayout(_LayoutFields):
     ):
         if not bars:
             raise ValueError("layout needs at least one address bar")
+        # bounds.contains(box) written out, with the bounds' edges read once.
         bounds = resolution.bounds()
+        left, top, right, bottom = bounds.x, bounds.y, bounds.right, bounds.bottom
         genuine = bars[0].box
+        bar_top, bar_bottom = genuine.y, genuine.y + genuine.height
         for bar in bars:
-            if not bounds.contains(bar.box):
+            box = bar.box
+            x, y = box.x, box.y
+            if not (x >= left and y >= top and x + box.width <= right
+                    and y + box.height <= bottom):
                 raise ValueError("address bar outside the screenshot")
         for region in title_boxes + content_boxes:
-            if not bounds.contains(region.box):
+            box = region.box
+            x, y = box.x, box.y
+            y_end = y + box.height
+            if not (x >= left and y >= top and x + box.width <= right and y_end <= bottom):
                 raise ValueError("text region outside the screenshot")
-            if intersection_area(region.box, genuine) > 0:
+            # A region wholly above or below the bar has no overlap to measure.
+            if bar_top < y_end and y < bar_bottom and intersection_area(box, genuine) > 0:
                 raise ValueError("title/content text may not overlap the genuine bar")
-        return tuple.__new__(cls, (resolution, bars, title_boxes, content_boxes, theme))
+        return _new(cls, (resolution, bars, title_boxes, content_boxes, theme))
 
 
 class _OcrFields(NamedTuple):
@@ -217,6 +227,42 @@ def _clamp_box(x: float, y: float, w: float, h: float, res: Resolution) -> Bound
     return BoundingBox(x, y, w, h)
 
 
+# Layout and detection write `Random.uniform` and `Random.randint` out as
+# the library computes them: uniform(a, b) is a + (b - a) * random(), kept
+# in that form even where a is 0 (so that a -0.0 product still comes out
+# as 0.0), and randint(a, b) is randrange's rejection loop over
+# getrandbits. Same draws, same floats: tests/test_synth.py holds both
+# functions to their versions that call the library.
+
+
+def _randint(getrandbits, a: int, b: int) -> int:
+    """`Random.randint(a, b)`, refusing an empty range as it does."""
+    n = b - a + 1
+    if n <= 0:
+        raise ValueError(f"empty range for randrange() ({a}, {b + 1}, {n})")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return a + r
+
+
+def _url_box(bar: BoundingBox, text: str, draw) -> BoundingBox:
+    """Where the URL text sits inside an address bar."""
+    icon_strip = 60 + (140 - 60) * draw()
+    pad = 6 + (16 - 6) * draw()
+    char_w = 9 + (14 - 9) * draw()
+    h = (0.45 + (0.62 - 0.45) * draw()) * bar.height
+    # min and max written out, each keeping the builtin's choice on ties.
+    indent, cap = icon_strip + pad, bar.width * 0.4
+    x = bar.x + (cap if cap < indent else indent)
+    w, cap = len(text) * char_w, (bar.right - x) * 0.9
+    w = cap if cap < w else w
+    w = 8.0 if 8.0 > w else w
+    y = bar.y + (bar.height - h) / 2.0
+    return BoundingBox(x, y, w, h)
+
+
 def generate_layout(
     domain: str,
     theme: Theme = Theme.LIGHT,
@@ -238,80 +284,61 @@ def generate_layout(
     `seed`.
     """
     rng = random.Random(seed)
+    draw, bits = rng.random, rng.getrandbits
     width, height = resolution.width, resolution.height
-    name = extract_hostname(domain)
-    url = str(name)
+    url = str(extract_hostname(domain))
 
-    bar_x = float(rng.randint(8, 40))
-    bar_y = float(rng.randint(36, 90))
-    bar_w = rng.uniform(0.45, 0.75) * width
-    bar_h = float(rng.randint(38, 64))
+    bar_x = float(_randint(bits, 8, 40))
+    bar_y = float(_randint(bits, 36, 90))
+    bar_w = (0.45 + (0.75 - 0.45) * draw()) * width
+    bar_h = float(_randint(bits, 38, 64))
     bar = _clamp_box(bar_x, bar_y, bar_w, bar_h, resolution)
-
-    def url_box_inside(bar_box: BoundingBox, text: str) -> BoundingBox:
-        icon_strip = rng.uniform(60, 140)
-        pad = rng.uniform(6, 16)
-        char_w = rng.uniform(9, 14)
-        h = rng.uniform(0.45, 0.62) * bar_box.height
-        x = bar_box.x + min(icon_strip + pad, bar_box.width * 0.4)
-        w = min(len(text) * char_w, (bar_box.right - x) * 0.9)
-        w = max(w, 8.0)
-        y = bar_box.y + (bar_box.height - h) / 2.0
-        return BoundingBox(x, y, w, h)
-
-    bars = [BarTruth(box=bar, url_text_box=url_box_inside(bar, url), url_string=url)]
+    bars = [BarTruth(bar, _url_box(bar, url, draw), url)]
 
     # Tab strip above the bar.
     title_text = f"Sign in to {url}"
     if injected_placement is InjectionPlacement.TITLE and injected_text is not None:
         title_text = injected_text
-    title_h = float(rng.randint(18, min(26, int(bar.y) - 6)))
-    title_y = rng.uniform(2, bar.y - title_h - 2)
-    title_w = rng.uniform(180, 420)
-    title_x = rng.uniform(60, width * 0.4)
-    titles = [TextRegion(_clamp_box(title_x, title_y, title_w, title_h, resolution), title_text)]
+    title_h = float(_randint(bits, 18, min(26, int(bar.y) - 6)))
+    hi = bar.y - title_h - 2
+    title_y = 2 + (hi - 2) * draw()
+    title_w = 180 + (420 - 180) * draw()
+    hi = width * 0.4
+    title_x = 60 + (hi - 60) * draw()
+    title_box = _clamp_box(title_x, title_y, title_w, title_h, resolution)
     # Titles may not dip into the bar.
-    if titles[0].box.bottom > bar.y:
-        titles = [
-            TextRegion(
-                BoundingBox(titles[0].box.x, 2.0, titles[0].box.width, max(bar.y - 4.0, 2.0)),
-                title_text,
-            )
-        ]
+    if title_box.bottom > bar.y:
+        title_box = BoundingBox(title_box.x, 2.0, title_box.width, max(bar.y - 4.0, 2.0))
+    titles = (TextRegion(title_box, title_text),)
 
-    content_top = bar.bottom + rng.uniform(30, 80)
+    content_top = bar.bottom + (30 + (80 - 30) * draw())
     contents: list[TextRegion] = []
     content_lines = ["Welcome back", "Use your account to continue", "Forgot password?"]
     if injected_placement is InjectionPlacement.PAGE_CONTENT and injected_text is not None:
         content_lines[0] = injected_text
     y = content_top
-    for line in content_lines[: rng.randint(2, 3)]:
-        h = rng.uniform(22, 34)
-        w = rng.uniform(240, 700)
-        x = rng.uniform(40, width * 0.5)
+    x_hi = width * 0.5
+    for line in content_lines[: _randint(bits, 2, 3)]:
+        h = 22 + (34 - 22) * draw()
+        w = 240 + (700 - 240) * draw()
+        x = 40 + (x_hi - 40) * draw()
         if y + h >= height:
             break
         contents.append(TextRegion(_clamp_box(x, y, w, h, resolution), line))
-        y += h + rng.uniform(16, 44)
+        y += h + (16 + (44 - 16) * draw())
 
     if variant is LayoutVariant.PICTURE_IN_PICTURE:
         spoof_url = injected_text if injected_text is not None else url
-        spoof_w = rng.uniform(0.35, 0.55) * width
-        spoof_h = rng.uniform(36, 56)
-        spoof_x = rng.uniform(60, width - spoof_w - 20)
-        spoof_y = rng.uniform(y + 20, height - spoof_h - 20)
+        spoof_w = (0.35 + (0.55 - 0.35) * draw()) * width
+        spoof_h = 36 + (56 - 36) * draw()
+        hi = width - spoof_w - 20
+        spoof_x = 60 + (hi - 60) * draw()
+        lo, hi = y + 20, height - spoof_h - 20
+        spoof_y = lo + (hi - lo) * draw()
         spoof = _clamp_box(spoof_x, spoof_y, spoof_w, spoof_h, resolution)
-        bars.append(
-            BarTruth(box=spoof, url_text_box=url_box_inside(spoof, spoof_url), url_string=spoof_url)
-        )
+        bars.append(BarTruth(spoof, _url_box(spoof, spoof_url, draw), spoof_url))
 
-    return BrowserLayout(
-        resolution=resolution,
-        bars=tuple(bars),
-        title_boxes=tuple(titles),
-        content_boxes=tuple(contents),
-        theme=theme,
-    )
+    return BrowserLayout(resolution, tuple(bars), titles, tuple(contents), theme)
 
 
 def apply_ocr_noise(text: str, ocr: OcrModel, theme: Theme, rng: random.Random) -> str:
@@ -328,10 +355,12 @@ def apply_ocr_noise(text: str, ocr: OcrModel, theme: Theme, rng: random.Random) 
         text = "www" + text[4:]
     sub_rate = ocr.sub_rate
     out = None  # a copy of `text`, made on the first substitution
-    for i, ch in enumerate(text):
+    # By index: a character is read only when its draw substitutes it.
+    for i in range(len(text)):
         if draw() < sub_rate:
             if out is None:
                 out = list(text)
+            ch = text[i]
             choices = CONFUSION_MAP.get(ch)
             if choices is None:
                 choices = _FALLBACK_ALPHABET.replace(ch, "")
@@ -343,19 +372,22 @@ def _detect_bar(
     bar: BarTruth, model: AddrbarModel, res: Resolution, rng: random.Random
 ) -> AddressBarPrediction | None:
     # Fixed draw order: miss, cutoff, cut fraction, jitter, confidence.
-    u_miss = rng.random()
-    u_cut = rng.random()
-    cut_frac = rng.uniform(0.2, 0.55)
+    draw = rng.random
+    u_miss = draw()
+    u_cut = draw()
+    cut_frac = 0.2 + (0.55 - 0.2) * draw()
     jitter = model.jitter_px
-    dx = rng.uniform(-jitter, jitter)
-    dy = rng.uniform(-jitter, jitter)
-    conf = rng.uniform(0.82, 0.99)
+    lo = -jitter
+    dx = lo + (jitter - lo) * draw()
+    dy = lo + (jitter - lo) * draw()
+    conf = 0.82 + (0.99 - 0.82) * draw()
 
     if model.oracle:
         return AddressBarPrediction(bar.box, 1.0)
     if u_miss < model.miss_prob:
         return None
-    box = _clamp_box(bar.box.x + dx, bar.box.y + dy, bar.box.width, bar.box.height, res)
+    x, y, w, h = bar.box
+    box = _clamp_box(x + dx, y + dy, w, h, res)
     if u_cut < model.cutoff_prob:
         # Raise the top edge so the bar covers only ~cut_frac of the URL text.
         text = bar.url_text_box
@@ -376,29 +408,33 @@ def simulate_detection(
     """
     if rng is None:
         rng = random.Random(profile.seed)
+    draw = rng.random
     res = layout.resolution
     # Each read once: a record's field costs more to read than a local.
     ocr, addrbar, theme = profile.ocr, profile.addrbar, layout.theme
     split_url = ocr.split_url and not ocr.oracle
 
+    # A region OCR reads back unchanged is passed on as it is.
     texts: list[TextRegion] = []
     for region in layout.title_boxes:
-        texts.append(TextRegion(region.box, apply_ocr_noise(region.text, ocr, theme, rng)))
+        text = region.text
+        seen = apply_ocr_noise(text, ocr, theme, rng)
+        texts.append(region if seen is text else TextRegion(region.box, seen))
     for bar in layout.bars:
         seen = apply_ocr_noise(bar.url_string, ocr, theme, rng)
         if split_url and len(seen) >= 2:
             half = len(seen) // 2
-            box = bar.url_text_box
-            left_w = box.width * (half / len(seen))
-            right_w = box.width - left_w
-            texts.append(TextRegion(BoundingBox(box.x, box.y, left_w, box.height), seen[:half]))
-            texts.append(
-                TextRegion(BoundingBox(box.x + left_w, box.y, right_w, box.height), seen[half:])
-            )
+            x, y, w, h = bar.url_text_box
+            left_w = w * (half / len(seen))
+            right_w = w - left_w
+            texts.append(TextRegion(BoundingBox(x, y, left_w, h), seen[:half]))
+            texts.append(TextRegion(BoundingBox(x + left_w, y, right_w, h), seen[half:]))
         else:
             texts.append(TextRegion(bar.url_text_box, seen))
     for region in layout.content_boxes:
-        texts.append(TextRegion(region.box, apply_ocr_noise(region.text, ocr, theme, rng)))
+        text = region.text
+        seen = apply_ocr_noise(text, ocr, theme, rng)
+        texts.append(region if seen is text else TextRegion(region.box, seen))
 
     bars: list[AddressBarPrediction] = []
     for bar in layout.bars:
@@ -406,16 +442,18 @@ def simulate_detection(
         if pred is not None:
             bars.append(pred)
     # Spurious bar draws happen unconditionally to keep streams aligned.
-    u_spur = rng.random()
-    spur_w = rng.uniform(200, 600)
-    spur_h = rng.uniform(30, 70)
-    spur_x = rng.uniform(0, res.width - spur_w)
-    spur_y = rng.uniform(res.height * 0.5, res.height - spur_h)
-    spur_conf = rng.uniform(0.25, 0.95)
+    u_spur = draw()
+    spur_w = 200 + (600 - 200) * draw()
+    spur_h = 30 + (70 - 30) * draw()
+    hi = res.width - spur_w
+    spur_x = 0 + (hi - 0) * draw()
+    lo, hi = res.height * 0.5, res.height - spur_h
+    spur_y = lo + (hi - lo) * draw()
+    spur_conf = 0.25 + (0.95 - 0.25) * draw()
     if not addrbar.oracle and u_spur < addrbar.spurious_prob:
         bars.append(AddressBarPrediction(_clamp_box(spur_x, spur_y, spur_w, spur_h, res), spur_conf))
 
-    return PhotoAnalysis(resolution=res, texts=tuple(texts), addrbars=tuple(bars))
+    return PhotoAnalysis(res, tuple(texts), tuple(bars))
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +528,8 @@ class EvalReport(NamedTuple):
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
@@ -503,35 +543,31 @@ def evaluate_corpus(
 ) -> EvalReport:
     """Run n generate->detect->verify cycles over genuine screenshots.
 
-    Per-item seeds derive from the corpus seed alone, so shards evaluated
-    separately add up to the same report.
+    Item i's draws depend only on the corpus seed and i, so a longer run
+    extends a shorter one with the same seed: its first items are the
+    same cycles.
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    base = profile.seed if seed is None else seed
-    domains, resolution, dark_fraction, variant = (
-        params.domains, params.resolution, params.dark_fraction, params.variant
-    )
+    first = (profile.seed if seed is None else seed) * 1_000_003
+    domains, resolution, dark_fraction, variant = params
     tp = fp = fn = retakes = 0
     for i in range(n):
-        rng = random.Random(base * 1_000_003 + i)
-        domain = domains[i % len(domains)]
+        rng = random.Random(first + i)
         theme = Theme.DARK if rng.random() < dark_fraction else Theme.LIGHT
         layout = generate_layout(
-            domain,
-            theme=theme,
-            variant=variant,
-            seed=rng.getrandbits(32),
-            resolution=resolution,
+            domains[i % len(domains)], theme, variant, rng.getrandbits(32), resolution=resolution
         )
-        result = verify_photo(simulate_detection(layout, profile, rng), accept_set, verify_cfg)
-        if result.kind is VerdictKind.MATCH:
+        kind, _, reason = verify_photo(
+            simulate_detection(layout, profile, rng), accept_set, verify_cfg
+        )
+        if kind is VerdictKind.MATCH:
             tp += 1
         else:
             retakes += 1
-            if result.kind is VerdictKind.MISMATCH:
+            if kind is VerdictKind.MISMATCH:
                 fp += 1
-            elif result.reason == RETAKE_UNREADABLE:
+            elif reason == RETAKE_UNREADABLE:
                 fn += 1
     return EvalReport(EvalCounts(tp, fp, fn, retakes, n))
 
@@ -545,6 +581,8 @@ def char_errors(truth: str, seen: str) -> int:
     """Character-level recognition errors between two strings."""
     if len(truth) == len(seen):
         return sum(1 for a, b in zip(truth, seen) if a != b)
+    from difflib import SequenceMatcher
+
     total = 0
     for tag, i1, i2, j1, j2 in SequenceMatcher(None, truth, seen, autojunk=False).get_opcodes():
         if tag != "equal":
@@ -600,5 +638,7 @@ def profile_from_dict(obj: dict) -> DetectorProfile:
 
 
 def load_profile(path: str) -> DetectorProfile:
+    import json
+
     with open(path, encoding="utf-8") as fh:
         return profile_from_dict(json.load(fh))

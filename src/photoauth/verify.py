@@ -14,6 +14,8 @@ from typing import Iterable, NamedTuple
 from .domain import DomainError, DomainName, extract_hostname
 from .geometry import BoundingBox, Resolution, area, cover_rate
 
+_new = tuple.__new__
+
 RETAKE_MULTIPLE_ADDRBARS = "multiple-addrbars"
 RETAKE_UNREADABLE = "unreadable"
 # Address-bar predictions below this confidence are ignored.
@@ -31,11 +33,13 @@ class TextRegion(_TextFields):
     __slots__ = ()
 
     def __new__(cls, box: BoundingBox, text: str):
+        if type(text) is str and text:
+            return _new(cls, (box, text))
         if not isinstance(text, str):
             raise ValueError(f"text region text must be a string, got {type(text).__name__}")
         if not text:
             raise ValueError("text region must carry non-empty text")
-        return tuple.__new__(cls, (box, text))
+        return _new(cls, (box, text))
 
 
 class _PredictionFields(NamedTuple):
@@ -51,7 +55,7 @@ class AddressBarPrediction(_PredictionFields):
     def __new__(cls, box: BoundingBox, confidence: float):
         if not 0.0 <= confidence <= 1.0:
             raise ValueError(f"confidence must be in [0, 1], got {confidence}")
-        return tuple.__new__(cls, (box, confidence))
+        return _new(cls, (box, confidence))
 
 
 class _AnalysisFields(NamedTuple):
@@ -71,14 +75,22 @@ class PhotoAnalysis(_AnalysisFields):
         texts: tuple[TextRegion, ...],
         addrbars: tuple[AddressBarPrediction, ...],
     ):
+        # bounds.contains(box) written out, with the bounds' edges read once.
         bounds = resolution.bounds()
+        left, top, right, bottom = bounds.x, bounds.y, bounds.right, bounds.bottom
         for region in texts:
-            if not bounds.contains(region.box):
-                raise ValueError(f"text box outside {resolution}: {region.box}")
+            box = region.box
+            x, y = box.x, box.y
+            if not (x >= left and y >= top and x + box.width <= right
+                    and y + box.height <= bottom):
+                raise ValueError(f"text box outside {resolution}: {box}")
         for pred in addrbars:
-            if not bounds.contains(pred.box):
-                raise ValueError(f"address-bar box outside {resolution}: {pred.box}")
-        return tuple.__new__(cls, (resolution, texts, addrbars))
+            box = pred.box
+            x, y = box.x, box.y
+            if not (x >= left and y >= top and x + box.width <= right
+                    and y + box.height <= bottom):
+                raise ValueError(f"address-bar box outside {resolution}: {box}")
+        return _new(cls, (resolution, texts, addrbars))
 
 
 class _VerifyConfigFields(NamedTuple):
@@ -135,29 +147,32 @@ def extract_domain(analysis: PhotoAnalysis, cfg: VerifyConfig = VerifyConfig()) 
          then to the leftmost-topmost one. Hostname parse failures are
          reported as no qualifying text.
     """
-    bars = [p for p in analysis.addrbars if p.confidence >= CONFIDENCE_FLOOR]
-    if len(bars) > 1:
-        return ExtractionOutcome(ExtractionKind.MULTIPLE_ADDRESS_BARS)
-    if not bars:
+    bar = None
+    for pred in analysis.addrbars:
+        if pred.confidence >= CONFIDENCE_FLOOR:
+            if bar is not None:
+                return ExtractionOutcome(ExtractionKind.MULTIPLE_ADDRESS_BARS)
+            bar = pred
+    if bar is None:
         return ExtractionOutcome(ExtractionKind.NO_ADDRESS_BAR)
-    bar = bars[0]
 
     candidates = []
-    threshold = cfg.cr_threshold
+    threshold, bar_box = cfg.cr_threshold, bar.box
     for region in analysis.texts:
-        cr = cover_rate(region.box, bar.box)
+        cr = cover_rate(region.box, bar_box)
         if cr >= threshold:
             candidates.append((cr, region))
     if not candidates:
         return ExtractionOutcome(ExtractionKind.NO_QUALIFYING_TEXT)
 
-    candidates.sort(key=lambda c: (-c[0], -area(c[1].box), c[1].box.x, c[1].box.y))
+    if len(candidates) > 1:
+        candidates.sort(key=lambda c: (-c[0], -area(c[1].box), c[1].box.x, c[1].box.y))
     best_cr, best = candidates[0]
     try:
         name = extract_hostname(best.text)
     except DomainError:
         return ExtractionOutcome(ExtractionKind.NO_QUALIFYING_TEXT)
-    return ExtractionOutcome(ExtractionKind.DOMAIN, domain=name, cover_rate=best_cr)
+    return ExtractionOutcome(ExtractionKind.DOMAIN, name, best_cr)
 
 
 def verify_photo(
@@ -171,15 +186,15 @@ def verify_photo(
     told apart by `reason`. A readable photo either matches or exposes the
     domain actually visited.
     """
-    outcome = extract_domain(analysis, cfg)
-    if outcome.kind is ExtractionKind.MULTIPLE_ADDRESS_BARS:
-        return VerifyResult(VerdictKind.RETAKE, reason=RETAKE_MULTIPLE_ADDRBARS)
-    if outcome.kind in (ExtractionKind.NO_ADDRESS_BAR, ExtractionKind.NO_QUALIFYING_TEXT):
-        return VerifyResult(VerdictKind.RETAKE, reason=RETAKE_UNREADABLE)
-    assert outcome.domain is not None
-    if outcome.domain in accept_set:
-        return VerifyResult(VerdictKind.MATCH, found=outcome.domain)
-    return VerifyResult(VerdictKind.MISMATCH, found=outcome.domain)
+    kind, domain, _ = extract_domain(analysis, cfg)
+    if kind is ExtractionKind.MULTIPLE_ADDRESS_BARS:
+        return VerifyResult(VerdictKind.RETAKE, None, RETAKE_MULTIPLE_ADDRBARS)
+    if kind is not ExtractionKind.DOMAIN:
+        return VerifyResult(VerdictKind.RETAKE, None, RETAKE_UNREADABLE)
+    assert domain is not None
+    if domain in accept_set:
+        return VerifyResult(VerdictKind.MATCH, domain)
+    return VerifyResult(VerdictKind.MISMATCH, domain)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ deliberately avoiding the interval arithmetic the package uses.
 
 The plain versions below are the package's earlier, slower code for its
 hot paths, kept as the reference their rewrites must match exactly:
-same floats, same strings, same random draws.
+same floats, same strings, same random draws. The plain layout and
+detection draw through `rng.uniform` and `rng.randint`, so they also
+tie the package's written-out draws to this Python's `random`.
 
 The `Old*` types at the end are the value types as frozen dataclasses,
 each with its earlier `__post_init__` check, kept as the reference the
@@ -14,6 +16,7 @@ and equal fields giving the same `repr` and `hash`.
 """
 
 import dataclasses
+import random
 from math import isfinite
 
 import numpy as np
@@ -26,9 +29,18 @@ from photoauth.domain import (
     _LDH_LABEL,
     extract_hostname,
 )
-from photoauth.geometry import BoundingBox, intersection_area
+from photoauth.geometry import BoundingBox, Resolution, intersection_area
 from photoauth.session import MAX_TOKEN_LENGTH, MIN_TOKEN_LENGTH, Channel, Preference
-from photoauth.synth import CONFUSION_MAP, LayoutVariant, Theme, _FALLBACK_ALPHABET
+from photoauth.synth import (
+    CONFUSION_MAP,
+    BarTruth,
+    BrowserLayout,
+    InjectionPlacement,
+    LayoutVariant,
+    Theme,
+    _FALLBACK_ALPHABET,
+)
+from photoauth.verify import AddressBarPrediction, PhotoAnalysis, TextRegion
 
 
 def paint(box, grid=128):
@@ -97,6 +109,160 @@ def plain_ocr_noise(text, ocr, theme, rng):
         else:
             out.append(ch)
     return "".join(out)
+
+
+def plain_generate_layout(
+    domain,
+    theme=Theme.LIGHT,
+    variant=LayoutVariant.DEFAULT,
+    seed=0,
+    *,
+    resolution=Resolution(1920, 1080),
+    injected_text=None,
+    injected_placement=None,
+):
+    """The layout drawn with `rng.uniform` and `rng.randint`."""
+    rng = random.Random(seed)
+    width, height = resolution.width, resolution.height
+    url = str(extract_hostname(domain))
+
+    bar_x = float(rng.randint(8, 40))
+    bar_y = float(rng.randint(36, 90))
+    bar_w = rng.uniform(0.45, 0.75) * width
+    bar_h = float(rng.randint(38, 64))
+    bar = plain_clamp_box(bar_x, bar_y, bar_w, bar_h, resolution)
+
+    def url_box_inside(bar_box, text):
+        icon_strip = rng.uniform(60, 140)
+        pad = rng.uniform(6, 16)
+        char_w = rng.uniform(9, 14)
+        h = rng.uniform(0.45, 0.62) * bar_box.height
+        x = bar_box.x + min(icon_strip + pad, bar_box.width * 0.4)
+        w = min(len(text) * char_w, (bar_box.right - x) * 0.9)
+        w = max(w, 8.0)
+        y = bar_box.y + (bar_box.height - h) / 2.0
+        return BoundingBox(x, y, w, h)
+
+    bars = [BarTruth(box=bar, url_text_box=url_box_inside(bar, url), url_string=url)]
+
+    title_text = f"Sign in to {url}"
+    if injected_placement is InjectionPlacement.TITLE and injected_text is not None:
+        title_text = injected_text
+    title_h = float(rng.randint(18, min(26, int(bar.y) - 6)))
+    title_y = rng.uniform(2, bar.y - title_h - 2)
+    title_w = rng.uniform(180, 420)
+    title_x = rng.uniform(60, width * 0.4)
+    titles = [TextRegion(plain_clamp_box(title_x, title_y, title_w, title_h, resolution),
+                         title_text)]
+    if titles[0].box.bottom > bar.y:
+        titles = [
+            TextRegion(
+                BoundingBox(titles[0].box.x, 2.0, titles[0].box.width, max(bar.y - 4.0, 2.0)),
+                title_text,
+            )
+        ]
+
+    content_top = bar.bottom + rng.uniform(30, 80)
+    contents = []
+    content_lines = ["Welcome back", "Use your account to continue", "Forgot password?"]
+    if injected_placement is InjectionPlacement.PAGE_CONTENT and injected_text is not None:
+        content_lines[0] = injected_text
+    y = content_top
+    for line in content_lines[: rng.randint(2, 3)]:
+        h = rng.uniform(22, 34)
+        w = rng.uniform(240, 700)
+        x = rng.uniform(40, width * 0.5)
+        if y + h >= height:
+            break
+        contents.append(TextRegion(plain_clamp_box(x, y, w, h, resolution), line))
+        y += h + rng.uniform(16, 44)
+
+    if variant is LayoutVariant.PICTURE_IN_PICTURE:
+        spoof_url = injected_text if injected_text is not None else url
+        spoof_w = rng.uniform(0.35, 0.55) * width
+        spoof_h = rng.uniform(36, 56)
+        spoof_x = rng.uniform(60, width - spoof_w - 20)
+        spoof_y = rng.uniform(y + 20, height - spoof_h - 20)
+        spoof = plain_clamp_box(spoof_x, spoof_y, spoof_w, spoof_h, resolution)
+        bars.append(
+            BarTruth(box=spoof, url_text_box=url_box_inside(spoof, spoof_url), url_string=spoof_url)
+        )
+
+    return BrowserLayout(
+        resolution=resolution,
+        bars=tuple(bars),
+        title_boxes=tuple(titles),
+        content_boxes=tuple(contents),
+        theme=theme,
+    )
+
+
+def plain_detect_bar(bar, model, res, rng):
+    """One detected address bar, drawn with `rng.uniform`."""
+    u_miss = rng.random()
+    u_cut = rng.random()
+    cut_frac = rng.uniform(0.2, 0.55)
+    jitter = model.jitter_px
+    dx = rng.uniform(-jitter, jitter)
+    dy = rng.uniform(-jitter, jitter)
+    conf = rng.uniform(0.82, 0.99)
+
+    if model.oracle:
+        return AddressBarPrediction(bar.box, 1.0)
+    if u_miss < model.miss_prob:
+        return None
+    box = plain_clamp_box(bar.box.x + dx, bar.box.y + dy, bar.box.width, bar.box.height, res)
+    if u_cut < model.cutoff_prob:
+        text = bar.url_text_box
+        new_top = text.y + text.height * (1.0 - cut_frac)
+        new_bottom = max(box.bottom, new_top + 2.0)
+        box = plain_clamp_box(box.x, new_top, box.width, new_bottom - new_top, res)
+    return AddressBarPrediction(box, conf)
+
+
+def plain_simulate_detection(layout, profile, rng=None):
+    """The analysis drawn with `rng.uniform`, every text region built anew."""
+    if rng is None:
+        rng = random.Random(profile.seed)
+    res = layout.resolution
+    ocr, addrbar, theme = profile.ocr, profile.addrbar, layout.theme
+    split_url = ocr.split_url and not ocr.oracle
+
+    texts = []
+    for region in layout.title_boxes:
+        texts.append(TextRegion(region.box, plain_ocr_noise(region.text, ocr, theme, rng)))
+    for bar in layout.bars:
+        seen = plain_ocr_noise(bar.url_string, ocr, theme, rng)
+        if split_url and len(seen) >= 2:
+            half = len(seen) // 2
+            box = bar.url_text_box
+            left_w = box.width * (half / len(seen))
+            right_w = box.width - left_w
+            texts.append(TextRegion(BoundingBox(box.x, box.y, left_w, box.height), seen[:half]))
+            texts.append(
+                TextRegion(BoundingBox(box.x + left_w, box.y, right_w, box.height), seen[half:])
+            )
+        else:
+            texts.append(TextRegion(bar.url_text_box, seen))
+    for region in layout.content_boxes:
+        texts.append(TextRegion(region.box, plain_ocr_noise(region.text, ocr, theme, rng)))
+
+    bars = []
+    for bar in layout.bars:
+        pred = plain_detect_bar(bar, addrbar, res, rng)
+        if pred is not None:
+            bars.append(pred)
+    u_spur = rng.random()
+    spur_w = rng.uniform(200, 600)
+    spur_h = rng.uniform(30, 70)
+    spur_x = rng.uniform(0, res.width - spur_w)
+    spur_y = rng.uniform(res.height * 0.5, res.height - spur_h)
+    spur_conf = rng.uniform(0.25, 0.95)
+    if not addrbar.oracle and u_spur < addrbar.spurious_prob:
+        bars.append(AddressBarPrediction(plain_clamp_box(spur_x, spur_y, spur_w, spur_h, res),
+                                         spur_conf))
+
+    return PhotoAnalysis(resolution=res, texts=tuple(texts), addrbars=tuple(bars))
 
 
 # ---------------------------------------------------------------------------

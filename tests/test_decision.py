@@ -231,6 +231,7 @@ class TestLinkClick:
         )
         assert decision.kind is DecisionKind.DENY
         assert decision.reason == REASON_SESSION_DENIED
+        assert decision.warning
 
     def test_click_while_awaiting_photo_repeats_requirement(self):
         engine = make_engine()

@@ -162,6 +162,12 @@ class TestPlainArithmeticEquivalence:
 
     @given(a=mixed_box, b=mixed_box)
     @settings(max_examples=200)
+    def test_cover_rate_matches_min_and_area(self, a, b):
+        want = min(plain_intersection_area(a, b) / area(a), 1.0)
+        assert repr(cover_rate(a, b)) == repr(want)
+
+    @given(a=mixed_box, b=mixed_box)
+    @settings(max_examples=200)
     def test_contains_matches_properties(self, a, b):
         assert a.contains(b) == plain_contains(a, b)
 

@@ -40,12 +40,14 @@ def modules_loaded_by(statement):
     """The modules a fresh interpreter holds after `statement`.
 
     `-S` skips site-packages, so no `.pth` file there can load a module
-    the package itself does not.
+    the package itself does not. The list is taken before the helper
+    imports `json` to print it.
     """
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     out = subprocess.run(
         [sys.executable, "-S", "-c",
-         f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"],
+         f"import sys\n{statement}\nloaded = sorted(sys.modules)\n"
+         "import json\nprint(json.dumps(loaded))"],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     return set(json.loads(out))
@@ -61,3 +63,9 @@ def test_the_corpus_path_loads_no_dataclasses():
     loaded = modules_loaded_by("import photoauth.synth, photoauth.verify, photoauth.domain")
     assert "photoauth.synth" in loaded
     assert "dataclasses" not in loaded
+
+
+def test_the_corpus_path_loads_no_json_or_difflib():
+    loaded = modules_loaded_by("import photoauth.synth, photoauth.verify, photoauth.domain")
+    assert "photoauth.synth" in loaded
+    assert loaded & {"json", "difflib"} == set()

@@ -1515,12 +1515,10 @@ class TestOneAnswerPerSession:
             elif decided is None:
                 decided = answer
             elif step in ("click", "colocated-click"):
+                assert answer == decided
                 if decided[0] == "denied":
-                    # The click leaves out the warning its photo carried (CHANGES.md).
-                    assert response.status == 403 and answer[0] == "denied"
+                    assert response.status == 403
                     assert response.body["reason"] == "session-denied"
-                else:
-                    assert answer == decided
             else:
                 assert response.status == 409
                 assert response.body["reason"] == "not-awaiting-photo"

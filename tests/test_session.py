@@ -498,7 +498,9 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(sid=sessions)
     def deny(self, sid):
-        self._mutate("deny", sid, step=lambda _: {"state": SessionState.DENIED})
+        self._mutate(
+            "deny", sid, step=lambda _: {"state": SessionState.DENIED, "phishing_warned": True}
+        )
 
     @rule(sid=sessions, warned=st.booleans())
     def record_retake(self, sid, warned):

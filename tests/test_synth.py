@@ -42,7 +42,12 @@ from photoauth.verify import (
     verify_photo,
 )
 
-from _oracles import plain_clamp_box, plain_ocr_noise
+from _oracles import (
+    plain_clamp_box,
+    plain_generate_layout,
+    plain_ocr_noise,
+    plain_simulate_detection,
+)
 
 CFG = VerifyConfig()
 CORPUS_ACCEPT = frozenset(extract_hostname(d) for d in DOMAIN_CORPUS)
@@ -257,6 +262,96 @@ class TestClampEquivalence:
         res = Resolution(640, 480)
         for args in [(-0.0, 0.0, 1.0, 1.0), (0.0, -0.0, 640, 480), (10, 10, 1, 1)]:
             assert repr(_clamp_box(*args, res)) == repr(plain_clamp_box(*args, res))
+
+
+def built_or_refused(build):
+    """`build()`, or the refusal it raised.
+
+    An empty `randrange` range is told apart by its start alone: the rest
+    of that message differs between Python versions.
+    """
+    try:
+        return build()
+    except ValueError as exc:
+        message = str(exc)
+        return ("refused", "empty range" if message.startswith("empty range") else message)
+
+
+_probability = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_profiles = st.one_of(
+    st.just(ORACLE_PROFILE),
+    st.just(DEFAULT_NOISY_PROFILE),
+    st.builds(
+        DetectorProfile,
+        ocr=st.builds(OcrModel, oracle=st.booleans(), sub_rate=_probability,
+                      dot_drop_rate_dark=_probability, split_url=st.booleans()),
+        addrbar=st.builds(AddrbarModel, oracle=st.booleans(),
+                          jitter_px=st.sampled_from([0.0, 10.0]) | st.floats(0.0, 500.0),
+                          cutoff_prob=_probability, miss_prob=_probability,
+                          spurious_prob=_probability),
+        seed=st.integers(0, 2**32),
+    ),
+)
+_layout_args = st.fixed_dictionaries(
+    {
+        "domain": st.sampled_from(["microsoft.com", "bücher.de", "www.google.com", "x.io"]),
+        "theme": st.sampled_from(list(Theme)),
+        "variant": st.sampled_from(list(LayoutVariant)),
+        "seed": st.integers(0, 2**32),
+        "resolution": st.one_of(
+            st.just(Resolution(1920, 1080)),
+            st.sampled_from([Resolution(200, 60), Resolution(320, 120), Resolution(640, 480)]),
+            st.builds(Resolution, st.integers(1, 2600), st.integers(1, 1600)),
+        ),
+        "injected_text": st.one_of(
+            st.none(), st.sampled_from(["microsoft.com", "www.microsoft.com", ""]), st.text()
+        ),
+        "injected_placement": st.one_of(st.none(), st.sampled_from(list(InjectionPlacement))),
+    }
+)
+
+
+class TestDrawsWrittenOut:
+    """Layout and detection against their versions that call `rng.uniform` and
+    `rng.randint`: the same records, float for float, and the same draws."""
+
+    @given(args=_layout_args)
+    @settings(max_examples=300)
+    def test_same_layout(self, args):
+        got = built_or_refused(lambda: generate_layout(**args))
+        want = built_or_refused(lambda: plain_generate_layout(**args))
+        assert repr(got) == repr(want)
+
+    @given(args=_layout_args, profile=_profiles, seed=st.integers(0, 2**32))
+    @settings(max_examples=300)
+    def test_same_analysis_and_draws(self, args, profile, seed):
+        layout = built_or_refused(lambda: generate_layout(**args))
+        if not isinstance(layout, BrowserLayout):
+            return
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got = built_or_refused(lambda: simulate_detection(layout, profile, got_rng))
+        want = built_or_refused(lambda: plain_simulate_detection(layout, profile, want_rng))
+        assert repr(got) == repr(want)
+        assert got_rng.getstate() == want_rng.getstate()
+        assert repr(built_or_refused(lambda: simulate_detection(layout, profile))) == repr(
+            built_or_refused(lambda: plain_simulate_detection(layout, profile))
+        )
+
+    def test_same_layout_for_the_first_seeds(self):
+        for seed in range(50):
+            got = generate_layout("microsoft.com", seed=seed)
+            assert repr(got) == repr(plain_generate_layout("microsoft.com", seed=seed))
+
+    def test_a_screen_too_short_for_the_tab_strip_is_refused(self):
+        for build in (generate_layout, plain_generate_layout):
+            with pytest.raises(ValueError, match="^empty range"):
+                build("microsoft.com", resolution=Resolution(200, 60))
+
+    def test_an_unchanged_region_is_passed_on(self):
+        layout = generate_layout("microsoft.com", seed=3)
+        analysis = simulate_detection(layout, ORACLE_PROFILE)
+        assert analysis.texts[0] is layout.title_boxes[0]
+        assert analysis.texts[-1] is layout.content_boxes[-1]
 
 
 class TestNoisyOutcomes:

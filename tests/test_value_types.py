@@ -116,6 +116,26 @@ class TestAgainstTheDataclasses:
     def test_bounding_box_of_anything(self, fields):
         same(BoundingBox, OldBoundingBox, *fields)
 
+    @pytest.mark.parametrize("fields", [
+        (10**400, 0.0, 1.0, 1.0),
+        (0.0, 0.0, 1.0, 10**400),
+        (-0.0, -0.0, 1.0, 1.0),
+        (True, False, True, True),
+        (0.0, 0.0, 1e308, 1e308),
+        (math.nan, 0.0, 1.0, 1.0),
+        (0.0, 0.0, math.inf, 1.0),
+        (-1e-300, 0.0, 1.0, 1.0),
+        (0.0, 0.0, -0.0, 1.0),
+        (1, 2.0, 3.0, 4.0),
+    ])
+    def test_bounding_box_edges(self, fields):
+        same(BoundingBox, OldBoundingBox, *fields)
+
+    @pytest.mark.parametrize("text", [type("Text", (str,), {})("a"), type("Text", (str,), {})("")])
+    def test_text_region_of_a_str_subclass(self, text):
+        same(region(BoundingBox, TextRegion), region(OldBoundingBox, OldTextRegion),
+             (0, 0, 1, 1), text)
+
     @given(BOX_FIELDS, TEXTS)
     def test_text_region(self, fields, text):
         same(region(BoundingBox, TextRegion), region(OldBoundingBox, OldTextRegion), fields, text)
