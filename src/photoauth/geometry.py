@@ -132,8 +132,14 @@ def cover_rate(text_box: BoundingBox, addrbar_box: BoundingBox) -> float:
     Normalized by the text box area only, so the metric is asymmetric:
     a small text fully inside a large bar scores 1.0 while the reverse
     does not. In [0, 1]; the overlap is recomputed from box edges, so the
-    ratio is clamped against one-ulp float spill past 1.0.
+    ratio is clamped against one-ulp float spill past 1.0. A text box so
+    thin that its area underflows to 0.0 scores 0.0.
     """
-    # min(rate, 1.0) and area() written out, keeping the builtin's choice on ties.
-    rate = intersection_area(text_box, addrbar_box) / (text_box.width * text_box.height)
+    # area() written out. A text box whose area underflows to 0.0 covers
+    # nothing; it is not divided by.
+    text_area = text_box.width * text_box.height
+    if text_area == 0.0:
+        return 0.0
+    # min(rate, 1.0) written out, keeping the builtin's choice on ties.
+    rate = intersection_area(text_box, addrbar_box) / text_area
     return 1.0 if 1.0 < rate else rate

@@ -413,14 +413,17 @@ def parse_head(head: bytes) -> Head | WireResponse:
     length = int(raw) if len(raw) <= 16 else MAX_BODY_BYTES + 1
     if length > MAX_BODY_BYTES:
         return _error(413, "body-too-large")
-    connection = headers.get("connection", "").lower()
+    # Connection is a list of options (RFC 9110 section 7.6.1): "close"
+    # anywhere closes; HTTP/1.0 stays open only when "keep-alive" is listed.
+    connection = headers.get("connection")
+    options = () if connection is None else [o.strip() for o in connection.lower().split(",")]
     http11 = version[7] != "0"
     return Head(
         method,
         path,
         headers,
         length,
-        keep_alive=connection != "close" if http11 else connection == "keep-alive",
+        keep_alive="close" not in options and (http11 or "keep-alive" in options),
         expect_continue=http11 and headers.get("expect", "").lower() == "100-continue",
     )
 

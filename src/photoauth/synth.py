@@ -56,7 +56,10 @@ class BarTruth(_BarFields):
     __slots__ = ()
 
     def __new__(cls, box: BoundingBox, url_text_box: BoundingBox, url_string: str):
-        if not box.contains(url_text_box):
+        # box.contains(url_text_box) written out.
+        x, y, ox, oy = box.x, box.y, url_text_box.x, url_text_box.y
+        if not (ox >= x and oy >= y and ox + url_text_box.width <= x + box.width
+                and oy + url_text_box.height <= y + box.height):
             raise ValueError("URL text must sit inside its address bar")
         return _new(cls, (box, url_text_box, url_string))
 
@@ -90,8 +93,8 @@ class BrowserLayout(_LayoutFields):
         if not bars:
             raise ValueError("layout needs at least one address bar")
         # bounds.contains(box) written out, with the bounds' edges read once.
-        bounds = resolution.bounds()
-        left, top, right, bottom = bounds.x, bounds.y, bounds.right, bounds.bottom
+        left, top, width, height = resolution.bounds()
+        right, bottom = left + width, top + height
         genuine = bars[0].box
         bar_top, bar_bottom = genuine.y, genuine.y + genuine.height
         for bar in bars:
@@ -211,9 +214,12 @@ DOMAIN_CORPUS: tuple[str, ...] = (
 DEFAULT_CONFUSABLE_RULES: dict[str, str] = {"o": "0", "l": "1"}
 
 
-def _clamp_box(x: float, y: float, w: float, h: float, res: Resolution) -> BoundingBox:
+def _clamp_box(x: float, y: float, w: float, h: float, rw: float, rh: float) -> BoundingBox:
+    """The box moved and shrunk into a `rw` by `rh` screen, at least 1 by 1.
+
+    `rw` and `rh` are a `Resolution`'s sides as floats.
+    """
     # min(max(v, lo), hi) written out, each keeping the builtin's choice on ties.
-    rw, rh = float(res.width), float(res.height)
     w = 1.0 if 1.0 > w else w
     w = rw if rw < w else w
     h = 1.0 if 1.0 > h else h
@@ -224,6 +230,11 @@ def _clamp_box(x: float, y: float, w: float, h: float, res: Resolution) -> Bound
     y = 0.0 if 0.0 > y else y
     y_max = rh - h
     y = y_max if y_max < y else y
+    # Clamped, the box passes every check of `BoundingBox` unless an input was
+    # NaN, which the comparisons above pass on: only then is it checked, and
+    # refused as before.
+    if x == x and y == y and w == w and h == h:
+        return _new(BoundingBox, (x, y, w, h))
     return BoundingBox(x, y, w, h)
 
 
@@ -256,7 +267,7 @@ def _url_box(bar: BoundingBox, text: str, draw) -> BoundingBox:
     # min and max written out, each keeping the builtin's choice on ties.
     indent, cap = icon_strip + pad, bar.width * 0.4
     x = bar.x + (cap if cap < indent else indent)
-    w, cap = len(text) * char_w, (bar.right - x) * 0.9
+    w, cap = len(text) * char_w, (bar.x + bar.width - x) * 0.9
     w = cap if cap < w else w
     w = 8.0 if 8.0 > w else w
     y = bar.y + (bar.height - h) / 2.0
@@ -286,45 +297,64 @@ def generate_layout(
     rng = random.Random(seed)
     draw, bits = rng.random, rng.getrandbits
     width, height = resolution.width, resolution.height
-    url = str(extract_hostname(domain))
+    rw, rh = float(width), float(height)
+    # str(DomainName) written out.
+    url = ".".join(extract_hostname(domain).labels)
 
-    bar_x = float(_randint(bits, 8, 40))
-    bar_y = float(_randint(bits, 36, 90))
+    # randint(8, 40), randint(36, 90) and randint(38, 64) written out for
+    # their fixed ranges: 33, 55 and 27 values drawn on 6, 6 and 5 bits,
+    # the bit length of each count, as randrange draws them.
+    r = bits(6)
+    while r >= 33:
+        r = bits(6)
+    bar_x = float(8 + r)
+    r = bits(6)
+    while r >= 55:
+        r = bits(6)
+    bar_y = float(36 + r)
     bar_w = (0.45 + (0.75 - 0.45) * draw()) * width
-    bar_h = float(_randint(bits, 38, 64))
-    bar = _clamp_box(bar_x, bar_y, bar_w, bar_h, resolution)
+    r = bits(5)
+    while r >= 27:
+        r = bits(5)
+    bar_h = float(38 + r)
+    bar = _clamp_box(bar_x, bar_y, bar_w, bar_h, rw, rh)
     bars = [BarTruth(bar, _url_box(bar, url, draw), url)]
+    bar_top = bar.y
+    bar_bottom = bar_top + bar.height
 
     # Tab strip above the bar.
     title_text = f"Sign in to {url}"
-    if injected_placement is InjectionPlacement.TITLE and injected_text is not None:
+    if injected_text is not None and injected_placement is InjectionPlacement.TITLE:
         title_text = injected_text
-    title_h = float(_randint(bits, 18, min(26, int(bar.y) - 6)))
-    hi = bar.y - title_h - 2
+    title_h = float(_randint(bits, 18, min(26, int(bar_top) - 6)))
+    hi = bar_top - title_h - 2
     title_y = 2 + (hi - 2) * draw()
     title_w = 180 + (420 - 180) * draw()
     hi = width * 0.4
     title_x = 60 + (hi - 60) * draw()
-    title_box = _clamp_box(title_x, title_y, title_w, title_h, resolution)
+    title_box = _clamp_box(title_x, title_y, title_w, title_h, rw, rh)
     # Titles may not dip into the bar.
-    if title_box.bottom > bar.y:
-        title_box = BoundingBox(title_box.x, 2.0, title_box.width, max(bar.y - 4.0, 2.0))
+    if title_box.y + title_box.height > bar_top:
+        title_box = BoundingBox(title_box.x, 2.0, title_box.width, max(bar_top - 4.0, 2.0))
     titles = (TextRegion(title_box, title_text),)
 
-    content_top = bar.bottom + (30 + (80 - 30) * draw())
+    content_top = bar_bottom + (30 + (80 - 30) * draw())
     contents: list[TextRegion] = []
     content_lines = ["Welcome back", "Use your account to continue", "Forgot password?"]
-    if injected_placement is InjectionPlacement.PAGE_CONTENT and injected_text is not None:
+    if injected_text is not None and injected_placement is InjectionPlacement.PAGE_CONTENT:
         content_lines[0] = injected_text
     y = content_top
     x_hi = width * 0.5
-    for line in content_lines[: _randint(bits, 2, 3)]:
+    r = bits(2)  # randint(2, 3): 2 values on 2 bits
+    while r >= 2:
+        r = bits(2)
+    for line in content_lines[: 2 + r]:
         h = 22 + (34 - 22) * draw()
         w = 240 + (700 - 240) * draw()
         x = 40 + (x_hi - 40) * draw()
         if y + h >= height:
             break
-        contents.append(TextRegion(_clamp_box(x, y, w, h, resolution), line))
+        contents.append(TextRegion(_clamp_box(x, y, w, h, rw, rh), line))
         y += h + (16 + (44 - 16) * draw())
 
     if variant is LayoutVariant.PICTURE_IN_PICTURE:
@@ -335,7 +365,7 @@ def generate_layout(
         spoof_x = 60 + (hi - 60) * draw()
         lo, hi = y + 20, height - spoof_h - 20
         spoof_y = lo + (hi - lo) * draw()
-        spoof = _clamp_box(spoof_x, spoof_y, spoof_w, spoof_h, resolution)
+        spoof = _clamp_box(spoof_x, spoof_y, spoof_w, spoof_h, rw, rh)
         bars.append(BarTruth(spoof, _url_box(spoof, spoof_url, draw), spoof_url))
 
     return BrowserLayout(resolution, tuple(bars), titles, tuple(contents), theme)
@@ -351,7 +381,7 @@ def apply_ocr_noise(text: str, ocr: OcrModel, theme: Theme, rng: random.Random) 
         return text
     draw = rng.random
     u_dot = draw()
-    if theme is Theme.DARK and text.startswith("www.") and u_dot < ocr.dot_drop_rate_dark:
+    if u_dot < ocr.dot_drop_rate_dark and theme is Theme.DARK and text.startswith("www."):
         text = "www" + text[4:]
     sub_rate = ocr.sub_rate
     out = None  # a copy of `text`, made on the first substitution
@@ -369,7 +399,7 @@ def apply_ocr_noise(text: str, ocr: OcrModel, theme: Theme, rng: random.Random) 
 
 
 def _detect_bar(
-    bar: BarTruth, model: AddrbarModel, res: Resolution, rng: random.Random
+    bar: BarTruth, model: AddrbarModel, rw: float, rh: float, rng: random.Random
 ) -> AddressBarPrediction | None:
     # Fixed draw order: miss, cutoff, cut fraction, jitter, confidence.
     draw = rng.random
@@ -387,13 +417,13 @@ def _detect_bar(
     if u_miss < model.miss_prob:
         return None
     x, y, w, h = bar.box
-    box = _clamp_box(x + dx, y + dy, w, h, res)
+    box = _clamp_box(x + dx, y + dy, w, h, rw, rh)
     if u_cut < model.cutoff_prob:
         # Raise the top edge so the bar covers only ~cut_frac of the URL text.
         text = bar.url_text_box
         new_top = text.y + text.height * (1.0 - cut_frac)
-        new_bottom = max(box.bottom, new_top + 2.0)
-        box = _clamp_box(box.x, new_top, box.width, new_bottom - new_top, res)
+        new_bottom = max(box.y + box.height, new_top + 2.0)
+        box = _clamp_box(box.x, new_top, box.width, new_bottom - new_top, rw, rh)
     return AddressBarPrediction(box, conf)
 
 
@@ -410,6 +440,7 @@ def simulate_detection(
         rng = random.Random(profile.seed)
     draw = rng.random
     res = layout.resolution
+    rw, rh = float(res.width), float(res.height)
     # Each read once: a record's field costs more to read than a local.
     ocr, addrbar, theme = profile.ocr, profile.addrbar, layout.theme
     split_url = ocr.split_url and not ocr.oracle
@@ -438,20 +469,21 @@ def simulate_detection(
 
     bars: list[AddressBarPrediction] = []
     for bar in layout.bars:
-        pred = _detect_bar(bar, addrbar, res, rng)
+        pred = _detect_bar(bar, addrbar, rw, rh, rng)
         if pred is not None:
             bars.append(pred)
     # Spurious bar draws happen unconditionally to keep streams aligned.
     u_spur = draw()
     spur_w = 200 + (600 - 200) * draw()
     spur_h = 30 + (70 - 30) * draw()
-    hi = res.width - spur_w
+    hi = rw - spur_w
     spur_x = 0 + (hi - 0) * draw()
-    lo, hi = res.height * 0.5, res.height - spur_h
+    lo, hi = rh * 0.5, rh - spur_h
     spur_y = lo + (hi - lo) * draw()
     spur_conf = 0.25 + (0.95 - 0.25) * draw()
     if not addrbar.oracle and u_spur < addrbar.spurious_prob:
-        bars.append(AddressBarPrediction(_clamp_box(spur_x, spur_y, spur_w, spur_h, res), spur_conf))
+        spurious = _clamp_box(spur_x, spur_y, spur_w, spur_h, rw, rh)
+        bars.append(AddressBarPrediction(spurious, spur_conf))
 
     return PhotoAnalysis(res, tuple(texts), tuple(bars))
 
@@ -569,7 +601,7 @@ def evaluate_corpus(
                 fp += 1
             elif reason == RETAKE_UNREADABLE:
                 fn += 1
-    return EvalReport(EvalCounts(tp, fp, fn, retakes, n))
+    return _new(EvalReport, (_new(EvalCounts, (tp, fp, fn, retakes, n)),))
 
 
 # ---------------------------------------------------------------------------

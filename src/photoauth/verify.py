@@ -76,8 +76,8 @@ class PhotoAnalysis(_AnalysisFields):
         addrbars: tuple[AddressBarPrediction, ...],
     ):
         # bounds.contains(box) written out, with the bounds' edges read once.
-        bounds = resolution.bounds()
-        left, top, right, bottom = bounds.x, bounds.y, bounds.right, bounds.bottom
+        left, top, width, height = resolution.bounds()
+        right, bottom = left + width, top + height
         for region in texts:
             box = region.box
             x, y = box.x, box.y
@@ -142,7 +142,9 @@ def extract_domain(analysis: PhotoAnalysis, cfg: VerifyConfig = VerifyConfig()) 
       3. None remain: the bar was not found.
       4. Keep texts whose cover rate against the bar reaches the
          threshold; none qualifying means the URL text is not readable
-         inside the detected bar.
+         inside the detected bar. A text wholly above or below the bar's
+         rows has a cover rate of 0, below any threshold, so it is not
+         scored at all.
       5. Take the highest cover rate; ties go to the larger text box,
          then to the leftmost-topmost one. Hostname parse failures are
          reported as no qualifying text.
@@ -151,19 +153,30 @@ def extract_domain(analysis: PhotoAnalysis, cfg: VerifyConfig = VerifyConfig()) 
     for pred in analysis.addrbars:
         if pred.confidence >= CONFIDENCE_FLOOR:
             if bar is not None:
-                return ExtractionOutcome(ExtractionKind.MULTIPLE_ADDRESS_BARS)
+                return _new(ExtractionOutcome, (ExtractionKind.MULTIPLE_ADDRESS_BARS, None, None))
             bar = pred
     if bar is None:
-        return ExtractionOutcome(ExtractionKind.NO_ADDRESS_BAR)
+        return _new(ExtractionOutcome, (ExtractionKind.NO_ADDRESS_BAR, None, None))
 
     candidates = []
     threshold, bar_box = cfg.cr_threshold, bar.box
+    # A text wholly above or below the bar fails the rows test that
+    # `intersection_area` makes with the same sums, so it would score 0.0,
+    # which only a positive threshold refuses.
+    skip_off_rows = threshold > 0.0
+    bar_top = bar_box.y
+    bar_bottom = bar_top + bar_box.height
     for region in analysis.texts:
-        cr = cover_rate(region.box, bar_box)
+        box = region.box
+        if skip_off_rows:
+            y = box.y
+            if y + box.height <= bar_top or bar_bottom <= y:
+                continue
+        cr = cover_rate(box, bar_box)
         if cr >= threshold:
             candidates.append((cr, region))
     if not candidates:
-        return ExtractionOutcome(ExtractionKind.NO_QUALIFYING_TEXT)
+        return _new(ExtractionOutcome, (ExtractionKind.NO_QUALIFYING_TEXT, None, None))
 
     if len(candidates) > 1:
         candidates.sort(key=lambda c: (-c[0], -area(c[1].box), c[1].box.x, c[1].box.y))
@@ -171,8 +184,8 @@ def extract_domain(analysis: PhotoAnalysis, cfg: VerifyConfig = VerifyConfig()) 
     try:
         name = extract_hostname(best.text)
     except DomainError:
-        return ExtractionOutcome(ExtractionKind.NO_QUALIFYING_TEXT)
-    return ExtractionOutcome(ExtractionKind.DOMAIN, name, best_cr)
+        return _new(ExtractionOutcome, (ExtractionKind.NO_QUALIFYING_TEXT, None, None))
+    return _new(ExtractionOutcome, (ExtractionKind.DOMAIN, name, best_cr))
 
 
 def verify_photo(
@@ -187,14 +200,14 @@ def verify_photo(
     domain actually visited.
     """
     kind, domain, _ = extract_domain(analysis, cfg)
+    if kind is ExtractionKind.DOMAIN:
+        assert domain is not None
+        if domain in accept_set:
+            return _new(VerifyResult, (VerdictKind.MATCH, domain, None))
+        return _new(VerifyResult, (VerdictKind.MISMATCH, domain, None))
     if kind is ExtractionKind.MULTIPLE_ADDRESS_BARS:
-        return VerifyResult(VerdictKind.RETAKE, None, RETAKE_MULTIPLE_ADDRBARS)
-    if kind is not ExtractionKind.DOMAIN:
-        return VerifyResult(VerdictKind.RETAKE, None, RETAKE_UNREADABLE)
-    assert domain is not None
-    if domain in accept_set:
-        return VerifyResult(VerdictKind.MATCH, domain)
-    return VerifyResult(VerdictKind.MISMATCH, domain)
+        return _new(VerifyResult, (VerdictKind.RETAKE, None, RETAKE_MULTIPLE_ADDRBARS))
+    return _new(VerifyResult, (VerdictKind.RETAKE, None, RETAKE_UNREADABLE))
 
 
 # ---------------------------------------------------------------------------

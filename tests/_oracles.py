@@ -25,11 +25,12 @@ from photoauth.decision import ColocationMode
 from photoauth.domain import (
     HOSTNAME_MAX_LEN,
     LABEL_MAX_LEN,
+    DomainError,
     InvalidLabel,
     _LDH_LABEL,
     extract_hostname,
 )
-from photoauth.geometry import BoundingBox, Resolution, intersection_area
+from photoauth.geometry import BoundingBox, Resolution, area, cover_rate, intersection_area
 from photoauth.session import MAX_TOKEN_LENGTH, MIN_TOKEN_LENGTH, Channel, Preference
 from photoauth.synth import (
     CONFUSION_MAP,
@@ -40,7 +41,19 @@ from photoauth.synth import (
     Theme,
     _FALLBACK_ALPHABET,
 )
-from photoauth.verify import AddressBarPrediction, PhotoAnalysis, TextRegion
+from photoauth.verify import (
+    CONFIDENCE_FLOOR,
+    RETAKE_MULTIPLE_ADDRBARS,
+    RETAKE_UNREADABLE,
+    AddressBarPrediction,
+    ExtractionKind,
+    ExtractionOutcome,
+    PhotoAnalysis,
+    TextRegion,
+    VerdictKind,
+    VerifyConfig,
+    VerifyResult,
+)
 
 
 def paint(box, grid=128):
@@ -263,6 +276,44 @@ def plain_simulate_detection(layout, profile, rng=None):
                                          spur_conf))
 
     return PhotoAnalysis(resolution=res, texts=tuple(texts), addrbars=tuple(bars))
+
+
+def plain_extract_domain(analysis, cfg=VerifyConfig()):
+    """The URL text and its hostname, every text's cover rate computed."""
+    bar = None
+    for pred in analysis.addrbars:
+        if pred.confidence >= CONFIDENCE_FLOOR:
+            if bar is not None:
+                return ExtractionOutcome(ExtractionKind.MULTIPLE_ADDRESS_BARS)
+            bar = pred
+    if bar is None:
+        return ExtractionOutcome(ExtractionKind.NO_ADDRESS_BAR)
+    candidates = []
+    for region in analysis.texts:
+        cr = cover_rate(region.box, bar.box)
+        if cr >= cfg.cr_threshold:
+            candidates.append((cr, region))
+    if not candidates:
+        return ExtractionOutcome(ExtractionKind.NO_QUALIFYING_TEXT)
+    candidates.sort(key=lambda c: (-c[0], -area(c[1].box), c[1].box.x, c[1].box.y))
+    best_cr, best = candidates[0]
+    try:
+        name = extract_hostname(best.text)
+    except DomainError:
+        return ExtractionOutcome(ExtractionKind.NO_QUALIFYING_TEXT)
+    return ExtractionOutcome(ExtractionKind.DOMAIN, name, best_cr)
+
+
+def plain_verify_photo(analysis, accept_set, cfg=VerifyConfig()):
+    """The verdict on `plain_extract_domain`'s outcome."""
+    outcome = plain_extract_domain(analysis, cfg)
+    if outcome.kind is ExtractionKind.MULTIPLE_ADDRESS_BARS:
+        return VerifyResult(VerdictKind.RETAKE, None, RETAKE_MULTIPLE_ADDRBARS)
+    if outcome.kind is not ExtractionKind.DOMAIN:
+        return VerifyResult(VerdictKind.RETAKE, None, RETAKE_UNREADABLE)
+    if outcome.domain in accept_set:
+        return VerifyResult(VerdictKind.MATCH, outcome.domain)
+    return VerifyResult(VerdictKind.MISMATCH, outcome.domain)
 
 
 # ---------------------------------------------------------------------------

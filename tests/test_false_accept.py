@@ -10,12 +10,22 @@ import math
 
 import pytest
 
-from photoauth.simulator import run_rtp_attack
-from photoauth.synth import DEFAULT_NOISY_PROFILE, ORACLE_PROFILE
+from photoauth.simulator import run_injection_attack, run_rtp_attack
+from photoauth.synth import DEFAULT_NOISY_PROFILE, ORACLE_PROFILE, AddrbarModel, DetectorProfile
 
 from test_simulator import adversary_authorized
 
-SEEDS = range(3000)
+
+def rtp(fake_domain):
+    def run(seed, profile):
+        return run_rtp_attack(seed, fake_domain=fake_domain, detector_profile=profile)
+
+    return run
+
+
+def picture_in_picture(seed, profile):
+    return run_injection_attack(seed, "picture-in-picture", detector_profile=profile)
+
 
 # "micr0soft.com" reads as the genuine name only when OCR turns its "0" into
 # "o" (CONFUSION_MAP["0"] == "o", the only choice) and leaves the other 12
@@ -23,19 +33,32 @@ SEEDS = range(3000)
 _SUB = DEFAULT_NOISY_PROFILE.ocr.sub_rate
 _DIGIT_SWAP_RATE = _SUB * (1 - _SUB) ** 12
 
+# A picture-in-picture page shows a second, fake bar that reads
+# "microsoft.com". Detecting both bars asks for a retake, so the adversary
+# wins only when the detector misses the real bar (miss), finds the fake
+# one (1 - miss), does not cut it short (1 - cutoff), and OCR reads its 13
+# characters unchanged (1 - sub)^13.
+_MISSING = DetectorProfile(
+    ocr=DEFAULT_NOISY_PROFILE.ocr,
+    addrbar=AddrbarModel(**{**DEFAULT_NOISY_PROFILE.addrbar._asdict(), "miss_prob": 0.05}),
+)
+_MISS, _CUTOFF = _MISSING.addrbar.miss_prob, _MISSING.addrbar.cutoff_prob
+_LONE_FAKE_BAR_RATE = _MISS * (1 - _MISS) * (1 - _CUTOFF) * (1 - _SUB) ** 13
+
 ROWS = [
-    pytest.param("micr0soft.com", DEFAULT_NOISY_PROFILE, _DIGIT_SWAP_RATE, id="rtp-micr0soft-noisy"),
-    pytest.param("micr0soft.com", ORACLE_PROFILE, 0.0, id="rtp-micr0soft-oracle"),
+    pytest.param(rtp("micr0soft.com"), DEFAULT_NOISY_PROFILE, range(3000), _DIGIT_SWAP_RATE,
+                 id="rtp-micr0soft-noisy"),
+    pytest.param(rtp("micr0soft.com"), ORACLE_PROFILE, range(3000), 0.0, id="rtp-micr0soft-oracle"),
+    pytest.param(picture_in_picture, DEFAULT_NOISY_PROFILE, range(2000), 0.0, id="pip-noisy"),
+    pytest.param(picture_in_picture, _MISSING, range(2000), _LONE_FAKE_BAR_RATE,
+                 id="pip-noisy-miss-0.05"),
 ]
 
 
-@pytest.mark.parametrize("fake_domain, profile, rate", ROWS)
-def test_adversary_authorizations_within_model(fake_domain, profile, rate):
-    wins = sum(
-        adversary_authorized(run_rtp_attack(seed, fake_domain=fake_domain, detector_profile=profile))
-        for seed in SEEDS
-    )
-    n = len(SEEDS)
+@pytest.mark.parametrize("runner, profile, seeds, rate", ROWS)
+def test_adversary_authorizations_within_model(runner, profile, seeds, rate):
+    wins = sum(adversary_authorized(runner(seed, profile)) for seed in seeds)
+    n = len(seeds)
     sigma = math.sqrt(n * rate * (1 - rate))
     assert abs(wins - n * rate) <= 3 * sigma, (
         f"{wins} of {n} authorized, model {n * rate:.1f} ± {3 * sigma:.1f}"

@@ -106,6 +106,14 @@ class TestOverlapMetrics:
         assert cover_rate(small, big) == 1.0
         assert cover_rate(big, small) == 25.0 / 10000.0
 
+    @pytest.mark.parametrize("x, y", [(100, 50), (0, 0), (10, 90)])
+    def test_text_of_zero_area_covers_nothing(self, x, y):
+        # A valid box whose area underflows: 1e-200 squared is 0.0.
+        text = BoundingBox(x, y, 1e-200, 1e-200)
+        assert area(text) == 0.0
+        assert cover_rate(text, BoundingBox(0, 0, 1000, 100)) == 0.0
+        assert cover_rate(text, BoundingBox(500, 500, 10, 10)) == 0.0
+
     @given(a=int_box(), b=int_box())
     def test_matches_pixel_oracle(self, a, b):
         assert intersection_area(a, b) == pixel_intersection(a, b)

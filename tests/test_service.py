@@ -400,6 +400,25 @@ class TestPhotoEndpoint:
             "retakes_left": 4,
         }
 
+    def test_a_text_of_zero_area_is_unreadable(self):
+        # 1e-200 squared underflows to 0.0: inside a confident bar, the text
+        # covers nothing, and dividing by its area must not end the request.
+        app = make_app()
+        _, digits = self.start_pending(app)
+        analysis = {
+            "resolution": {"w": 1920, "h": 1080},
+            "texts": [{"x": 100, "y": 50, "w": 1e-200, "h": 1e-200, "text": "microsoft.com"}],
+            "addrbars": [{"x": 20, "y": 40, "w": 1000, "h": 40, "confidence": 0.9}],
+        }
+        response = submit_photo(app, digits, analysis)
+        assert response.status == 200
+        assert response.body == {
+            "status": "retake",
+            "reason": "unreadable",
+            "warning": False,
+            "retakes_left": 4,
+        }
+
     def test_retakes_exhaust_to_fallback(self):
         app = make_app(retake_cap=2)
         _, digits = self.start_pending(app)
@@ -1373,6 +1392,15 @@ class TestParseHead:
             (b"GET / HTTP/1.1\r\nConnection: Close", False),
             (b"GET / HTTP/1.0", False),
             (b"GET / HTTP/1.0\r\nConnection: keep-alive", True),
+            # A list of options: "close" anywhere closes.
+            (b"GET / HTTP/1.1\r\nConnection: close, TE", False),
+            (b"GET / HTTP/1.1\r\nConnection: TE,close", False),
+            (b"GET / HTTP/1.1\r\nConnection: TE, Upgrade", True),
+            (b"GET / HTTP/1.1\r\nConnection: closed", True),
+            (b"GET / HTTP/1.0\r\nConnection: keep-alive, x", True),
+            (b"GET / HTTP/1.0\r\nConnection: X ,  Keep-Alive", True),
+            (b"GET / HTTP/1.0\r\nConnection: keep-alive, close", False),
+            (b"GET / HTTP/1.0\r\nConnection: x", False),
         ],
     )
     def test_keep_alive(self, head, keep_alive):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 
@@ -256,12 +257,29 @@ class TestClampEquivalence:
     )
     @settings(max_examples=200)
     def test_same_box_as_min_max(self, x, y, w, h, res):
-        assert repr(_clamp_box(x, y, w, h, res)) == repr(plain_clamp_box(x, y, w, h, res))
+        got = _clamp_box(x, y, w, h, float(res.width), float(res.height))
+        assert repr(got) == repr(plain_clamp_box(x, y, w, h, res))
 
     def test_ties_keep_the_first_operand(self):
         res = Resolution(640, 480)
         for args in [(-0.0, 0.0, 1.0, 1.0), (0.0, -0.0, 640, 480), (10, 10, 1, 1)]:
-            assert repr(_clamp_box(*args, res)) == repr(plain_clamp_box(*args, res))
+            assert repr(_clamp_box(*args, 640.0, 480.0)) == repr(plain_clamp_box(*args, res))
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (math.nan, 0.0, 10.0, 10.0),
+            (0.0, math.nan, 10.0, 10.0),
+            (0.0, 0.0, math.nan, 10.0),
+            (0.0, 0.0, 10.0, math.nan),
+            (math.inf, -math.inf, math.inf, -math.inf),
+            (-math.inf, math.inf, -math.inf, math.inf),
+        ],
+    )
+    def test_nan_is_refused_and_infinity_clamped_as_before(self, args):
+        got = built_or_refused(lambda: _clamp_box(*args, 640.0, 480.0))
+        want = built_or_refused(lambda: plain_clamp_box(*args, Resolution(640, 480)))
+        assert repr(got) == repr(want)
 
 
 def built_or_refused(build):

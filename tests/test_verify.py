@@ -1,10 +1,15 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import photoauth.verify
 from photoauth.domain import extract_hostname
 from photoauth.geometry import BoundingBox, Resolution, cover_rate
 from photoauth.verify import (
+    CONFIDENCE_FLOOR,
     AddressBarPrediction,
     ExtractionKind,
     PhotoAnalysis,
@@ -18,6 +23,8 @@ from photoauth.verify import (
     extract_domain,
     verify_photo,
 )
+
+from _oracles import plain_extract_domain, plain_verify_photo
 
 RES = Resolution(1920, 1080)
 BAR = BoundingBox(20, 50, 1000, 50)
@@ -119,6 +126,124 @@ class TestExtractDomain:
         garbage = TextRegion(URL_BOX, "???!!!")
         analysis = make_analysis([garbage], [AddressBarPrediction(BAR, 0.95)])
         assert extract_domain(analysis).kind is ExtractionKind.NO_QUALIFYING_TEXT
+
+
+# Photos around one bar: texts above it, below it, across either edge, inside
+# it, and exactly touching its top or bottom edge (dyadic sizes keep those
+# sums exact), some of zero area; 0-3 predictions with confidences around the
+# floor, the first on that bar.
+_size = st.one_of(st.sampled_from([1e-200, 0.25, 1, 20, 40.5]), st.floats(1e-3, 80))
+_gap = st.one_of(st.sampled_from([0, 5e-324, 1e-9, 0.5, 7]), st.floats(0, 20))
+_confidence = st.one_of(
+    st.sampled_from([0.0, 0.49999999999999994, CONFIDENCE_FLOOR, 0.5000000000000001, 1.0]),
+    st.floats(0.0, 1.0),
+)
+_texts = st.sampled_from(
+    ["microsoft.com", "https://login.live.com/x", "bücher.de", "rnicrosoft.com", "???", "a b"]
+)
+
+
+@st.composite
+def _photos(draw):
+    bar = BoundingBox(
+        draw(st.one_of(st.sampled_from([0, 20.0]), st.floats(0, 800))),
+        draw(st.one_of(st.sampled_from([100, 100.25, 333.3]), st.floats(100, 800))),
+        draw(st.one_of(st.sampled_from([1e-200, 600.0]), st.floats(1e-3, 1000))),
+        draw(st.one_of(st.sampled_from([1e-200, 1, 40.5]), st.floats(1e-3, 100))),
+    )
+    top, bottom = bar.y, bar.y + bar.height
+    texts = []
+    for _ in range(draw(st.integers(0, 4))):
+        h = draw(_size)
+        y = draw(st.sampled_from([
+            top - h - draw(_gap),  # above
+            top - h,  # touching the top edge
+            top - h + draw(_gap),  # a hair across the top edge
+            top - h / 2,  # across the top edge
+            top + draw(st.floats(0, 1)) * bar.height,  # inside
+            bottom - h / 2,  # across the bottom edge
+            bottom - draw(_gap),  # a hair across the bottom edge
+            bottom,  # touching the bottom edge
+            bottom + draw(_gap),  # below
+        ]))
+        x = draw(st.one_of(st.sampled_from([0, bar.x]), st.floats(0, 1500)))
+        box = BoundingBox(x, max(y, 0.0), draw(_size) * 5, h)
+        texts.append(TextRegion(box, draw(_texts)))
+    bars = [AddressBarPrediction(bar, draw(_confidence))]
+    for _ in range(draw(st.integers(0, 2))):
+        other = BoundingBox(draw(st.floats(0, 900)), draw(st.floats(0, 900)),
+                            draw(st.floats(1, 1000)), draw(st.floats(1, 100)))
+        bars.append(AddressBarPrediction(other, draw(_confidence)))
+    return make_analysis(texts, draw(st.sampled_from([[], bars[:1], bars])))
+
+
+_configs = st.one_of(
+    st.builds(VerifyConfig, st.one_of(
+        st.sampled_from([5e-324, 1e-300, 0.5, 0.8, 1.0]), st.floats(5e-324, 1.0))),
+    st.just(VerifyConfig._make((0.0,))),
+)
+
+
+class TestOffRowTextsAreNotScored:
+    """`extract_domain` skips texts wholly above or below the bar's rows;
+    the outcome is the one of scoring every text."""
+
+    @given(analysis=_photos(), cfg=_configs)
+    @settings(max_examples=400)
+    def test_same_outcome_and_verdict_as_scoring_every_text(self, analysis, cfg):
+        accept = accepted("microsoft.com", "bücher.de")
+        assert repr(extract_domain(analysis, cfg)) == repr(plain_extract_domain(analysis, cfg))
+        assert repr(verify_photo(analysis, accept, cfg)) == repr(
+            plain_verify_photo(analysis, accept, cfg)
+        )
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        """The text boxes `cover_rate` is called on, in order."""
+        calls = []
+
+        def counting(text_box, bar_box):
+            calls.append(text_box)
+            return cover_rate(text_box, bar_box)
+
+        monkeypatch.setattr(photoauth.verify, "cover_rate", counting)
+        return calls
+
+    def test_only_a_text_on_the_bar_rows_is_scored(self, scored):
+        calls = scored
+        title = TextRegion(BoundingBox(120, 10, 300, 20), "Sign in to microsoft.com")
+        url = TextRegion(BoundingBox(120, 45, 300, 26), "microsoft.com")  # across the top edge
+        content = TextRegion(BoundingBox(120, 100, 300, 20), "Welcome back")  # touching the bottom
+        analysis = make_analysis([title, url, content], [AddressBarPrediction(BAR, 0.95)])
+        result = verify_photo(analysis, accepted("microsoft.com"), VerifyConfig(cr_threshold=0.5))
+        assert result.kind is VerdictKind.MATCH
+        assert calls == [url.box]
+
+        calls.clear()
+        verify_photo(analysis, accepted("microsoft.com"), VerifyConfig._make((0.0,)))
+        assert calls == [title.box, url.box, content.box]
+
+    # BAR spans rows 50 to 100; a 16-high text at y 34 ends on row 50 exactly.
+    @pytest.mark.parametrize(
+        "y, on_rows",
+        [
+            (34.0, False),
+            (math.nextafter(34.0, math.inf), True),
+            (100.0, False),
+            (math.nextafter(100.0, 0.0), True),
+        ],
+        ids=["touching-top", "one-ulp-across-top", "touching-bottom", "one-ulp-across-bottom"],
+    )
+    def test_a_text_one_ulp_across_an_edge_is_scored(self, scored, y, on_rows):
+        analysis = make_analysis(
+            [TextRegion(BoundingBox(120, y, 300, 16), "microsoft.com")],
+            [AddressBarPrediction(BAR, 0.95)],
+        )
+        cfg = VerifyConfig(cr_threshold=5e-324)
+        outcome = extract_domain(analysis, cfg)
+        assert len(scored) == on_rows
+        assert (outcome.kind is ExtractionKind.DOMAIN) is on_rows
+        assert repr(outcome) == repr(plain_extract_domain(analysis, cfg))
 
 
 class TestVerifyPhoto:
