@@ -53,13 +53,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .synth import (
-        DetectorProfile,
-        GeneratorParams,
-        ORACLE_PROFILE,
-        evaluate_corpus,
-        load_profile,
-    )
+    from .synth import GeneratorParams, ORACLE_PROFILE, evaluate_corpus, load_profile
 
     if args.profile == "oracle":
         profile = ORACLE_PROFILE
@@ -69,14 +63,12 @@ def _cmd_evaluate(args) -> int:
         except (OSError, ValueError, KeyError) as exc:
             print(f"cannot load profile: {exc}", file=sys.stderr)
             return 2
-    if args.seed is not None:
-        profile = DetectorProfile(ocr=profile.ocr, addrbar=profile.addrbar, seed=args.seed)
     domains = tuple(args.domain) if args.domain else ("microsoft.com",)
     # A bad domain or a non-positive --n is refused before the first cycle.
     try:
         accept = frozenset(extract_hostname(d) for d in domains)
         report = evaluate_corpus(
-            args.n, GeneratorParams(domains=domains), profile, VerifyConfig(), accept
+            args.n, GeneratorParams(domains=domains), profile, VerifyConfig(), accept, args.seed
         )
     except ValueError as exc:
         print(f"cannot evaluate: {exc}", file=sys.stderr)

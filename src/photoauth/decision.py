@@ -24,7 +24,6 @@ from typing import Iterable, MutableSequence, NamedTuple, Optional
 from .domain import DomainName
 from .session import (
     Channel,
-    DEFAULT_TOKEN_LENGTH,
     InvalidState,
     Preference,
     Session,
@@ -174,7 +173,6 @@ class AuthEngine:
         *,
         policy: ColocationPolicy = ColocationPolicy(),
         verify_cfg: VerifyConfig = VerifyConfig(),
-        token_length: int = DEFAULT_TOKEN_LENGTH,
         outbox: MutableSequence[Notification] | None = None,
     ):
         self.store = store
@@ -182,7 +180,6 @@ class AuthEngine:
         self.accept_set = frozenset(accept_set)
         self.policy = policy
         self.verify_cfg = verify_cfg
-        self.token_length = token_length
         self.outbox = outbox if outbox is not None else []
         self._lock = threading.Lock()
 
@@ -215,7 +212,7 @@ class AuthEngine:
             session = self.store.create_session(
                 request.username, source=request.source_address, channel=request.channel
             )
-            session = self.store.issue_short_link(session.id, self.token_length)
+            session = self.store.issue_short_link(session.id)
             self.outbox.append(
                 Notification(
                     username=session.username,

@@ -43,16 +43,14 @@ from .session import (
     DEFAULT_TOKEN_LENGTH,
     DEFAULT_TTL_S,
     InvalidState,
-    MAX_TOKEN_LENGTH,
-    MIN_TOKEN_LENGTH,
     Preference,
     RateLimited,
     SessionStore,
+    check_token_length,
 )
 from .verify import VerifyConfig, analysis_from_dict
 
 ENV_PORT = "PHOTOAUTH_PORT"
-ENV_SEED = "PHOTOAUTH_SEED"
 
 # Nothing in the service delivers notifications; it keeps the latest few.
 NOTIFICATION_BACKLOG = 256
@@ -89,10 +87,7 @@ class Config(_ConfigFields):
             if not isinstance(name, str):
                 raise ValueError(f"server domain must be a string, got {name!r}")
             extract_hostname(name)  # raises DomainError, a ValueError
-        if not MIN_TOKEN_LENGTH <= self.token_length <= MAX_TOKEN_LENGTH:
-            raise ValueError(
-                f"token_length must be in [{MIN_TOKEN_LENGTH}, {MAX_TOKEN_LENGTH}]"
-            )
+        check_token_length(self.token_length)
         VerifyConfig(self.cr_threshold)  # checks cr_threshold
         self.policy  # checks colocation_mode and colocation_prefix_len
         if not self.session_ttl_s > 0:  # NaN too
@@ -113,13 +108,13 @@ class Config(_ConfigFields):
 def config_from_dict(obj: dict) -> Config:
     """Build a Config from parsed JSON; keys it does not know are ignored.
 
-    `PHOTOAUTH_PORT` and `PHOTOAUTH_SEED`, when set, override the file.
+    `PHOTOAUTH_PORT`, when set, overrides the file's port.
     """
     if not isinstance(obj, dict):
         raise ValueError("a config must be a JSON object")
-    env = {key: int(os.environ[name])
-           for key, name in (("port", ENV_PORT), ("seed", ENV_SEED)) if name in os.environ}
-    return from_json(Config, {**obj, **env}, "config")
+    if ENV_PORT in os.environ:
+        obj = {**obj, "port": int(os.environ[ENV_PORT])}
+    return from_json(Config, obj, "config")
 
 
 def load_config(path: str) -> Config:
@@ -225,6 +220,7 @@ class App:
             clock=clock,
             ttl_s=config.session_ttl_s,
             retake_cap=config.retake_cap,
+            token_length=config.token_length,
         )
         self.engine = AuthEngine(
             self.store,
@@ -232,7 +228,6 @@ class App:
             accept_set=names,
             policy=config.policy,
             verify_cfg=VerifyConfig(cr_threshold=config.cr_threshold),
-            token_length=config.token_length,
             outbox=deque(maxlen=NOTIFICATION_BACKLOG),
         )
 
@@ -399,8 +394,13 @@ def parse_head(head: bytes) -> Head | WireResponse:
         if m is None:
             return _error(400, "bad-header")
         name = m[1].lower()
-        if name == "content-length" and name in headers:
-            return _error(400, "bad-content-length")
+        if name in headers:
+            if name == "content-length":
+                return _error(400, "bad-content-length")
+            if name == "connection":
+                # Repeated lines are one list (RFC 9110 section 5.3).
+                headers[name] += "," + m[2]
+                continue
         headers[name] = m[2]
     # The body is left unread after these, so its bytes cannot be taken
     # for the next request.

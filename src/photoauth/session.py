@@ -113,10 +113,14 @@ def draw_cookie_value(rng: random.Random | None = None) -> str:
     return f"{(rng or _SYSTEM_RANDOM).getrandbits(COOKIE_BITS):032x}"
 
 
+def check_token_length(length: int) -> None:
+    if not MIN_TOKEN_LENGTH <= length <= MAX_TOKEN_LENGTH:
+        raise ValueError(f"token_length must be in [{MIN_TOKEN_LENGTH}, {MAX_TOKEN_LENGTH}]")
+
+
 def draw_token_digits(length: int, rng: random.Random | None = None) -> str:
     """Uniform decimal token of exactly `length` digits (leading zeros allowed)."""
-    if not MIN_TOKEN_LENGTH <= length <= MAX_TOKEN_LENGTH:
-        raise ValueError(f"token length must be in [{MIN_TOKEN_LENGTH}, {MAX_TOKEN_LENGTH}]")
+    check_token_length(length)
     bound = 10**length
     n = (rng or _SYSTEM_RANDOM).randrange(bound)
     return f"{n:0{length}d}"
@@ -133,6 +137,7 @@ class SessionStore:
     the front of the registry and costs O(1) per call, however many
     sessions are live. The clock must not run backwards. An optional
     seeded rng makes every generated id, cookie and token reproducible.
+    Every short-link token has `token_length` digits.
     """
 
     def __init__(
@@ -143,7 +148,9 @@ class SessionStore:
         clock: Callable[[], float] | None = None,
         ttl_s: float = DEFAULT_TTL_S,
         retake_cap: int = DEFAULT_RETAKE_CAP,
+        token_length: int = DEFAULT_TOKEN_LENGTH,
     ):
+        check_token_length(token_length)
         if not ttl_s > 0:  # NaN too
             raise ValueError("ttl_s must be positive")
         if retake_cap < 0:
@@ -151,6 +158,7 @@ class SessionStore:
         self.server_domain = server_domain
         self.ttl_s = ttl_s
         self.retake_cap = retake_cap
+        self.token_length = token_length
         self._rng = rng
         self._clock = clock if clock is not None else time.monotonic
         # Both registries are kept in the order their entries started, and
@@ -195,19 +203,20 @@ class SessionStore:
         if count > LOOKUP_RATE_LIMIT:
             raise RateLimited(f"token lookups from {source!r} exceed {LOOKUP_RATE_LIMIT}/s")
 
-    def _advance(self, op: str, session_id: str, step: Callable[[Session], dict]) -> Session:
-        """Apply lifecycle operation `op` to a live session.
-
-        `step` maps the session to the fields the operation changes.
-        """
+    def _live(self, op: str, session_id: str) -> Session:
+        """The live session that lifecycle operation `op` may start from."""
         self._now()
         session = self._sessions.get(session_id)
         if session is None:
             raise InvalidState(f"no live session {session_id!r}")
         if session.state not in _STARTS[op]:
             raise InvalidState(f"{op} cannot start from {session.state.value}")
-        updated = Session(**{**session._asdict(), **step(session)})
-        self._sessions[session_id] = updated
+        return session
+
+    def _put(self, session: Session, **changes) -> Session:
+        """Store `session` with `changes` applied, and return it."""
+        updated = Session(**{**session._asdict(), **changes})
+        self._sessions[session.id] = updated
         return updated
 
     # -- public API --
@@ -239,22 +248,19 @@ class SessionStore:
         self._cookie_index[cookie_value] = sid
         return session
 
-    def issue_short_link(self, session_id: str, length: int = DEFAULT_TOKEN_LENGTH) -> Session:
+    def issue_short_link(self, session_id: str) -> Session:
         """Attach a fresh token, moving the session to LINK_SENT.
 
         The token is unique among live sessions; a collision with one is
         redrawn, never reused.
         """
-
-        def step(session: Session) -> dict:
-            while True:
-                digits = draw_token_digits(length, self._rng)
-                if digits not in self._token_index:
-                    break
-            self._token_index[digits] = session_id
-            return {"token": digits, "state": SessionState.LINK_SENT}
-
-        return self._advance("issue_short_link", session_id, step)
+        session = self._live("issue_short_link", session_id)
+        while True:
+            digits = draw_token_digits(self.token_length, self._rng)
+            if digits not in self._token_index:
+                break
+        self._token_index[digits] = session_id
+        return self._put(session, token=digits, state=SessionState.LINK_SENT)
 
     def resolve_token(self, digits: str, *, source: str | None = None) -> Session | None:
         """Look up the live session behind a token, rate limited per source."""
@@ -274,37 +280,29 @@ class SessionStore:
         return self._sessions.get(sid) if sid is not None else None
 
     def mark_awaiting_photo(self, session_id: str) -> Session:
-        return self._advance(
-            "mark_awaiting_photo", session_id, lambda _: {"state": SessionState.AWAITING_PHOTO}
-        )
+        session = self._live("mark_awaiting_photo", session_id)
+        return self._put(session, state=SessionState.AWAITING_PHOTO)
 
     def authorize(self, session_id: str) -> Session:
-        return self._advance("authorize", session_id, lambda _: {"state": SessionState.AUTHORIZED})
+        return self._put(self._live("authorize", session_id), state=SessionState.AUTHORIZED)
 
     def deny(self, session_id: str) -> Session:
         """Deny the login: its photo showed another domain, so the session
         is phishing-warned for good."""
-        return self._advance(
-            "deny", session_id, lambda _: {"state": SessionState.DENIED, "phishing_warned": True}
-        )
+        session = self._live("deny", session_id)
+        return self._put(session, state=SessionState.DENIED, phishing_warned=True)
 
     def record_retake(self, session_id: str, warned: bool) -> Session:
         """Count one failed photo; past the cap the session falls back.
 
         A `warned` retake marks the session as phishing-warned for good.
         """
-
-        def step(session: Session) -> dict:
-            retakes = session.retakes + 1
-            return {
-                "retakes": retakes,
-                "phishing_warned": session.phishing_warned or warned,
-                "state": SessionState.FALLBACK_OFFERED
-                if retakes > self.retake_cap
-                else SessionState.AWAITING_PHOTO,
-            }
-
-        return self._advance("record_retake", session_id, step)
+        session = self._live("record_retake", session_id)
+        retakes = session.retakes + 1
+        state = (SessionState.FALLBACK_OFFERED if retakes > self.retake_cap
+                 else SessionState.AWAITING_PHOTO)
+        return self._put(session, retakes=retakes, state=state,
+                         phishing_warned=session.phishing_warned or warned)
 
     def live_count(self) -> int:
         self._now()

@@ -21,7 +21,6 @@ from __future__ import annotations
 import inspect
 import json
 import random
-from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
@@ -38,7 +37,7 @@ from .decision import (
 )
 from .domain import extract_hostname
 from .jsonread import from_json, is_record
-from .session import Channel, Preference, SessionStore, draw_token_digits
+from .session import Channel, DEFAULT_TOKEN_LENGTH, Preference, SessionStore, draw_token_digits
 from .synth import (
     DetectorProfile,
     InjectionPlacement,
@@ -76,8 +75,7 @@ class Outcome(NamedTuple):
         return {"kind": self.kind.value, "detail": self.detail}
 
 
-@dataclass
-class Browser:
+class Browser(NamedTuple):
     """One browser and its cookie jar, keyed by origin.
 
     Same-origin policy: a request carries only the cookie stored under
@@ -86,7 +84,7 @@ class Browser:
 
     name: str
     source: str
-    jar: dict[str, str] = field(default_factory=dict)
+    jar: dict[str, str]
 
 
 class RtpProxy:
@@ -121,14 +119,13 @@ class Scenario(NamedTuple):
     expected: Optional[Outcome] = None
 
 
-@dataclass
-class ScenarioReport:
+class ScenarioReport(NamedTuple):
     name: str
     seed: int
     outcome: Outcome
-    trail: list[dict] = field(default_factory=list)
-    log: list[dict] = field(default_factory=list)
-    photos_taken: int = 0
+    trail: list[dict]
+    log: list[dict]
+    photos_taken: int
 
     def log_jsonl(self) -> str:
         return "\n".join(
@@ -164,7 +161,7 @@ class World:
         server_domain: str = "microsoft.com",
         accept: tuple[str, ...] | None = None,
         policy: ColocationPolicy = ColocationPolicy(ColocationMode.COOKIE_EQUALITY),
-        token_length: int = 10,
+        token_length: int = DEFAULT_TOKEN_LENGTH,
         profile: DetectorProfile = ORACLE_PROFILE,
         theme: Theme = Theme.LIGHT,
     ):
@@ -183,16 +180,16 @@ class World:
             rng=self.rng,
             clock=lambda: float(self.t),
             ttl_s=1_000_000.0,  # nothing expires within a scenario
+            token_length=token_length,
         )
         self.engine = AuthEngine(
             self.store,
             users={self.username: Preference.SMS},
             accept_set=[extract_hostname(a) for a in accepted],
             policy=policy,
-            token_length=token_length,
         )
-        self.user_pc = Browser(USER, source="198.51.100.23")
-        self.phone = Browser(PHONE, source="203.0.113.7")
+        self.user_pc = Browser(USER, "198.51.100.23", {})
+        self.phone = Browser(PHONE, "203.0.113.7", {})
         self.inbox: list[Notification] = []
         self.trail: list[dict] = []
         self.owners: dict[str, str] = {}
@@ -355,13 +352,6 @@ class World:
         return decision
 
 
-def _adversary_authorized(world: World) -> bool:
-    return any(
-        d["kind"] == DecisionKind.AUTHORIZE.value and d["owner"] == ADVERSARY
-        for d in world.trail
-    )
-
-
 # How a proxy attack that authorized nobody ends; None when it authorized the adversary.
 _Ending = Optional[tuple[OutcomeKind, Optional[str]]]
 
@@ -375,7 +365,7 @@ def _proxy_attack(
     if decision.kind is not DecisionKind.LINK_SENT:
         return world.finish(OutcomeKind.ATTACK_BLOCKED, decision.reason)
     ending = victim(proxy)
-    if ending is None or _adversary_authorized(world):
+    if ending is None:
         return world.finish(OutcomeKind.AUTHORIZED, ADVERSARY)
     return world.finish(*ending)
 
@@ -395,12 +385,16 @@ def _photograph_fake_site(
         decision = world.take_photo(
             proxy.fake_domain, variant=placement, injected_text=world.server_name
         )
+        if decision.kind is DecisionKind.AUTHORIZE:
+            return None
         return OutcomeKind.ATTACK_BLOCKED, decision.reason or "multiple-addrbars"
     decision = world.photo_flow(
         proxy.fake_domain,
         injected_text=world.server_name if placement is not None else None,
         injected_placement=placement,
     )
+    if decision.kind is DecisionKind.AUTHORIZE:
+        return None
     if decision.kind is DecisionKind.DENY:
         return OutcomeKind.ATTACK_DETECTED, decision.reason
     return OutcomeKind.ATTACK_BLOCKED, "retake-cap"
@@ -546,7 +540,7 @@ def run_token_bruteforce(
     seed: int,
     *,
     guesses: int = 10_000,
-    token_length: int = 10,
+    token_length: int = DEFAULT_TOKEN_LENGTH,
     upstream: str = "microsoft.com",
 ) -> ScenarioReport:
     """Adversary fires random token guesses at one live session.
@@ -570,7 +564,7 @@ def run_token_bruteforce(
             hit = True
             break
     world.send(ADVERSARY, SERVER, UNSAFE, "token-guessing-done", {"guesses": guesses, "hit": hit})
-    if hit or _adversary_authorized(world):
+    if hit:
         return world.finish(OutcomeKind.AUTHORIZED, ADVERSARY)
     return world.finish(OutcomeKind.ATTACK_BLOCKED, "unknown-token")
 
@@ -625,8 +619,7 @@ def _runner(kind: str) -> Callable[..., ScenarioReport]:
 
 def run_scenario(scenario: Scenario) -> ScenarioReport:
     report = _runner(scenario.kind)(scenario.seed, **scenario.params)
-    report.name = scenario.name
-    return report
+    return ScenarioReport(scenario.name, *report[1:])
 
 
 def load_scenario(path: str, seed_override: int | None = None) -> Scenario:

@@ -10,7 +10,7 @@ import pytest
 
 from photoauth import cli
 from photoauth.cli import main
-from photoauth.service import ENV_PORT, ENV_SEED
+from photoauth.service import ENV_PORT
 
 SCENARIO_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios")
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
@@ -217,7 +217,6 @@ class TestServe:
         config = tmp_path / "serve.json"
         config.write_text(json.dumps({"seed": 5}), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": SRC, ENV_PORT: "0"}
-        env.pop(ENV_SEED, None)
         with subprocess.Popen(
             [sys.executable, "-m", "photoauth.cli", "serve", "--config", str(config)],
             stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
@@ -312,7 +311,6 @@ class TestMalformedInput:
     def test_exits_two_without_a_traceback(self, tmp_path, capsys, monkeypatch, case):
         command, text, message = _MALFORMED_INPUTS[case]
         monkeypatch.delenv(ENV_PORT, raising=False)
-        monkeypatch.delenv(ENV_SEED, raising=False)
 
         def no_serve(config):
             raise AssertionError(f"server started with {config}")

@@ -10,7 +10,13 @@ import math
 
 import pytest
 
-from photoauth.simulator import run_injection_attack, run_rtp_attack
+from photoauth.simulator import (
+    ADVERSARY,
+    Outcome,
+    OutcomeKind,
+    run_injection_attack,
+    run_rtp_attack,
+)
 from photoauth.synth import DEFAULT_NOISY_PROFILE, ORACLE_PROFILE, AddrbarModel, DetectorProfile
 
 from test_simulator import adversary_authorized
@@ -57,7 +63,14 @@ ROWS = [
 
 @pytest.mark.parametrize("runner, profile, seeds, rate", ROWS)
 def test_adversary_authorizations_within_model(runner, profile, seeds, rate):
-    wins = sum(adversary_authorized(runner(seed, profile)) for seed in seeds)
+    wins = mislabelled = 0
+    for seed in seeds:
+        report = runner(seed, profile)
+        won = adversary_authorized(report)
+        wins += won
+        # The outcome names every authorization the trail holds.
+        mislabelled += won != (report.outcome == Outcome(OutcomeKind.AUTHORIZED, ADVERSARY))
+    assert mislabelled == 0
     n = len(seeds)
     sigma = math.sqrt(n * rate * (1 - rate))
     assert abs(wins - n * rate) <= 3 * sigma, (

@@ -69,3 +69,10 @@ def test_the_corpus_path_loads_no_json_or_difflib():
     loaded = modules_loaded_by("import photoauth.synth, photoauth.verify, photoauth.domain")
     assert "photoauth.synth" in loaded
     assert loaded & {"json", "difflib"} == set()
+
+
+def test_no_module_imports_dataclasses():
+    # Every value type is a NamedTuple.
+    uses = [(path.name, line) for path in SOURCES
+            for line, name in absolute_imports(path) if name == "dataclasses"]
+    assert uses == []

@@ -25,7 +25,6 @@ from photoauth.service import (
     App,
     Config,
     ENV_PORT,
-    ENV_SEED,
     MAX_BODY_BYTES,
     MAX_HEADERS,
     MAX_LINE_BYTES,
@@ -129,17 +128,17 @@ class TestConfig:
 
     def test_from_dict_defaults(self, monkeypatch):
         monkeypatch.delenv(ENV_PORT, raising=False)
-        monkeypatch.delenv(ENV_SEED, raising=False)
         config = config_from_dict({})
         assert config.port == 8443
         assert config.seed is None
 
     def test_env_overrides(self, monkeypatch):
+        # The port is the one setting read from the environment.
+        for field in Config._fields:
+            monkeypatch.setenv(f"PHOTOAUTH_{field.upper()}", "5")
         monkeypatch.setenv(ENV_PORT, "9000")
-        monkeypatch.setenv(ENV_SEED, "5")
         config = config_from_dict({"port": 8000, "seed": 1})
-        assert config.port == 9000
-        assert config.seed == 5
+        assert config == Config(port=9000, seed=1)
 
     @pytest.mark.parametrize("domains", ["microsoft.com", {"microsoft.com": 1}, 5, None])
     def test_from_dict_rejects_server_domains_that_are_not_a_list(self, domains):
@@ -148,7 +147,6 @@ class TestConfig:
 
     def test_load_config_file(self, tmp_path, monkeypatch):
         monkeypatch.delenv(ENV_PORT, raising=False)
-        monkeypatch.delenv(ENV_SEED, raising=False)
         path = tmp_path / "config.json"
         path.write_text(
             json.dumps(
@@ -180,6 +178,11 @@ class TestLoginEndpoint:
         set_cookie = response.headers["Set-Cookie"]
         assert set_cookie.startswith("auth=")
         assert "HttpOnly" in set_cookie
+
+    def test_link_has_the_configured_token_length(self):
+        response = login(make_app(token_length=6))
+        assert response.body["link"].rsplit("/", 1)[-1].isdigit()
+        assert len(response.body["link"]) == len("/c/") + 6
 
     def test_authorized_cookie_short_circuits(self):
         app = make_app()
@@ -1401,6 +1404,11 @@ class TestParseHead:
             (b"GET / HTTP/1.0\r\nConnection: X ,  Keep-Alive", True),
             (b"GET / HTTP/1.0\r\nConnection: keep-alive, close", False),
             (b"GET / HTTP/1.0\r\nConnection: x", False),
+            # Repeated lines are one list, in either order.
+            (b"GET / HTTP/1.1\r\nConnection: close\r\nConnection: TE", False),
+            (b"GET / HTTP/1.1\r\nConnection: TE\r\nConnection: close", False),
+            (b"GET / HTTP/1.0\r\nConnection: keep-alive\r\nConnection: x", True),
+            (b"GET / HTTP/1.0\r\nConnection: x\r\nConnection: keep-alive", True),
         ],
     )
     def test_keep_alive(self, head, keep_alive):

@@ -64,14 +64,18 @@ class TestValues:
 
     def test_token_digits_length_and_charset(self):
         for length in (6, 10, 12):
-            digits = draw_token_digits(length, random.Random(3))
-            assert len(digits) == length
-            assert digits.isdigit()
+            store = make_store(token_length=length)
+            linked = store.issue_short_link(store.create_session("bob", **LOGIN).id)
+            for digits in (draw_token_digits(length, random.Random(3)), linked.token):
+                assert len(digits) == length
+                assert digits.isdigit()
 
     @pytest.mark.parametrize("length", [0, 5, 13])
     def test_token_length_bounds(self, length):
         with pytest.raises(ValueError):
             draw_token_digits(length)
+        with pytest.raises(ValueError):
+            make_store(token_length=length)
 
     def test_token_leading_zeros_kept(self):
         rng = random.Random(3)
