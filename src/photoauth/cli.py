@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run detection cycles over synthetic screenshots")
     p.add_argument("--n", type=int, required=True, help="number of cycles")
     p.add_argument("--profile", default="oracle", help='profile JSON path or "oracle"')
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--domain", action="append", default=None, help="domain to render (repeatable)"
     )

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import ipaddress
 import threading
+from collections import deque
 from enum import Enum
-from typing import Iterable, MutableSequence, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .domain import DomainName
 from .session import (
@@ -45,6 +46,9 @@ REASON_PHISHING = "phishing-detected"
 REASON_SESSION_DENIED = "session-denied"
 
 SAME_BROWSER_HINT = "open the link in the browser used to sign in"
+
+# Nothing in the engine delivers notifications; it keeps the latest few.
+NOTIFICATION_BACKLOG = 256
 
 
 class UnknownUser(Exception):
@@ -154,10 +158,9 @@ def _same_network(a: str, b: str, prefix_len: int) -> bool:
 class AuthEngine:
     """Binds the session store, user registry and verifier into one flow.
 
-    Notifications are appended to `outbox` (a list unless the caller
-    passes another sequence, such as a bounded deque); the transport that
-    drains it (SMS, push, email) is outside the engine and carries the
-    same link either way.
+    Notifications are appended to `outbox`, which keeps the latest
+    `NOTIFICATION_BACKLOG`; the transport that drains it (SMS, push,
+    email) is outside the engine and carries the same link either way.
 
     Each `handle_*` call runs whole under one engine-wide lock, so a
     decision is always applied to the session state it was made from:
@@ -173,14 +176,13 @@ class AuthEngine:
         *,
         policy: ColocationPolicy = ColocationPolicy(),
         verify_cfg: VerifyConfig = VerifyConfig(),
-        outbox: MutableSequence[Notification] | None = None,
     ):
         self.store = store
         self.users = dict(users)
         self.accept_set = frozenset(accept_set)
         self.policy = policy
         self.verify_cfg = verify_cfg
-        self.outbox = outbox if outbox is not None else []
+        self.outbox: deque[Notification] = deque(maxlen=NOTIFICATION_BACKLOG)
         self._lock = threading.Lock()
 
     def session_state(self, session_id: str) -> SessionState | None:

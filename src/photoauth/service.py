@@ -17,7 +17,6 @@ import selectors
 import socket
 import sys
 import time
-from collections import deque
 from collections.abc import Mapping
 from http import HTTPStatus
 from types import MappingProxyType
@@ -52,8 +51,6 @@ from .verify import VerifyConfig, analysis_from_dict
 
 ENV_PORT = "PHOTOAUTH_PORT"
 
-# Nothing in the service delivers notifications; it keeps the latest few.
-NOTIFICATION_BACKLOG = 256
 # A photo analysis is a few KB; larger bodies are refused unread.
 MAX_BODY_BYTES = 64 * 1024
 # A kept-alive connection with no request for this long is closed.
@@ -173,6 +170,10 @@ def _write(stream: TextIO, text: str) -> None:
         pass
 
 
+def _error(status: int, reason: str) -> WireResponse:
+    return WireResponse(status, {"status": "error", "reason": reason})
+
+
 def _answer(decision: AuthDecision, digits: str) -> WireResponse:
     """The answer to a click or a photo decision, the same on both routes."""
     kind = decision.kind
@@ -228,7 +229,6 @@ class App:
             accept_set=names,
             policy=config.policy,
             verify_cfg=VerifyConfig(cr_threshold=config.cr_threshold),
-            outbox=deque(maxlen=NOTIFICATION_BACKLOG),
         )
 
     # -- endpoint handlers --
@@ -236,10 +236,10 @@ class App:
     def _login(self, req: WireRequest) -> WireResponse:
         body = req.body if req.body is not None else {}
         if not isinstance(body, dict):
-            return WireResponse(400, {"status": "error", "reason": "bad-body"})
+            return _error(400, "bad-body")
         username = body.get("username")
         if username is not None and not isinstance(username, str):
-            return WireResponse(400, {"status": "error", "reason": "bad-username"})
+            return _error(400, "bad-username")
         channel = Channel.PHONE_BROWSER if body.get("channel") == "phone-browser" else Channel.PC_BROWSER
         cookie = _cookie_from_headers(req.headers)
         try:
@@ -251,7 +251,7 @@ class App:
         if decision.kind is DecisionKind.AUTHORIZE:
             return WireResponse(200, {"status": "authorized", "session_id": decision.session_id})
         if decision.kind is DecisionKind.BAD_REQUEST:
-            return WireResponse(400, {"status": "error", "reason": decision.reason})
+            return _error(400, decision.reason)
         assert decision.kind is DecisionKind.LINK_SENT
         return WireResponse(
             200,
@@ -266,30 +266,30 @@ class App:
     def _click(self, req: WireRequest, digits: str) -> WireResponse:
         cookie = _cookie_from_headers(req.headers)
         if cookie == "":
-            return WireResponse(400, {"status": "error", "reason": "malformed-cookie"})
+            return _error(400, "malformed-cookie")
         try:
             decision = self.engine.handle_link_click(
                 LinkClick(digits, cookie, req.source_address)
             )
         except RateLimited:
-            return WireResponse(429, {"status": "error", "reason": "rate-limited"})
+            return _error(429, "rate-limited")
         return _answer(decision, digits)
 
     def _photo(self, req: WireRequest, digits: str) -> WireResponse:
         if req.body is None:
-            return WireResponse(400, {"status": "error", "reason": "missing-body"})
+            return _error(400, "missing-body")
         try:
             analysis = analysis_from_dict(req.body)
         except ValueError as exc:
-            return WireResponse(400, {"status": "error", "reason": f"bad-analysis: {exc}"})
+            return _error(400, f"bad-analysis: {exc}")
         try:
             decision = self.engine.handle_photo_submission(
                 digits, analysis, source=req.source_address
             )
         except InvalidState:
-            return WireResponse(409, {"status": "error", "reason": "not-awaiting-photo"})
+            return _error(409, "not-awaiting-photo")
         except RateLimited:
-            return WireResponse(429, {"status": "error", "reason": "rate-limited"})
+            return _error(429, "rate-limited")
         return _answer(decision, digits)
 
     def _status(self, session_id: str) -> WireResponse:
@@ -324,7 +324,7 @@ class App:
         m = _STATUS_PATH.fullmatch(req.path)
         if req.method == "GET" and m:
             return "/session/{id}/status", self._status(m.group(1))
-        return None, WireResponse(404, {"status": "error", "reason": "no-such-endpoint"})
+        return None, _error(404, "no-such-endpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +351,6 @@ _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
-
-
-def _error(status: int, reason: str) -> WireResponse:
-    return WireResponse(status, {"status": "error", "reason": reason})
 
 
 class Head(NamedTuple):
@@ -568,22 +564,24 @@ class _Connection:
     def _unfinished_head_error(self, searched: int) -> Optional[WireResponse]:
         """The error for an unfinished head that already breaks a limit.
 
-        Looks only at the bytes from `searched` on, so a head sent a byte
-        at a time is not scanned again for every byte.
+        Measures each line that ends in the bytes from `searched` on, and
+        the unfinished last line, so a head sent a byte at a time is not
+        scanned again for every byte.
         """
         buf = self.buf
-        start = max(0, searched - 1)
-        self.head_lines += buf.count(b"\r\n", start)
-        last = buf.rfind(b"\r\n", start)
-        if last >= 0:
-            self.line_start = last + 2
-        if self.head_lines > MAX_HEADERS + 1:
-            return _error(431, "too-many-headers")
-        if len(buf) - self.line_start <= MAX_LINE_BYTES:
-            return None
-        if self.head_lines == 0:
-            return _error(414, "request-line-too-long")
-        return _error(431, "header-line-too-long")
+        end = buf.find(b"\r\n", max(0, searched - 1))
+        while True:
+            if (len(buf) if end < 0 else end) - self.line_start > MAX_LINE_BYTES:
+                if self.head_lines == 0:
+                    return _error(414, "request-line-too-long")
+                return _error(431, "header-line-too-long")
+            if end < 0:
+                return None
+            self.head_lines += 1
+            if self.head_lines > MAX_HEADERS + 1:
+                return _error(431, "too-many-headers")
+            self.line_start = end + 2
+            end = buf.find(b"\r\n", self.line_start)
 
     def _respond(self, head: Head, body: bytearray) -> WireResponse:
         parsed = None

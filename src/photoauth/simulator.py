@@ -29,15 +29,13 @@ from .decision import (
     AuthDecision,
     AuthEngine,
     AuthRequest,
-    ColocationMode,
-    ColocationPolicy,
     DecisionKind,
     LinkClick,
     Notification,
 )
 from .domain import extract_hostname
 from .jsonread import from_json, is_record
-from .session import Channel, DEFAULT_TOKEN_LENGTH, Preference, SessionStore, draw_token_digits
+from .session import Channel, Preference, SessionStore, draw_token_digits
 from .synth import (
     DetectorProfile,
     InjectionPlacement,
@@ -57,6 +55,8 @@ SERVER = "server"
 PROXY = "proxy"
 ADVERSARY = "adversary"
 PROXY_SOURCE = "192.0.2.66"
+# A benign user gives up after this many logins denied by misread photos.
+MAX_LOGINS = 3
 
 
 class OutcomeKind(Enum):
@@ -159,9 +159,6 @@ class World:
         seed: int,
         *,
         server_domain: str = "microsoft.com",
-        accept: tuple[str, ...] | None = None,
-        policy: ColocationPolicy = ColocationPolicy(ColocationMode.COOKIE_EQUALITY),
-        token_length: int = DEFAULT_TOKEN_LENGTH,
         profile: DetectorProfile = ORACLE_PROFILE,
         theme: Theme = Theme.LIGHT,
     ):
@@ -173,20 +170,17 @@ class World:
         self.profile = profile
         self.theme = theme
         self.username = "bob"
-        accepted = accept if accept is not None else (server_domain,)
         self.server_name = str(extract_hostname(server_domain))
         self.store = SessionStore(
             extract_hostname(server_domain),
             rng=self.rng,
             clock=lambda: float(self.t),
             ttl_s=1_000_000.0,  # nothing expires within a scenario
-            token_length=token_length,
         )
         self.engine = AuthEngine(
             self.store,
             users={self.username: Preference.SMS},
-            accept_set=[extract_hostname(a) for a in accepted],
-            policy=policy,
+            accept_set=[extract_hostname(server_domain)],
         )
         self.user_pc = Browser(USER, "198.51.100.23", {})
         self.phone = Browser(PHONE, "203.0.113.7", {})
@@ -235,7 +229,7 @@ class World:
     def deliver_notifications(self) -> None:
         """Move queued short links to the phone over the safe channel."""
         while self.engine.outbox:
-            note = self.engine.outbox.pop(0)
+            note = self.engine.outbox.popleft()
             self.send(
                 SERVER, PHONE, SAFE, f"{note.preference.value}-link", {"link": note.link}
             )
@@ -427,11 +421,8 @@ def run_benign_login(
     *,
     detector_profile: DetectorProfile = ORACLE_PROFILE,
     server_domain: str = "microsoft.com",
-    accept: tuple[str, ...] | None = None,
     login_device: str = "pc",
-    policy: ColocationPolicy = ColocationPolicy(ColocationMode.COOKIE_EQUALITY),
     theme: Theme = Theme.LIGHT,
-    max_logins: int = 3,
 ) -> ScenarioReport:
     """Honest user signs in at the real site.
 
@@ -445,15 +436,13 @@ def run_benign_login(
         "benign-login",
         seed,
         server_domain=server_domain,
-        accept=accept,
-        policy=policy,
         profile=detector_profile,
         theme=theme,
     )
     browser = world.phone if login_device == "phone" else world.user_pc
     channel = Channel.PHONE_BROWSER if login_device == "phone" else Channel.PC_BROWSER
 
-    for _ in range(max_logins):
+    for _ in range(MAX_LOGINS):
         decision = world.login_direct(browser, channel)
         if decision.kind is DecisionKind.AUTHORIZE:
             return world.finish(OutcomeKind.AUTHORIZED, "user")
@@ -540,7 +529,6 @@ def run_token_bruteforce(
     seed: int,
     *,
     guesses: int = 10_000,
-    token_length: int = DEFAULT_TOKEN_LENGTH,
     upstream: str = "microsoft.com",
 ) -> ScenarioReport:
     """Adversary fires random token guesses at one live session.
@@ -549,13 +537,13 @@ def run_token_bruteforce(
     scenario succeeds for the adversary only if a guess lands on the one
     live token.
     """
-    world = World("token-bruteforce", seed, server_domain=upstream, token_length=token_length)
+    world = World("token-bruteforce", seed, server_domain=upstream)
     decision = world.login_direct(world.user_pc, Channel.PC_BROWSER)
     assert decision.kind is DecisionKind.LINK_SENT
     guess_rng = random.Random(seed ^ 0x5EED)
     hit = False
     for _ in range(guesses):
-        digits = draw_token_digits(token_length, guess_rng)
+        digits = draw_token_digits(world.store.token_length, guess_rng)
         world.t += 1
         result = world.engine.handle_link_click(LinkClick(digits, None, PROXY_SOURCE))
         if result.kind is not DecisionKind.DENY:

@@ -173,7 +173,6 @@ class AddrbarModel(_AddrbarFields):
 class DetectorProfile(NamedTuple):
     ocr: OcrModel = OcrModel()
     addrbar: AddrbarModel = AddrbarModel()
-    seed: int = 0
 
 
 ORACLE_PROFILE = DetectorProfile()
@@ -437,7 +436,7 @@ def simulate_detection(
     the same screen.
     """
     if rng is None:
-        rng = random.Random(profile.seed)
+        rng = random.Random(0)
     draw = rng.random
     res = layout.resolution
     rw, rh = float(res.width), float(res.height)
@@ -571,7 +570,7 @@ def evaluate_corpus(
     profile: DetectorProfile,
     verify_cfg: VerifyConfig,
     accept_set: frozenset[DomainName] | set[DomainName],
-    seed: int | None = None,
+    seed: int = 0,
 ) -> EvalReport:
     """Run n generate->detect->verify cycles over genuine screenshots.
 
@@ -581,7 +580,7 @@ def evaluate_corpus(
     """
     if n <= 0:
         raise ValueError("n must be positive")
-    first = (profile.seed if seed is None else seed) * 1_000_003
+    first = seed * 1_000_003
     domains, resolution, dark_fraction, variant = params
     tp = fp = fn = retakes = 0
     for i in range(n):

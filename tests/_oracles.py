@@ -236,7 +236,7 @@ def plain_detect_bar(bar, model, res, rng):
 def plain_simulate_detection(layout, profile, rng=None):
     """The analysis drawn with `rng.uniform`, every text region built anew."""
     if rng is None:
-        rng = random.Random(profile.seed)
+        rng = random.Random(0)
     res = layout.resolution
     ocr, addrbar, theme = profile.ocr, profile.addrbar, layout.theme
     split_url = ocr.split_url and not ocr.oracle
@@ -543,7 +543,7 @@ OldAddrbarModel = _frozen(
 )
 OldDetectorProfile = _frozen(
     "DetectorProfile",
-    [("ocr", object, OldOcrModel()), ("addrbar", object, OldAddrbarModel()), ("seed", int, 0)],
+    [("ocr", object, OldOcrModel()), ("addrbar", object, OldAddrbarModel())],
 )
 OldGeneratorParams = _frozen(
     "GeneratorParams",

@@ -80,6 +80,9 @@ class TestSimulate:
             {"kind": "rtp", "params": {"bogus": 1}},
             {"kind": "rtp", "params": {"fake_domain": "a_b.com"}},
             {"kind": "rtp", "params": {"seed": 4}},
+            {"kind": "benign", "params": {"accept": ["microsoft.com"]}},
+            {"kind": "benign", "params": {"max_logins": 3}},
+            {"kind": "bruteforce", "params": {"guesses": 1, "token_length": 6}},
             {"kind": ["rtp"]},
             {"kind": "rtp", "params": ["fake_domain"]},
             ["rtp"],
@@ -90,6 +93,9 @@ class TestSimulate:
             "unexpected-param",
             "invalid-domain",
             "seed-as-param",
+            "retired-accept",
+            "retired-max-logins",
+            "retired-token-length",
             "kind-not-a-string",
             "params-not-an-object",
             "not-an-object",
@@ -129,6 +135,18 @@ class TestAttack:
     def test_unknown_kind_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["attack", "not-a-kind"])
+
+
+# The noisy detector profile of README, and its output at --n 300.
+README_PROFILE = {
+    "ocr": {"mode": "noisy", "sub_rate": 0.002, "dot_drop_rate_dark": 0.05},
+    "addrbar": {"mode": "noisy", "jitter_px": 10.0, "cutoff_prob": 0.05,
+                "miss_prob": 0.0, "spurious_prob": 0.0},
+}
+README_PROFILE_N300 = (
+    '{"counts":{"fn":19,"fp":2,"retakes":21,"total":300,"tp":279},'
+    '"precision":0.9928825622775801,"recall":0.9362416107382551,"retake_rate":0.07}\n'
+)
 
 
 class TestEvaluate:
@@ -175,6 +193,23 @@ class TestEvaluate:
         _, out_a, _ = run_cli(capsys, "evaluate", "--n", "30", "--seed", "4")
         _, out_b, _ = run_cli(capsys, "evaluate", "--n", "30", "--seed", "4")
         assert out_a == out_b
+
+    @pytest.mark.parametrize("seed_args", [[], ["--seed", "0"]], ids=["no-seed", "seed-0"])
+    def test_readme_profile_output_is_pinned(self, tmp_path, capsys, seed_args):
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(README_PROFILE), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "evaluate", "--n", "300", "--profile", str(path), *seed_args)
+        assert (code, out) == (0, README_PROFILE_N300)
+
+    def test_profile_seed_key_is_ignored(self, tmp_path, capsys):
+        outs = []
+        for profile in (README_PROFILE, {**README_PROFILE, "seed": 7}):
+            path = tmp_path / "noisy.json"
+            path.write_text(json.dumps(profile), encoding="utf-8")
+            code, out, _ = run_cli(capsys, "evaluate", "--n", "100", "--profile", str(path))
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 class TestServe:
@@ -301,7 +336,6 @@ _MALFORMED_INPUTS = {
     "profile-bool-float": ("evaluate", _profile(sub_rate=True), "cannot load profile"),
     "profile-not-an-object": ("evaluate", "[1]", "cannot load profile"),
     "profile-model-not-an-object": ("evaluate", '{"ocr": []}', "cannot load profile"),
-    "profile-string-seed": ("evaluate", '{"seed": "a"}', "cannot load profile"),
     "profile-unknown-mode": ("evaluate", _profile(mode="Oracle"), "cannot load profile"),
 }
 

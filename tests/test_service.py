@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photoauth.decision import SAME_BROWSER_HINT
+from photoauth.decision import NOTIFICATION_BACKLOG, SAME_BROWSER_HINT
 from photoauth.domain import LABEL_MAX_LEN
 from photoauth.service import (
     App,
@@ -28,7 +28,6 @@ from photoauth.service import (
     MAX_BODY_BYTES,
     MAX_HEADERS,
     MAX_LINE_BYTES,
-    NOTIFICATION_BACKLOG,
     Head,
     HttpServer,
     WireRequest,
@@ -1244,6 +1243,29 @@ class TestHttpShell:
         assert time.monotonic() - t0 < 1.0  # the whole head would take 1.2 s
         assert reply.startswith(b"HTTP/1.1 408 ")
         assert json.loads(reply.partition(b"\r\n\r\n")[2])["reason"] == "request-timeout"
+
+    @pytest.mark.parametrize(
+        "first, status, reason",
+        [
+            (b"GET /" + b"x" * (MAX_LINE_BYTES - 5), 414, "request-line-too-long"),
+            (b"GET / HTTP/1.1\r\nX: " + b"x" * (MAX_LINE_BYTES - 3), 431, "header-line-too-long"),
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_a_long_line_ending_in_one_read_is_refused_at_once(self, live, first, status,
+                                                                reason):
+        # The first write leaves the line at the limit; the second passes it and ends it.
+        with socket.create_connection(("127.0.0.1", live[1]), timeout=5) as sock:
+            t0 = time.monotonic()
+            sock.sendall(first)
+            time.sleep(0.05)
+            sock.sendall(b"x\r\n")
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert time.monotonic() - t0 < 2.0  # the deadline is 10 s
+        assert reply.startswith(b"HTTP/1.1 %d " % status)
+        assert json.loads(reply.partition(b"\r\n\r\n")[2])["reason"] == reason
 
     def test_open_connections_start_no_threads(self, live):
         before = threading.active_count()

@@ -97,7 +97,6 @@ class TestBenignLogin:
             detector_profile=DOT_DROP_PROFILE,
             theme=Theme.DARK,
             server_domain="www.google.com",
-            max_logins=3,
         )
         assert report.outcome == Outcome(OutcomeKind.DENIED, "photo-verification")
         assert report.photos_taken == 3

@@ -307,7 +307,6 @@ _profiles = st.one_of(
                           jitter_px=st.sampled_from([0.0, 10.0]) | st.floats(0.0, 500.0),
                           cutoff_prob=_probability, miss_prob=_probability,
                           spurious_prob=_probability),
-        seed=st.integers(0, 2**32),
     ),
 )
 _layout_args = st.fixed_dictionaries(
@@ -503,11 +502,10 @@ class TestCorpusEvaluation:
         b = evaluate_corpus(100, params, DEFAULT_NOISY_PROFILE, CFG, CORPUS_ACCEPT, seed=3)
         assert a.to_json() == b.to_json()
 
-    def test_profile_seed_is_default_corpus_seed(self):
-        params = GeneratorParams(domains=("microsoft.com",))
-        profile = DetectorProfile(seed=77)
-        a = evaluate_corpus(20, params, profile, CFG, accept("microsoft.com"))
-        b = evaluate_corpus(20, params, profile, CFG, accept("microsoft.com"), seed=77)
+    def test_default_corpus_seed_is_zero(self):
+        params = GeneratorParams(domains=DOMAIN_CORPUS)
+        a = evaluate_corpus(100, params, DEFAULT_NOISY_PROFILE, CFG, CORPUS_ACCEPT)
+        b = evaluate_corpus(100, params, DEFAULT_NOISY_PROFILE, CFG, CORPUS_ACCEPT, seed=0)
         assert a.to_json() == b.to_json()
 
     @pytest.mark.parametrize("knob", ["miss_prob", "cutoff_prob"])
@@ -633,7 +631,6 @@ class TestProfileSerialization:
                     "split_url": True},
             "addrbar": {"mode": "noisy", "jitter_px": 5.0, "cutoff_prob": 0.1,
                         "miss_prob": 0.2, "spurious_prob": 0.3},
-            "seed": 9,
         }
         profile = profile_from_dict(obj)
         assert not profile.ocr.oracle
@@ -641,7 +638,6 @@ class TestProfileSerialization:
         assert profile.ocr.split_url
         assert not profile.addrbar.oracle
         assert profile.addrbar.miss_prob == 0.2
-        assert profile.seed == 9
 
     def test_load_profile_from_file(self, tmp_path):
         path = tmp_path / "profile.json"

@@ -291,9 +291,8 @@ RECORDS = {
     "OcrModel": (lambda T, *fields: T.OcrModel(*fields), OCR),
     "AddrbarModel": (lambda T, *fields: T.AddrbarModel(*fields), ADDRBAR),
     "DetectorProfile": (
-        lambda T, ocr, addrbar, seed: T.DetectorProfile(T.OcrModel(*ocr),
-                                                        T.AddrbarModel(*addrbar), seed),
-        st.tuples(OCR, ADDRBAR, st.integers(0, 3)),
+        lambda T, ocr, addrbar: T.DetectorProfile(T.OcrModel(*ocr), T.AddrbarModel(*addrbar)),
+        st.tuples(OCR, ADDRBAR),
     ),
     "GeneratorParams": (
         lambda T, domains, size, dark, variant: T.GeneratorParams(
