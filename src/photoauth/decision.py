@@ -25,6 +25,7 @@ from typing import Iterable, NamedTuple, Optional
 from .domain import DomainName
 from .session import (
     Channel,
+    DEFAULT_RETAKE_CAP,
     InvalidState,
     Preference,
     Session,
@@ -37,7 +38,6 @@ from .verify import (
     PhotoAnalysis,
     RETAKE_MULTIPLE_ADDRBARS,
     VerdictKind,
-    VerifyConfig,
     verify_photo,
 )
 
@@ -175,13 +175,11 @@ class AuthEngine:
         accept_set: Iterable[DomainName],
         *,
         policy: ColocationPolicy = ColocationPolicy(),
-        verify_cfg: VerifyConfig = VerifyConfig(),
     ):
         self.store = store
         self.users = dict(users)
         self.accept_set = frozenset(accept_set)
         self.policy = policy
-        self.verify_cfg = verify_cfg
         self.outbox: deque[Notification] = deque(maxlen=NOTIFICATION_BACKLOG)
         self._lock = threading.Lock()
 
@@ -289,7 +287,7 @@ class AuthEngine:
                     f"photo submitted while session is {session.state.value}"
                 )
 
-            result = verify_photo(analysis, self.accept_set, self.verify_cfg)
+            result = verify_photo(analysis, self.accept_set)
             try:
                 if result.kind is VerdictKind.MATCH:
                     self.store.authorize(session.id)
@@ -318,7 +316,7 @@ class AuthEngine:
                     reason=result.reason,
                     session_id=session.id,
                     warning=warned,
-                    retakes_left=self.store.retake_cap - updated.retakes,
+                    retakes_left=DEFAULT_RETAKE_CAP - updated.retakes,
                 )
             except InvalidState:
                 return _UNKNOWN_TOKEN

@@ -38,16 +38,13 @@ from .domain import extract_hostname
 from .jsonread import from_json
 from .session import (
     Channel,
-    DEFAULT_RETAKE_CAP,
-    DEFAULT_TOKEN_LENGTH,
     DEFAULT_TTL_S,
     InvalidState,
     Preference,
     RateLimited,
     SessionStore,
-    check_token_length,
 )
-from .verify import VerifyConfig, analysis_from_dict
+from .verify import analysis_from_dict
 
 ENV_PORT = "PHOTOAUTH_PORT"
 
@@ -61,9 +58,6 @@ class _ConfigFields(NamedTuple):
     server_domains: tuple[str, ...] = ("microsoft.com",)
     # Read from JSON as a dict; the default is a read-only view.
     users: dict = MappingProxyType({"bob": "sms"})
-    token_length: int = DEFAULT_TOKEN_LENGTH
-    retake_cap: int = DEFAULT_RETAKE_CAP
-    cr_threshold: float = 0.8
     colocation_mode: str = "cookie"
     colocation_prefix_len: int = 24
     session_ttl_s: float = DEFAULT_TTL_S
@@ -84,13 +78,9 @@ class Config(_ConfigFields):
             if not isinstance(name, str):
                 raise ValueError(f"server domain must be a string, got {name!r}")
             extract_hostname(name)  # raises DomainError, a ValueError
-        check_token_length(self.token_length)
-        VerifyConfig(self.cr_threshold)  # checks cr_threshold
         self.policy  # checks colocation_mode and colocation_prefix_len
         if not self.session_ttl_s > 0:  # NaN too
             raise ValueError("session_ttl_s must be positive")
-        if self.retake_cap < 0:
-            raise ValueError("retake_cap must be non-negative")
         if not 0 <= self.port <= 65535:
             raise ValueError("port must be in [0, 65535]")
         for pref in self.users.values():
@@ -215,20 +205,12 @@ class App:
         self.access_log: Optional[TextIO] = None
         rng = random.Random(config.seed) if config.seed is not None else None
         names = [extract_hostname(d) for d in config.server_domains]
-        self.store = SessionStore(
-            names[0],
-            rng=rng,
-            clock=clock,
-            ttl_s=config.session_ttl_s,
-            retake_cap=config.retake_cap,
-            token_length=config.token_length,
-        )
+        self.store = SessionStore(names[0], rng=rng, clock=clock, ttl_s=config.session_ttl_s)
         self.engine = AuthEngine(
             self.store,
             users={u: Preference(p) for u, p in config.users.items()},
             accept_set=names,
             policy=config.policy,
-            verify_cfg=VerifyConfig(cr_threshold=config.cr_threshold),
         )
 
     # -- endpoint handlers --
@@ -368,13 +350,10 @@ def parse_head(head: bytes) -> Head | WireResponse:
     """Parse the bytes of a request head that precede its blank line.
 
     What cannot be framed or routed is an error response, after which the
-    shell closes the connection. Nothing raises.
+    shell closes the connection. Nothing raises. The head's size limits
+    are the connection's to check, line by line as the bytes arrive.
     """
-    if head.count(b"\r\n") > MAX_HEADERS:
-        return _error(431, "too-many-headers")
     request_line, *lines = head.decode("latin-1").split("\r\n")
-    if len(request_line) > MAX_LINE_BYTES:
-        return _error(414, "request-line-too-long")
     parts = request_line.split(" ")
     if (len(parts) != 3 or not parts[0] or not _TARGET.fullmatch(parts[1])
             or not _VERSION.fullmatch(parts[2])):
@@ -384,8 +363,6 @@ def parse_head(head: bytes) -> Head | WireResponse:
         return _error(505, "http-version-not-supported")
     headers: dict[str, str] = {}
     for line in lines:
-        if len(line) > MAX_LINE_BYTES:
-            return _error(431, "header-line-too-long")
         m = _HEADER_LINE.fullmatch(line)
         if m is None:
             return _error(400, "bad-header")
@@ -499,7 +476,7 @@ class _Connection:
         self.buf = bytearray()
         self.out = b""
         self.head: Optional[Head] = None  # read, its body not yet all here
-        # Of an unfinished head: the line ends seen, and where its last line starts.
+        # Of the head being read: the lines ended, and where the next line starts.
         self.head_lines = 0
         self.line_start = 0
         self.closing = False  # answer nothing more; close once `out` is sent
@@ -535,18 +512,18 @@ class _Connection:
     def _answer_buffered(self, searched: int) -> None:
         """Answer each complete request in the buffer, in order."""
         buf = self.buf
-        while not (self.out or self.closing):
+        while buf and not (self.out or self.closing):
             head = self.head
             if head is None:
-                end = buf.find(b"\r\n\r\n", max(0, searched - 3))
-                if end < 0:
-                    error = self._unfinished_head_error(searched)
-                    if error is not None:
-                        self.write(error, close=True)
+                end = self._head_end(searched)
+                if end is None:
+                    return
+                if isinstance(end, WireResponse):
+                    self.write(end, close=True)
                     return
                 head = parse_head(bytes(buf[:end]))
                 del buf[:end + 4]
-                searched = self.head_lines = self.line_start = 0
+                searched = 0
                 if isinstance(head, WireResponse):
                     self.write(head, close=True)
                     return
@@ -558,30 +535,39 @@ class _Connection:
             body = buf[:head.length]
             del buf[:head.length]
             self.head = None
-            self.write(self._respond(head, body), close=not head.keep_alive)
+            self.write(self._respond(head, body), close=not head.keep_alive,
+                       payload=head.method != "HEAD")
             self.deadline = time.monotonic() + (REQUEST_DEADLINE_S if buf else IDLE_TIMEOUT_S)
 
-    def _unfinished_head_error(self, searched: int) -> Optional[WireResponse]:
-        """The error for an unfinished head that already breaks a limit.
+    def _head_end(self, searched: int) -> int | WireResponse | None:
+        """Where the head at the front of the buffer ends, before its blank line.
 
-        Measures each line that ends in the bytes from `searched` on, and
-        the unfinished last line, so a head sent a byte at a time is not
-        scanned again for every byte.
+        Measures the head's lines in order, the unfinished last one too, so
+        the same head gets the same answer however its bytes arrive: None
+        while it is unfinished and within the limits, else the error for
+        the first line that breaks one. Only the bytes from `searched` on
+        are scanned, so a head sent a byte at a time is not scanned again
+        for every byte.
         """
         buf = self.buf
+        lines, start = self.head_lines, self.line_start
         end = buf.find(b"\r\n", max(0, searched - 1))
         while True:
-            if (len(buf) if end < 0 else end) - self.line_start > MAX_LINE_BYTES:
-                if self.head_lines == 0:
+            if (len(buf) if end < 0 else end) - start > MAX_LINE_BYTES:
+                if lines == 0:
                     return _error(414, "request-line-too-long")
                 return _error(431, "header-line-too-long")
             if end < 0:
+                self.head_lines, self.line_start = lines, start
                 return None
-            self.head_lines += 1
-            if self.head_lines > MAX_HEADERS + 1:
+            if end == start and lines:  # the blank line
+                self.head_lines = self.line_start = 0
+                return end - 2
+            lines += 1
+            if lines > MAX_HEADERS + 1:
                 return _error(431, "too-many-headers")
-            self.line_start = end + 2
-            end = buf.find(b"\r\n", self.line_start)
+            start = end + 2
+            end = buf.find(b"\r\n", start)
 
     def _respond(self, head: Head, body: bytearray) -> WireResponse:
         parsed = None
@@ -600,20 +586,24 @@ class _Connection:
                                + traceback.format_exc())
             return _error(500, "internal-error")
 
-    def write(self, response: WireResponse, close: bool) -> None:
-        """Send the response in one write; with `close`, then close."""
-        payload = response.to_bytes()
-        headers = "Connection: close\r\n" if close else ""
+    def write(self, response: WireResponse, close: bool, payload: bool = True) -> None:
+        """Send the response in one write; with `close`, then close.
+
+        Without `payload`, as the answer to HEAD, the body and its length
+        are left out (RFC 9110 sections 9.3.2 and 8.6).
+        """
+        body = response.to_bytes() if payload else b""
+        headers = f"Content-Length: {len(body)}\r\n" if payload else ""
+        if close:
+            headers += "Connection: close\r\n"
+            self.closing = True
         for key, value in response.headers.items():
             headers += f"{key}: {value}\r\n"
-        if close:
-            self.closing = True
         self._send(
             f"HTTP/1.1 {response.status} {_PHRASES[response.status]}\r\n"
             f"Date: {self.server.date()}\r\n"
             f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"{headers}\r\n".encode("latin-1") + payload
+            f"{headers}\r\n".encode("latin-1") + body
         )
 
     def _send(self, data: bytes) -> None:

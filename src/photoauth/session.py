@@ -113,14 +113,10 @@ def draw_cookie_value(rng: random.Random | None = None) -> str:
     return f"{(rng or _SYSTEM_RANDOM).getrandbits(COOKIE_BITS):032x}"
 
 
-def check_token_length(length: int) -> None:
-    if not MIN_TOKEN_LENGTH <= length <= MAX_TOKEN_LENGTH:
-        raise ValueError(f"token_length must be in [{MIN_TOKEN_LENGTH}, {MAX_TOKEN_LENGTH}]")
-
-
 def draw_token_digits(length: int, rng: random.Random | None = None) -> str:
     """Uniform decimal token of exactly `length` digits (leading zeros allowed)."""
-    check_token_length(length)
+    if not MIN_TOKEN_LENGTH <= length <= MAX_TOKEN_LENGTH:
+        raise ValueError(f"token length must be in [{MIN_TOKEN_LENGTH}, {MAX_TOKEN_LENGTH}]")
     bound = 10**length
     n = (rng or _SYSTEM_RANDOM).randrange(bound)
     return f"{n:0{length}d}"
@@ -137,7 +133,8 @@ class SessionStore:
     the front of the registry and costs O(1) per call, however many
     sessions are live. The clock must not run backwards. An optional
     seeded rng makes every generated id, cookie and token reproducible.
-    Every short-link token has `token_length` digits.
+    Every short-link token has `DEFAULT_TOKEN_LENGTH` digits, and a
+    session falls back once its retakes exceed `DEFAULT_RETAKE_CAP`.
     """
 
     def __init__(
@@ -147,18 +144,11 @@ class SessionStore:
         rng: random.Random | None = None,
         clock: Callable[[], float] | None = None,
         ttl_s: float = DEFAULT_TTL_S,
-        retake_cap: int = DEFAULT_RETAKE_CAP,
-        token_length: int = DEFAULT_TOKEN_LENGTH,
     ):
-        check_token_length(token_length)
         if not ttl_s > 0:  # NaN too
             raise ValueError("ttl_s must be positive")
-        if retake_cap < 0:
-            raise ValueError("retake_cap must be non-negative")
         self.server_domain = server_domain
         self.ttl_s = ttl_s
-        self.retake_cap = retake_cap
-        self.token_length = token_length
         self._rng = rng
         self._clock = clock if clock is not None else time.monotonic
         # Both registries are kept in the order their entries started, and
@@ -256,7 +246,7 @@ class SessionStore:
         """
         session = self._live("issue_short_link", session_id)
         while True:
-            digits = draw_token_digits(self.token_length, self._rng)
+            digits = draw_token_digits(DEFAULT_TOKEN_LENGTH, self._rng)
             if digits not in self._token_index:
                 break
         self._token_index[digits] = session_id
@@ -299,7 +289,7 @@ class SessionStore:
         """
         session = self._live("record_retake", session_id)
         retakes = session.retakes + 1
-        state = (SessionState.FALLBACK_OFFERED if retakes > self.retake_cap
+        state = (SessionState.FALLBACK_OFFERED if retakes > DEFAULT_RETAKE_CAP
                  else SessionState.AWAITING_PHOTO)
         return self._put(session, retakes=retakes, state=state,
                          phishing_warned=session.phishing_warned or warned)

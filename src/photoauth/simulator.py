@@ -35,7 +35,14 @@ from .decision import (
 )
 from .domain import extract_hostname
 from .jsonread import from_json, is_record
-from .session import Channel, Preference, SessionStore, draw_token_digits
+from .session import (
+    Channel,
+    DEFAULT_RETAKE_CAP,
+    DEFAULT_TOKEN_LENGTH,
+    Preference,
+    SessionStore,
+    draw_token_digits,
+)
 from .synth import (
     DetectorProfile,
     InjectionPlacement,
@@ -337,7 +344,7 @@ class World:
 
     def photo_flow(self, display_domain: str, **layout_args) -> AuthDecision:
         """Keep photographing until the server stops asking for retakes."""
-        cap = self.store.retake_cap + 2
+        cap = DEFAULT_RETAKE_CAP + 2
         decision = self.take_photo(display_domain, **layout_args)
         attempts = 1
         while decision.kind is DecisionKind.REQUEST_RETAKE and attempts < cap:
@@ -543,7 +550,7 @@ def run_token_bruteforce(
     guess_rng = random.Random(seed ^ 0x5EED)
     hit = False
     for _ in range(guesses):
-        digits = draw_token_digits(world.store.token_length, guess_rng)
+        digits = draw_token_digits(DEFAULT_TOKEN_LENGTH, guess_rng)
         world.t += 1
         result = world.engine.handle_link_click(LinkClick(digits, None, PROXY_SOURCE))
         if result.kind is not DecisionKind.DENY:

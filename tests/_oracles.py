@@ -31,7 +31,7 @@ from photoauth.domain import (
     extract_hostname,
 )
 from photoauth.geometry import BoundingBox, Resolution, area, cover_rate, intersection_area
-from photoauth.session import MAX_TOKEN_LENGTH, MIN_TOKEN_LENGTH, Channel, Preference
+from photoauth.session import Channel, Preference
 from photoauth.synth import (
     CONFUSION_MAP,
     BarTruth,
@@ -444,14 +444,9 @@ def check_config(self):
         if not isinstance(name, str):
             raise ValueError(f"server domain must be a string, got {name!r}")
         extract_hostname(name)
-    if not MIN_TOKEN_LENGTH <= self.token_length <= MAX_TOKEN_LENGTH:
-        raise ValueError(f"token_length must be in [{MIN_TOKEN_LENGTH}, {MAX_TOKEN_LENGTH}]")
-    OldVerifyConfig(self.cr_threshold)
     self.policy
     if not self.session_ttl_s > 0:
         raise ValueError("session_ttl_s must be positive")
-    if self.retake_cap < 0:
-        raise ValueError("retake_cap must be non-negative")
     if not 0 <= self.port <= 65535:
         raise ValueError("port must be in [0, 65535]")
     for pref in self.users.values():
@@ -518,7 +513,6 @@ OldSession = _frozen(
 OldConfig = _frozen(
     "Config",
     [("server_domains", tuple, ("microsoft.com",)), _fresh("users", lambda: {"bob": "sms"}),
-     ("token_length", int, 10), ("retake_cap", int, 5), ("cr_threshold", float, 0.8),
      ("colocation_mode", str, "cookie"), ("colocation_prefix_len", int, 24),
      ("session_ttl_s", float, 300.0), ("port", int, 8443), ("seed", object, None)],
     check_config,

@@ -22,6 +22,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def no_serve(monkeypatch):
+    """`serve` run in the test process fails at once instead of serving forever."""
+
+    def refuse(config):
+        raise AssertionError(f"server started with {config}")
+
+    monkeypatch.setattr(cli, "serve", refuse)
+
+
 class TestSimulate:
     def test_matching_expectation_exits_zero(self, tmp_path, capsys):
         path = tmp_path / "rtp.json"
@@ -212,6 +222,7 @@ class TestEvaluate:
         assert outs[0] == outs[1]
 
 
+@pytest.mark.usefixtures("no_serve")
 class TestServe:
     @staticmethod
     def loaded_by_serve(*modules: str) -> str:
@@ -235,9 +246,10 @@ class TestServe:
 
     def test_invalid_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text('{"token_length": 99}', encoding="utf-8")
+        path.write_text('{"users": {"bob": "fax"}}', encoding="utf-8")
         code, _, err = run_cli(capsys, "serve", "--config", str(path))
         assert code == 2
+        assert "cannot load config" in err
 
     @pytest.mark.parametrize("domains", [["a_b.com"], [5], "microsoft.com"])
     def test_bad_server_domains_exit_two(self, tmp_path, capsys, domains):
@@ -314,8 +326,8 @@ def _profile(**ocr):
 # (command, file text, error prefix): each file is refused before any run.
 _MALFORMED_INPUTS = {
     "config-not-an-object": ("serve", "[]", "cannot load config"),
-    "config-string-int": ("serve", '{"token_length": "10"}', "cannot load config"),
-    "config-bool-float": ("serve", '{"cr_threshold": true}', "cannot load config"),
+    "config-string-int": ("serve", '{"port": "10"}', "cannot load config"),
+    "config-bool-float": ("serve", '{"session_ttl_s": true}', "cannot load config"),
     "config-string-seed": ("serve", '{"seed": "abc"}', "cannot load config"),
     "config-nan-ttl": ("serve", '{"session_ttl_s": NaN}', "cannot load config"),
     "config-port-range": ("serve", '{"port": 70000}', "cannot load config"),
@@ -342,14 +354,9 @@ _MALFORMED_INPUTS = {
 
 class TestMalformedInput:
     @pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
-    def test_exits_two_without_a_traceback(self, tmp_path, capsys, monkeypatch, case):
+    def test_exits_two_without_a_traceback(self, tmp_path, capsys, monkeypatch, no_serve, case):
         command, text, message = _MALFORMED_INPUTS[case]
         monkeypatch.delenv(ENV_PORT, raising=False)
-
-        def no_serve(config):
-            raise AssertionError(f"server started with {config}")
-
-        monkeypatch.setattr(cli, "serve", no_serve)
         path = tmp_path / "input.json"
         path.write_text(text, encoding="utf-8")
         argv = {

@@ -20,6 +20,7 @@ from photoauth.domain import extract_hostname
 from photoauth.geometry import BoundingBox, Resolution
 from photoauth.session import (
     Channel,
+    DEFAULT_RETAKE_CAP,
     InvalidState,
     Preference,
     SessionState,
@@ -42,10 +43,8 @@ class FakeClock:
         return self.t
 
 
-def make_engine(policy=None, users=None, retake_cap=5):
-    store = SessionStore(
-        SERVER, rng=random.Random(42), clock=FakeClock(), ttl_s=1e9, retake_cap=retake_cap
-    )
+def make_engine(policy=None, users=None):
+    store = SessionStore(SERVER, rng=random.Random(42), clock=FakeClock(), ttl_s=1e9)
     engine = AuthEngine(
         store,
         users if users is not None else {"bob": Preference.SMS},
@@ -241,12 +240,19 @@ class TestLinkClick:
         assert engine.handle_link_click(click).kind is DecisionKind.REQUIRE_PHOTO
         assert engine.handle_link_click(click).kind is DecisionKind.REQUIRE_PHOTO
 
+    @staticmethod
+    def fall_back(engine, session_id, warned):
+        """Retake past the cap, the first retake `warned`."""
+        engine.store.mark_awaiting_photo(session_id)
+        for i in range(DEFAULT_RETAKE_CAP + 1):
+            session = engine.store.record_retake(session_id, warned and i == 0)
+        assert session.state is SessionState.FALLBACK_OFFERED
+
     def test_click_on_fallback_session(self):
-        engine = make_engine(retake_cap=0)
+        engine = make_engine()
         sent = start_login(engine)
         token = engine.outbox[0].link.rsplit("/", 1)[1]
-        engine.store.mark_awaiting_photo(sent.session_id)
-        engine.store.record_retake(sent.session_id, False)
+        self.fall_back(engine, sent.session_id, False)
         decision = engine.handle_link_click(
             LinkClick(token_digits=token, presented_cookie=None, source_address=PHONE)
         )
@@ -254,11 +260,10 @@ class TestLinkClick:
 
     @pytest.mark.parametrize("warned", [True, False])
     def test_click_on_fallback_session_answers_its_warning(self, warned):
-        engine = make_engine(retake_cap=0)
+        engine = make_engine()
         sent = start_login(engine)
         token = engine.outbox[0].link.rsplit("/", 1)[1]
-        engine.store.mark_awaiting_photo(sent.session_id)
-        engine.store.record_retake(sent.session_id, warned)
+        self.fall_back(engine, sent.session_id, warned)
         decision = engine.handle_link_click(
             LinkClick(token_digits=token, presented_cookie=None, source_address=PHONE)
         )
@@ -414,10 +419,10 @@ class TestPhotoSubmission:
 
     @pytest.mark.parametrize("first,warned", [(two_bar_photo, True), (unreadable_photo, False)])
     def test_fallback_keeps_the_two_bar_warning(self, first, warned):
-        engine = make_engine(retake_cap=2)
+        engine = make_engine()
         _, token = reach_awaiting_photo(engine)
         decision = engine.handle_photo_submission(token, first())
-        for _ in range(2):
+        for _ in range(DEFAULT_RETAKE_CAP):
             assert decision.kind is DecisionKind.REQUEST_RETAKE
             decision = engine.handle_photo_submission(token, unreadable_photo())
         assert decision.kind is DecisionKind.FALLBACK

@@ -5,6 +5,7 @@ import http.client
 import io
 import itertools
 import json
+import os
 import re
 import select
 import selectors
@@ -37,12 +38,13 @@ from photoauth.service import (
     load_config,
     parse_head,
 )
-from photoauth.session import SessionState
+from photoauth.session import DEFAULT_RETAKE_CAP, SessionState
 from photoauth.synth import ORACLE_PROFILE, generate_layout, simulate_detection
 from photoauth.verify import analysis_to_dict
 
 PC = "198.51.100.23"
 PHONE = "203.0.113.7"
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
 
 
 class FakeClock:
@@ -105,12 +107,12 @@ class TestConfig:
         "kwargs",
         [
             {"server_domains": ()},
-            {"token_length": 5},
-            {"token_length": 13},
-            {"cr_threshold": 0.0},
+            {"server_domains": ("",)},
+            {"colocation_prefix_len": -1},
+            {"users": {"bob": "SMS"}},
             {"colocation_mode": "telepathy"},
             {"session_ttl_s": 0},
-            {"retake_cap": -1},
+            {"session_ttl_s": -1.0},
             {"users": {"bob": "carrier-pigeon"}},
             {"server_domains": ("a_b.com",)},
             {"server_domains": (5,)},
@@ -139,6 +141,19 @@ class TestConfig:
         config = config_from_dict({"port": 8000, "seed": 1})
         assert config == Config(port=9000, seed=1)
 
+    def test_readme_example_loads(self, monkeypatch):
+        monkeypatch.delenv(ENV_PORT, raising=False)
+        with open(README, encoding="utf-8") as fh:
+            readme = fh.read()
+        block = re.search(r"Service config \(`serve --config`\):\n\n```json\n(.*?)```", readme,
+                          re.DOTALL)
+        example = json.loads(block[1])
+        # A key that names no field would load, ignored, and mislead the reader.
+        assert set(example) <= set(Config._fields)
+        config = config_from_dict(example)
+        for key, value in example.items():
+            assert getattr(config, key) == (tuple(value) if type(value) is list else value)
+
     @pytest.mark.parametrize("domains", ["microsoft.com", {"microsoft.com": 1}, 5, None])
     def test_from_dict_rejects_server_domains_that_are_not_a_list(self, domains):
         with pytest.raises(ValueError):
@@ -157,6 +172,9 @@ class TestConfig:
                     # Retired settings: loaded and ignored like any unknown key.
                     "target_resolution": {"w": 1280, "h": 720},
                     "iou_threshold": 1.5,
+                    "token_length": 99,
+                    "retake_cap": -1,
+                    "cr_threshold": 0.0,
                 }
             ),
             encoding="utf-8",
@@ -177,11 +195,6 @@ class TestLoginEndpoint:
         set_cookie = response.headers["Set-Cookie"]
         assert set_cookie.startswith("auth=")
         assert "HttpOnly" in set_cookie
-
-    def test_link_has_the_configured_token_length(self):
-        response = login(make_app(token_length=6))
-        assert response.body["link"].rsplit("/", 1)[-1].isdigit()
-        assert len(response.body["link"]) == len("/c/") + 6
 
     def test_authorized_cookie_short_circuits(self):
         app = make_app()
@@ -422,16 +435,19 @@ class TestPhotoEndpoint:
         }
 
     def test_retakes_exhaust_to_fallback(self):
-        app = make_app(retake_cap=2)
+        app = make_app()
         _, digits = self.start_pending(app)
-        assert submit_photo(app, digits, unreadable_dict()).body["status"] == "retake"
-        assert submit_photo(app, digits, unreadable_dict()).body["status"] == "retake"
+        for left in range(DEFAULT_RETAKE_CAP - 1, -1, -1):
+            response = submit_photo(app, digits, unreadable_dict())
+            assert (response.body["status"], response.body["retakes_left"]) == ("retake", left)
         response = submit_photo(app, digits, unreadable_dict())
         assert response.body == {"status": "fallback", "warning": False}
 
     def test_click_after_fallback_answers_as_the_photo_did(self):
-        app = make_app(seed=1, retake_cap=0)
+        app = make_app(seed=1)
         _, digits = self.start_pending(app)
+        for _ in range(DEFAULT_RETAKE_CAP):
+            assert submit_photo(app, digits, unreadable_dict()).body["status"] == "retake"
         photo = submit_photo(app, digits, unreadable_dict())
         assert (photo.status, photo.body) == (200, {"status": "fallback", "warning": False})
         again = click(app, digits)
@@ -1267,6 +1283,19 @@ class TestHttpShell:
         assert reply.startswith(b"HTTP/1.1 %d " % status)
         assert json.loads(reply.partition(b"\r\n\r\n")[2])["reason"] == reason
 
+    def test_an_answer_to_head_has_no_body(self, live):
+        # HEAD is not routed, so that it never counts as a click: a 404 with
+        # no body, and the next answer on the connection starts right after it.
+        reply = self.raw_exchange(live[1], b"HEAD /session/00ff/status HTTP/1.1\r\n\r\n"
+                                           b"GET /session/00ff/status HTTP/1.1\r\n"
+                                           b"Connection: close\r\n\r\n")
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 404 ")
+        assert b"Content-Length" not in head
+        assert rest.startswith(b"HTTP/1.1 403 ")
+        assert json.loads(rest.partition(b"\r\n\r\n")[2]) == {"status": "denied",
+                                                              "reason": "unknown-session"}
+
     def test_open_connections_start_no_threads(self, live):
         before = threading.active_count()
         socks = [socket.create_connection(("127.0.0.1", live[1]), timeout=5) for _ in range(20)]
@@ -1305,6 +1334,22 @@ def feed(conn, peer, data):
     """The peer sends `data` and the connection reads it, as the loop would."""
     peer.sendall(data)
     conn.on_ready(selectors.EVENT_READ)
+
+
+def shell_replies(data: bytes, piece: int | None = None) -> list[bytes]:
+    """The replies to `data`, sent whole or in pieces of `piece` bytes.
+
+    After each piece the connection reads until it has read it all.
+    """
+    step = piece or len(data)
+    with socketpair_connection() as (conn, peer):
+        for i in range(0, len(data), step):
+            if conn.closing:
+                break
+            peer.sendall(data[i:i + step])
+            while not (conn.closing or conn.out) and select.select([conn.sock], [], [], 0)[0]:
+                conn.on_ready(selectors.EVENT_READ)
+        return split_replies(received(peer))
 
 
 def fill(sock) -> int:
@@ -1403,6 +1448,8 @@ _heads = st.binary(max_size=200) | st.builds(
 
 
 class TestParseHead:
+    """Request heads as the connection reads and `parse_head` parses them."""
+
     def test_a_request(self):
         head = parse_head(b"POST /login HTTP/1.1\r\nHost: x\r\nCOOKIE:  auth=ab \r\n"
                           b"Content-Length: 12")
@@ -1455,17 +1502,33 @@ class TestParseHead:
             (b"POST / HTTP/1.1\r\nContent-Length: 1\r\nContent-Length: 1",
              400, "bad-content-length"),
             (b"POST / HTTP/1.1\r\nContent-Length: 1" + b"0" * 5000, 413, "body-too-large"),
+            # The first line that breaks a limit decides, before any later line
+            # and before the head's syntax is read.
+            (b"GET / HTTP/1.1\r\nX y: z\r\nX: " + b"x" * MAX_LINE_BYTES,
+             431, "header-line-too-long"),
+            (b"GET /" + b"x" * MAX_LINE_BYTES + b" HTTP/1.1" + b"\r\nX: y" * (MAX_HEADERS + 5),
+             414, "request-line-too-long"),
         ],
         ids=["long-request-line", "long-header-line", "101-headers", "folded", "space-in-name",
              "bare-lf", "two-words", "two-spaces", "lf-in-target", "tab-in-target",
-             "nul-in-target", "del-in-target", "http-0.9", "two-lengths", "5001-digits"],
+             "nul-in-target", "del-in-target", "http-0.9", "two-lengths", "5001-digits",
+             "bad-header-then-long-line", "long-request-line-then-105-headers"],
     )
     def test_errors(self, head, status, reason):
-        assert parse_head(head) == WireResponse(status, {"status": "error", "reason": reason})
+        # The same answer whether the head arrives whole or in pieces.
+        for piece in (None, 1000, 7):
+            [reply] = shell_replies(head + b"\r\n\r\n", piece)
+            assert reply.startswith(b"HTTP/1.1 %d " % status), piece
+            assert b"\r\nConnection: close\r\n" in reply
+            assert json.loads(reply.partition(b"\r\n\r\n")[2]) == {"status": "error",
+                                                                  "reason": reason}
 
     def test_heads_at_the_limits_are_read(self):
         head = b"GET /" + b"x" * (MAX_LINE_BYTES - 14) + b" HTTP/1.1" + b"\r\nX: y" * MAX_HEADERS
         assert isinstance(parse_head(head), Head)
+        for piece in (None, 1000):
+            [reply] = shell_replies(head + b"\r\n\r\n", piece)
+            assert reply.startswith(b"HTTP/1.1 404 ")
 
     @given(_heads)
     @settings(max_examples=300)
@@ -1475,7 +1538,7 @@ class TestParseHead:
             assert 0 <= result.length <= MAX_BODY_BYTES
             assert " " not in result.method + result.path
         else:
-            assert result.status in (400, 411, 413, 414, 431, 505)
+            assert result.status in (400, 411, 413, 505)
 
     @given(st.lists(_heads | st.binary(max_size=40), max_size=4), st.integers(1, 64))
     @settings(max_examples=100)
@@ -1536,17 +1599,17 @@ class TestOneAnswerPerSession:
 
     @given(
         opening=st.sampled_from(["click", "colocated-click"]),
-        # Unreadable photos are drawn most, so that many sessions fall back.
+        # Unreadable photos are drawn most, so that many sessions retake past
+        # the cap and fall back.
         steps=st.lists(st.sampled_from(["click", "click", "genuine", "lookalike", "two-bars",
-                                        "unreadable", "unreadable", "unreadable", "expire"]),
-                       max_size=10),
-        retake_cap=st.integers(0, 2),
+                                        *["unreadable"] * 6, "expire"]),
+                       max_size=16),
     )
     @settings(max_examples=150, deadline=None)
-    def test_a_decided_session_answers_alike_on_both_routes(self, opening, steps, retake_cap):
+    def test_a_decided_session_answers_alike_on_both_routes(self, opening, steps):
         photos = self.photos()
         clock = FakeClock(step=0.0)
-        app = make_app(clock=clock, retake_cap=retake_cap, session_ttl_s=100.0)
+        app = make_app(clock=clock, session_ttl_s=100.0)
         first = login(app)
         digits = first.body["link"].rsplit("/", 1)[-1]
         cookie = first.headers["Set-Cookie"].split(";")[0].split("=", 1)[1]

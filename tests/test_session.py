@@ -10,6 +10,7 @@ from hypothesis.stateful import Bundle, RuleBasedStateMachine, invariant, rule
 from photoauth.domain import extract_hostname
 from photoauth.session import (
     Channel,
+    DEFAULT_RETAKE_CAP,
     InvalidState,
     LOOKUP_RATE_LIMIT,
     RateLimited,
@@ -63,19 +64,18 @@ class TestValues:
         assert not cookie_value_well_formed(bad)
 
     def test_token_digits_length_and_charset(self):
-        for length in (6, 10, 12):
-            store = make_store(token_length=length)
-            linked = store.issue_short_link(store.create_session("bob", **LOGIN).id)
-            for digits in (draw_token_digits(length, random.Random(3)), linked.token):
-                assert len(digits) == length
-                assert digits.isdigit()
+        store = make_store()
+        linked = store.issue_short_link(store.create_session("bob", **LOGIN).id)
+        for length, digits in [(6, draw_token_digits(6, random.Random(3))),
+                               (12, draw_token_digits(12, random.Random(3))),
+                               (10, linked.token)]:
+            assert len(digits) == length
+            assert digits.isdigit()
 
     @pytest.mark.parametrize("length", [0, 5, 13])
     def test_token_length_bounds(self, length):
         with pytest.raises(ValueError):
             draw_token_digits(length)
-        with pytest.raises(ValueError):
-            make_store(token_length=length)
 
     def test_token_leading_zeros_kept(self):
         rng = random.Random(3)
@@ -152,7 +152,7 @@ class TestLifecycle:
                 return s
             if target is SessionState.DENIED:
                 return store.deny(s.id)
-            for _ in range(store.retake_cap + 1):
+            for _ in range(DEFAULT_RETAKE_CAP + 1):
                 s = store.record_retake(s.id, False)
             assert s.state is SessionState.FALLBACK_OFFERED
             return s
@@ -181,7 +181,7 @@ class TestLifecycle:
 
 class TestRetakes:
     def test_fallback_exactly_past_cap(self):
-        store = make_store(retake_cap=5)
+        store = make_store()
         s = store.create_session("bob", **LOGIN)
         store.issue_short_link(s.id)
         store.mark_awaiting_photo(s.id)
@@ -192,13 +192,6 @@ class TestRetakes:
         s = store.record_retake(s.id, False)
         assert s.state is SessionState.FALLBACK_OFFERED
         assert s.retakes == 6
-
-    def test_cap_zero_falls_back_immediately(self):
-        store = make_store(retake_cap=0)
-        s = store.create_session("bob", **LOGIN)
-        store.issue_short_link(s.id)
-        store.mark_awaiting_photo(s.id)
-        assert store.record_retake(s.id, False).state is SessionState.FALLBACK_OFFERED
 
     def test_multiple_addrbars_sets_phishing_flag(self):
         store = make_store()
@@ -404,7 +397,7 @@ class TestUniqueness:
 
 
 MODEL_TTL_S = 10.0
-MODEL_RETAKE_CAP = 2
+MODEL_RETAKE_CAP = DEFAULT_RETAKE_CAP
 # The lifecycle as the model knows it: store operation -> states it may start from.
 MODEL_STARTS = {
     "issue_short_link": {SessionState.CREDENTIALS_OK},
@@ -423,9 +416,7 @@ class StoreMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.clock = FakeClock()
-        self.store = make_store(
-            clock=self.clock, ttl_s=MODEL_TTL_S, retake_cap=MODEL_RETAKE_CAP
-        )
+        self.store = make_store(clock=self.clock, ttl_s=MODEL_TTL_S)
         self.model = {}  # id -> the snapshot the store should hand out
         self.cookies = {}  # id -> cookie value, kept after the session dies
         self.digits = {}  # id -> token digits, kept after the session dies
