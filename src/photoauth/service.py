@@ -14,8 +14,10 @@ import os
 import random
 import re
 import selectors
+import signal
 import socket
 import sys
+import threading
 import time
 from collections.abc import Mapping
 from http import HTTPStatus
@@ -475,7 +477,7 @@ class _Connection:
         self.peer = peer
         self.buf = bytearray()
         self.out = b""
-        self.head: Optional[Head] = None  # read, its body not yet all here
+        self.head: Optional[Head] = None  # read, not yet answered
         # Of the head being read: the lines ended, and where the next line starts.
         self.head_lines = 0
         self.line_start = 0
@@ -518,15 +520,12 @@ class _Connection:
                 end = self._head_end(searched)
                 if end is None:
                     return
-                if isinstance(end, WireResponse):
-                    self.write(end, close=True)
-                    return
-                head = parse_head(bytes(buf[:end]))
-                del buf[:end + 4]
-                searched = 0
+                head = end if isinstance(end, WireResponse) else parse_head(bytes(buf[:end]))
                 if isinstance(head, WireResponse):
                     self.write(head, close=True)
                     return
+                del buf[:end + 4]
+                searched = 0
                 if head.expect_continue and len(buf) < head.length:
                     self._send(_CONTINUE)
                 self.head = head
@@ -534,9 +533,8 @@ class _Connection:
                 return
             body = buf[:head.length]
             del buf[:head.length]
+            self.write(self._respond(head, body), close=not head.keep_alive)
             self.head = None
-            self.write(self._respond(head, body), close=not head.keep_alive,
-                       payload=head.method != "HEAD")
             self.deadline = time.monotonic() + (REQUEST_DEADLINE_S if buf else IDLE_TIMEOUT_S)
 
     def _head_end(self, searched: int) -> int | WireResponse | None:
@@ -586,14 +584,16 @@ class _Connection:
                                + traceback.format_exc())
             return _error(500, "internal-error")
 
-    def write(self, response: WireResponse, close: bool, payload: bool = True) -> None:
-        """Send the response in one write; with `close`, then close.
+    def write(self, response: WireResponse, close: bool) -> None:
+        """Answer the request being read in one write; with `close`, then close.
 
-        Without `payload`, as the answer to HEAD, the body and its length
-        are left out (RFC 9110 sections 9.3.2 and 8.6).
+        An answer to HEAD leaves out the body and its length (RFC 9110
+        sections 9.3.2 and 8.6). Until its head is parsed, the request
+        being read starts the buffer.
         """
-        body = response.to_bytes() if payload else b""
-        headers = f"Content-Length: {len(body)}\r\n" if payload else ""
+        bare = self.head.method == "HEAD" if self.head else self.buf.startswith(b"HEAD ")
+        body = b"" if bare else response.to_bytes()
+        headers = "" if bare else f"Content-Length: {len(body)}\r\n"
         if close:
             headers += "Connection: close\r\n"
             self.closing = True
@@ -649,15 +649,22 @@ class _Connection:
 
 
 def serve(config: Config) -> None:
-    """Run the HTTP server until interrupted.
+    """Run the HTTP server until interrupted, then close it.
 
-    Writes to stderr a `listening` line, one access line per request, and
-    the traceback of any request that fails.
+    Called from the main thread, it has SIGTERM and SIGINT raise
+    `KeyboardInterrupt` until it returns, SIGINT also where it was
+    inherited as ignored (as a non-interactive shell's `&` leaves it).
+    Writes to stderr a `listening` line, one access line per request, the
+    traceback of any request that fails and, once closed, a `stopped` line.
     """
     app = App(config)
     app.access_log = sys.stderr
     server = HttpServer(app, "0.0.0.0", config.port)
+    replaced = {}
     try:
+        if threading.current_thread() is threading.main_thread():
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                replaced[signum] = signal.signal(signum, signal.default_int_handler)
         _write(sys.stderr, json.dumps({"event": "listening", "port": server.port,
                                        "domain": str(app.store.server_domain)},
                                       sort_keys=True) + "\n")
@@ -666,3 +673,6 @@ def serve(config: Config) -> None:
         pass
     finally:
         server.close()
+        for signum, handler in replaced.items():
+            signal.signal(signum, handler)
+    _write(sys.stderr, '{"event": "stopped"}\n')

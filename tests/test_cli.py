@@ -5,10 +5,11 @@ import select
 import signal
 import subprocess
 import sys
+import threading
 
 import pytest
 
-from photoauth import cli
+from photoauth import cli, service
 from photoauth.cli import main
 from photoauth.service import ENV_PORT
 
@@ -259,25 +260,44 @@ class TestServe:
         assert code == 2
         assert "cannot load config" in err
 
-    def test_serves_and_writes_one_access_line_per_request(self, tmp_path):
-        """`photoauth serve` on port 0: the port it bound, one access line per request."""
+    @staticmethod
+    def spawn(tmp_path, **popen) -> subprocess.Popen:
+        """`photoauth serve` on port 0 as a child, its stderr piped."""
         config = tmp_path / "serve.json"
         config.write_text(json.dumps({"seed": 5}), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": SRC, ENV_PORT: "0"}
-        with subprocess.Popen(
+        return subprocess.Popen(
             [sys.executable, "-m", "photoauth.cli", "serve", "--config", str(config)],
             stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env,
-        ) as proc:
+            **popen,
+        )
+
+    @staticmethod
+    def stop(proc, signum) -> bytes:
+        """Send `signum` and wait for the child to exit; the rest of its stderr."""
+        proc.send_signal(signum)
+        try:
+            return proc.communicate(timeout=30)[1]
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+
+    @staticmethod
+    def listening_port(proc) -> int:
+        assert select.select([proc.stderr], [], [], 30)[0], "server did not start"
+        listening = json.loads(proc.stderr.readline())
+        port = listening["port"]
+        assert listening == {"domain": "microsoft.com", "event": "listening", "port": port}
+        assert port != 0
+        return port
+
+    def test_serves_and_writes_one_access_line_per_request(self, tmp_path):
+        """`photoauth serve` on port 0: the port it bound, one access line per request."""
+        with self.spawn(tmp_path) as proc:
             try:
-                assert select.select([proc.stderr], [], [], 30)[0], "server did not start"
-                listening = json.loads(proc.stderr.readline())
-                port = listening["port"]
-                assert listening == {"domain": "microsoft.com", "event": "listening", "port": port}
-                assert port != 0
-                secrets = self.drive_one_flow(port)
+                secrets = self.drive_one_flow(self.listening_port(proc))
             finally:
-                proc.send_signal(signal.SIGINT)
-                _, err = proc.communicate(timeout=30)
+                err = self.stop(proc, signal.SIGINT)
         assert proc.returncode == 0
         assert err.splitlines() == [
             b'{"body_status": "link-sent", "method": "POST", "path": "/login", "status": 200}',
@@ -286,8 +306,53 @@ class TestServe:
             b'{"body_status": "authorized", "method": "POST", "path": "/c/{token}/photo", '
             b'"status": 200}',
             b'{"body_status": "error", "method": "GET", "path": null, "status": 404}',
+            b'{"event": "stopped"}',
         ]
         assert not [s for s in secrets if s.encode() in err]
+
+    @pytest.mark.parametrize(
+        "signum, sigint_ignored",
+        [(signal.SIGTERM, False), (signal.SIGINT, True)],
+        ids=["sigterm", "sigint-ignored"],
+    )
+    def test_a_stop_signal_closes_the_server_and_exits_zero(self, tmp_path, signum,
+                                                           sigint_ignored):
+        # A process manager stops a service with SIGTERM; a non-interactive
+        # shell starts `serve &` with SIGINT ignored.
+        ignore = (lambda: signal.signal(signal.SIGINT, signal.SIG_IGN)) if sigint_ignored else None
+        with self.spawn(tmp_path, preexec_fn=ignore) as proc:
+            conn = http.client.HTTPConnection("127.0.0.1", self.listening_port(proc), timeout=10)
+            try:
+                conn.request("GET", "/nope")
+                assert conn.getresponse().status == 404
+            finally:
+                err = self.stop(proc, signum)  # the connection is still open
+                conn.close()
+        assert proc.returncode == 0
+        assert err.splitlines() == [
+            b'{"body_status": "error", "method": "GET", "path": null, "status": 404}',
+            b'{"event": "stopped"}',
+        ]
+
+    @pytest.mark.parametrize("in_thread", [False, True], ids=["main-thread", "other-thread"])
+    def test_serve_restores_the_signal_handlers(self, monkeypatch, capsys, in_thread):
+        during = []
+
+        def run(server):
+            during.append(signal.getsignal(signal.SIGTERM))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(service.HttpServer, "run", run)
+        before = signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)
+        if in_thread:  # only the main thread may set a handler
+            thread = threading.Thread(target=service.serve, args=(service.Config(port=0),))
+            thread.start()
+            thread.join(timeout=30)
+        else:
+            service.serve(service.Config(port=0))
+        assert during == [before[1] if in_thread else signal.default_int_handler]
+        assert (signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)) == before
+        assert capsys.readouterr().err.splitlines()[-1] == '{"event": "stopped"}'
 
     @staticmethod
     def drive_one_flow(port: int) -> list[str]:

@@ -1424,6 +1424,19 @@ class TestConnectionProtocol:
             reply = received(peer)
         assert reply.startswith(b"HTTP/1.1 %d " % status)
 
+    @pytest.mark.parametrize(
+        "data",
+        [b"HEAD / HTTP/1.1\r\nHost: x", b"HEAD / HTTP/1.1\r\nContent-Length: 5\r\n\r\nab"],
+        ids=["unfinished-head", "unfinished-body"],
+    )
+    def test_a_timed_out_head_request_gets_no_body(self, data):
+        with socketpair_connection() as (conn, peer):
+            feed(conn, peer, data)
+            conn.expire()
+            reply = received(peer)
+        assert reply.startswith(b"HTTP/1.1 408 ") and reply.endswith(b"\r\n\r\n")
+        assert b"Content-Length" not in reply
+
 
 # Request heads: arbitrary bytes, and lines built from the parts a parser branches on.
 _request_lines = st.builds(
@@ -1444,6 +1457,20 @@ _heads = st.binary(max_size=200) | st.builds(
     lambda line, headers: b"\r\n".join([line, *headers]),
     _request_lines,
     st.lists(_header_lines, max_size=4),
+)
+
+# Whole requests, routed or refused: HEAD, bodies shorter or longer than
+# their length, `Expect: 100-continue` and `Connection: close`.
+_requests = st.builds(
+    lambda method, path, headers, body: b"%s %s HTTP/1.1\r\n%s\r\n%s" % (
+        method, path, b"".join(header + b"\r\n" for header in headers), body),
+    st.sampled_from([b"GET", b"HEAD", b"POST"]),
+    st.sampled_from([b"/nope", b"/login", b"/session/00ff/status", b"/c/0123456789"]),
+    st.lists(st.sampled_from([b"Content-Length: 0", b"Content-Length: 2",
+                              b"Content-Length: 19", b"Expect: 100-continue",
+                              b"Connection: close", b"Transfer-Encoding: chunked"]),
+             max_size=3),
+    st.sampled_from([b"", b"{}", b'{"username": "bob"}', b"xx"]),
 )
 
 
@@ -1523,6 +1550,27 @@ class TestParseHead:
             assert json.loads(reply.partition(b"\r\n\r\n")[2]) == {"status": "error",
                                                                   "reason": reason}
 
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"HEAD / HTTP/1.1\r\nContent-Length: 99999999", 413),
+            (b"HEAD / HTTP/1.1\r\nX y: z", 400),
+            (b"HEAD / HTTP/1.1\r\nTransfer-Encoding: chunked", 411),
+            (b"HEAD / HTTP/0.9", 505),
+            (b"HEAD /" + b"x" * MAX_LINE_BYTES + b" HTTP/1.1", 414),
+            (b"HEAD / HTTP/1.1\r\nX: " + b"x" * MAX_LINE_BYTES, 431),
+        ],
+        ids=["body-too-large", "bad-header", "length-required", "http-0.9",
+             "long-request-line", "long-header-line"],
+    )
+    def test_refusals_of_head_have_no_body(self, head, status):
+        # RFC 9110 section 9.3.2: an answer to HEAD has no content.
+        for piece in (None, 7):
+            [reply] = shell_replies(head + b"\r\n\r\n", piece)
+            assert reply.startswith(b"HTTP/1.1 %d " % status), piece
+            assert reply.endswith(b"\r\nConnection: close\r\n\r\n")
+            assert b"Content-Length" not in reply
+
     def test_heads_at_the_limits_are_read(self):
         head = b"GET /" + b"x" * (MAX_LINE_BYTES - 14) + b" HTTP/1.1" + b"\r\nX: y" * MAX_HEADERS
         assert isinstance(parse_head(head), Head)
@@ -1552,6 +1600,20 @@ class TestParseHead:
             replies = split_replies(received(peer))
         for reply in replies:
             assert reply.startswith(b"HTTP/1.1 ") and not reply.startswith(b"HTTP/1.1 500 ")
+
+    @given(st.lists(_requests | _heads.map(lambda head: head + b"\r\n\r\n"), min_size=1,
+                    max_size=4),
+           st.integers(1, 64))
+    @settings(max_examples=200)
+    def test_the_same_bytes_get_the_same_answers_whole_or_split(self, parts, piece):
+        # A `100 Continue` is skipped when the body has already arrived
+        # (RFC 9110 section 10.1.1), and the Date header may tick.
+        def answers(size):
+            return [re.sub(rb"\r\nDate: [^\r]*", b"", reply)
+                    for reply in shell_replies(b"".join(parts), size)
+                    if not reply.startswith(b"HTTP/1.1 100 ")]
+
+        assert answers(piece) == answers(None)
 
 
 _json = st.recursive(
