@@ -1,8 +1,9 @@
 """Command line front end.
 
-Commands print one JSON document to stdout. `simulate` and `attack`
-exit 0 only when the run ends in the outcome the scenario expects, so
-they slot directly into shell-level checks.
+Commands print one JSON document to stdout. `simulate` exits 0 only
+when the run ends in the outcome the scenario file expects, so it slots
+directly into shell-level checks; `scenarios/` holds a file for each
+attack the paper evaluates.
 """
 
 from __future__ import annotations
@@ -15,15 +16,6 @@ import sys
 from .domain import extract_hostname
 from .service import load_config, serve
 from .verify import VerifyConfig
-
-# Preset name: (scenario kind, params, the expected `OutcomeKind` value).
-_ATTACK_PRESETS: dict[str, tuple[str, dict, str]] = {
-    "rtp": ("rtp", {}, "attack-detected"),
-    "redirect": ("redirect", {}, "attack-blocked"),
-    "inject-title": ("inject", {"placement": "title"}, "attack-detected"),
-    "inject-content": ("inject", {"placement": "page-content"}, "attack-detected"),
-    "pip": ("inject", {"placement": "picture-in-picture"}, "attack-blocked"),
-}
 
 
 def _cmd_simulate(args) -> int:
@@ -39,17 +31,6 @@ def _cmd_simulate(args) -> int:
         return 2
     print(report.to_json())
     return 0 if matches_expectation(report, scenario.expected) else 1
-
-
-def _cmd_attack(args) -> int:
-    from .simulator import Outcome, OutcomeKind, Scenario, matches_expectation, run_scenario
-
-    kind, params, expected_kind = _ATTACK_PRESETS[args.kind]
-    expected = Outcome(OutcomeKind(expected_kind))
-    scenario = Scenario(name=args.kind, kind=kind, seed=args.seed, params=params, expected=expected)
-    report = run_scenario(scenario)
-    print(report.to_json())
-    return 0 if matches_expectation(report, expected) else 1
 
 
 def _cmd_evaluate(args) -> int:
@@ -98,11 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="path to a scenario JSON file")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("attack", help="run a canned attack scenario")
-    p.add_argument("kind", choices=sorted(_ATTACK_PRESETS))
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_attack)
 
     p = sub.add_parser("evaluate", help="run detection cycles over synthetic screenshots")
     p.add_argument("--n", type=int, required=True, help="number of cycles")

@@ -325,6 +325,8 @@ MAX_LINE_BYTES = 65536
 MAX_HEADERS = 100
 # The most bytes one read takes from a connection.
 RECV_BYTES = 65536
+# On stop, answers still unsent this long after it are dropped.
+DRAIN_S = 5.0
 
 _VERSION = re.compile(r"HTTP/[0-9]\.[0-9]")
 # A request target holds no control character and no space (RFC 9112 §3.2).
@@ -407,13 +409,14 @@ class HttpServer:
     """`app` served on (host, port) from one `selectors` loop, one object per connection.
 
     The caller runs `run`, which returns only by an exception such as
-    `KeyboardInterrupt`, and then calls `close`.
+    `KeyboardInterrupt`, then may call `drain`, and then calls `close`.
     """
 
     def __init__(self, app: App, host: str, port: int):
         self.app = app
         self.connections: set[_Connection] = set()
         self._date = (-1, "")
+        self.draining = False
         self.sock = socket.create_server((host, port))
         self.sock.setblocking(False)
         self.port = self.sock.getsockname()[1]
@@ -454,6 +457,27 @@ class HttpServer:
             conn.write(_error(503, "too-many-connections"), close=True)
         else:
             conn.on_ready(selectors.EVENT_READ)  # the request has often arrived already
+
+    def drain(self) -> None:
+        """Stop accepting, answer each request that has fully arrived, close the rest.
+
+        A connection is closed once it has nothing left to send and nothing
+        more has arrived on it. What is still unsent after DRAIN_S is left
+        for `close` to drop.
+        """
+        self.selector.unregister(self.sock)
+        self.sock.close()
+        self.draining = True
+        end = time.monotonic() + DRAIN_S
+        while True:
+            for conn in list(self.connections):
+                while not conn.out and conn in self.connections and time.monotonic() < end:
+                    conn.on_ready(selectors.EVENT_READ)
+            left = end - time.monotonic()
+            if not self.connections or left <= 0:
+                return
+            for key, mask in self.selector.select(left):
+                key.data(mask)
 
     def close(self) -> None:
         """Stop listening and drop every connection."""
@@ -497,6 +521,8 @@ class _Connection:
         try:
             data = self.sock.recv(RECV_BYTES)
         except BlockingIOError:
+            if self.server.draining:  # nothing more has arrived
+                self.close()
             return
         except OSError:  # reset by the peer
             data = b""
@@ -648,31 +674,53 @@ class _Connection:
             self.sock.close()
 
 
-def serve(config: Config) -> None:
-    """Run the HTTP server until interrupted, then close it.
+def _interrupt(mask: int) -> None:
+    raise KeyboardInterrupt
 
-    Called from the main thread, it has SIGTERM and SIGINT raise
-    `KeyboardInterrupt` until it returns, SIGINT also where it was
-    inherited as ignored (as a non-interactive shell's `&` leaves it).
-    Writes to stderr a `listening` line, one access line per request, the
-    traceback of any request that fails and, once closed, a `stopped` line.
+
+def serve(config: Config) -> None:
+    """Run the HTTP server until stopped, then drain it (`HttpServer.drain`) and close it.
+
+    Called from the main thread, it stops on SIGTERM and SIGINT, SIGINT
+    also where it was inherited as ignored (as a non-interactive shell's
+    `&` leaves it). Until it returns, their handlers raise nothing: they
+    wake the loop through a socket pair. In any thread it stops on
+    `KeyboardInterrupt`. Writes to stderr a `listening` line, one access
+    line per request, the traceback of any request that fails and, once
+    closed, a `stopped` line.
     """
     app = App(config)
     app.access_log = sys.stderr
     server = HttpServer(app, "0.0.0.0", config.port)
+    wake, waker = socket.socketpair()
+    waker.setblocking(False)
+
+    def on_signal(signum, frame) -> None:
+        try:
+            waker.send(b"\0")
+        except OSError:  # the pair is full, so the loop is woken already
+            pass
+
     replaced = {}
     try:
         if threading.current_thread() is threading.main_thread():
             for signum in (signal.SIGINT, signal.SIGTERM):
-                replaced[signum] = signal.signal(signum, signal.default_int_handler)
+                replaced[signum] = signal.signal(signum, on_signal)
+            server.selector.register(wake, selectors.EVENT_READ, _interrupt)
         _write(sys.stderr, json.dumps({"event": "listening", "port": server.port,
                                        "domain": str(app.store.server_domain)},
                                       sort_keys=True) + "\n")
-        server.run()
-    except KeyboardInterrupt:
-        pass
+        try:
+            server.run()
+        except KeyboardInterrupt:
+            pass
+        if replaced:
+            server.selector.unregister(wake)
+        server.drain()
     finally:
         server.close()
         for signum, handler in replaced.items():
             signal.signal(signum, handler)
+        wake.close()
+        waker.close()
     _write(sys.stderr, '{"event": "stopped"}\n')

@@ -205,7 +205,7 @@ class SessionStore:
 
     def _put(self, session: Session, **changes) -> Session:
         """Store `session` with `changes` applied, and return it."""
-        updated = Session(**{**session._asdict(), **changes})
+        updated = session._replace(**changes)
         self._sessions[session.id] = updated
         return updated
 

@@ -303,6 +303,16 @@ class World:
         self.deliver_notifications()
         return self.record(decision, ADVERSARY)
 
+    def click_relayed_link(self, proxy: RtpProxy, digits: str) -> AuthDecision:
+        """The proxy opens the short link the login answer handed it, with its own cookie."""
+        cookie = proxy.jar.get(self.server_name)
+        self.send(
+            PROXY, SERVER, UNSAFE, "link-click",
+            {"token": digits, "cookie_attached": cookie is not None},
+        )
+        decision = self.engine.handle_link_click(LinkClick(digits, cookie, proxy.source))
+        return self.record(decision, ADVERSARY)
+
     def newest_link_digits(self) -> str:
         """Token digits of the newest short link on the phone."""
         if not self.inbox:
@@ -358,13 +368,22 @@ _Ending = Optional[tuple[OutcomeKind, Optional[str]]]
 
 
 def _proxy_attack(
-    world: World, fake_domain: str, upstream: str, victim: Callable[[RtpProxy], _Ending]
+    world: World, fake_domain: str, upstream: str, victim: Callable[[RtpProxy], _Ending],
+    relay_link: bool = False,
 ) -> ScenarioReport:
-    """Relay the victim's login through a phishing proxy, then let `victim` play the rest."""
+    """Relay the victim's login through a phishing proxy, then let `victim` play the rest.
+
+    With `relay_link` the proxy first clicks the short link that the
+    login answer carries (`AuthDecision.token_digits`, the `link` of
+    `POST /login`), as a proxy on the wire can.
+    """
     proxy = RtpProxy(str(extract_hostname(fake_domain)), upstream, source=PROXY_SOURCE)
     decision = world.login_via_proxy(proxy, world.user_pc)
     if decision.kind is not DecisionKind.LINK_SENT:
         return world.finish(OutcomeKind.ATTACK_BLOCKED, decision.reason)
+    if (relay_link and world.click_relayed_link(proxy, decision.token_digits).kind
+            is DecisionKind.AUTHORIZE):
+        return world.finish(OutcomeKind.AUTHORIZED, ADVERSARY)
     ending = victim(proxy)
     if ending is None:
         return world.finish(OutcomeKind.AUTHORIZED, ADVERSARY)
@@ -476,18 +495,21 @@ def run_rtp_attack(
     upstream: str = "microsoft.com",
     detector_profile: DetectorProfile = ORACLE_PROFILE,
     theme: Theme = Theme.LIGHT,
+    relay_link: bool = False,
 ) -> ScenarioReport:
     """Reverse-proxy phishing: victim browses the fake name, proxy relays.
 
     The victim's screen shows the fake domain (in punycode form when the
     spoof uses lookalike Unicode), so the photo exposes it and the
-    pending session is denied.
+    pending session is denied. With `relay_link` the proxy also clicks
+    the link that the login answer hands it, before the victim does.
     """
     world = World(
         "rtp-attack", seed, server_domain=upstream, profile=detector_profile, theme=theme
     )
     return _proxy_attack(
-        world, fake_domain, upstream, lambda proxy: _photograph_fake_site(world, proxy, None)
+        world, fake_domain, upstream, lambda proxy: _photograph_fake_site(world, proxy, None),
+        relay_link,
     )
 
 

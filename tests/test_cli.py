@@ -126,26 +126,24 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["name"] == name[: -len(".json")]
 
-
-class TestAttack:
-    @pytest.mark.parametrize(
-        "kind,expected",
-        [
-            ("rtp", "attack-detected"),
-            ("redirect", "attack-blocked"),
-            ("inject-title", "attack-detected"),
-            ("inject-content", "attack-detected"),
-            ("pip", "attack-blocked"),
-        ],
-    )
-    def test_presets_hold(self, capsys, kind, expected):
-        code, out, _ = run_cli(capsys, "attack", kind, "--seed", "5")
+    # The file of each attack the former `photoauth attack` command ran.
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("name", [
+        "rtp-lookalike.json",
+        "redirect-no-cookie.json",
+        "inject-title.json",
+        "inject-content.json",
+        "inject-picture-in-picture.json",
+    ])
+    def test_attack_files_hold_with_a_seed_override(self, capsys, name, seed):
+        path = os.path.join(SCENARIO_DIR, name)
+        code, out, _ = run_cli(capsys, "simulate", path, "--seed", str(seed))
+        with open(path, encoding="utf-8") as fh:
+            expected = json.load(fh)["expected"]
         assert code == 0
-        assert json.loads(out)["outcome"]["kind"] == expected
-
-    def test_unknown_kind_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["attack", "not-a-kind"])
+        report = json.loads(out)
+        assert report["seed"] == seed
+        assert report["outcome"] == expected
 
 
 # The noisy detector profile of README, and its output at --n 300.
@@ -334,12 +332,42 @@ class TestServe:
             b'{"event": "stopped"}',
         ]
 
+    def test_a_request_sent_before_the_stop_is_answered(self, tmp_path):
+        # The child is stopped while the request arrives and the SIGTERM is
+        # sent, so its loop has read none of the request when it wakes.
+        with self.spawn(tmp_path) as proc:
+            conn = http.client.HTTPConnection("127.0.0.1", self.listening_port(proc), timeout=10)
+            try:
+                conn.request("GET", "/nope")
+                assert conn.getresponse().read()  # the connection is accepted and idle
+                proc.send_signal(signal.SIGSTOP)
+                assert os.WIFSTOPPED(os.waitpid(proc.pid, os.WUNTRACED)[1])
+                conn.request("GET", "/nope")
+                proc.send_signal(signal.SIGTERM)
+                proc.send_signal(signal.SIGCONT)
+                assert conn.getresponse().status == 404
+                err = proc.communicate(timeout=30)[1]
+            finally:
+                conn.close()
+                if proc.poll() is None:
+                    proc.kill()
+        assert proc.returncode == 0
+        assert err.splitlines() == [
+            b'{"body_status": "error", "method": "GET", "path": null, "status": 404}',
+            b'{"body_status": "error", "method": "GET", "path": null, "status": 404}',
+            b'{"event": "stopped"}',
+        ]
+
     @pytest.mark.parametrize("in_thread", [False, True], ids=["main-thread", "other-thread"])
     def test_serve_restores_the_signal_handlers(self, monkeypatch, capsys, in_thread):
-        during = []
+        during, woken = [], []
 
         def run(server):
             during.append(signal.getsignal(signal.SIGTERM))
+            if not in_thread and callable(during[0]):
+                # The handler raises nothing; the signal makes the wake-up readable.
+                os.kill(os.getpid(), signal.SIGTERM)
+                woken.extend(key.data for key, _ in server.selector.select(timeout=10))
             raise KeyboardInterrupt
 
         monkeypatch.setattr(service.HttpServer, "run", run)
@@ -350,7 +378,11 @@ class TestServe:
             thread.join(timeout=30)
         else:
             service.serve(service.Config(port=0))
-        assert during == [before[1] if in_thread else signal.default_int_handler]
+        if in_thread:
+            assert (during, woken) == ([before[1]], [])
+        else:
+            assert len(during) == 1 and during[0] not in before
+            assert woken == [service._interrupt]
         assert (signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)) == before
         assert capsys.readouterr().err.splitlines()[-1] == '{"event": "stopped"}'
 
@@ -444,3 +476,9 @@ class TestParser:
     def test_evaluate_requires_n(self):
         with pytest.raises(SystemExit):
             main(["evaluate"])
+
+    def test_attack_command_is_gone(self):
+        # A canned attack is a file in scenarios/, run by `simulate`.
+        with pytest.raises(SystemExit) as exc:
+            main(["attack", "rtp"])
+        assert exc.value.code == 2

@@ -22,9 +22,10 @@ from photoauth.synth import DEFAULT_NOISY_PROFILE, ORACLE_PROFILE, AddrbarModel,
 from test_simulator import adversary_authorized
 
 
-def rtp(fake_domain):
+def rtp(fake_domain, relay_link=False):
     def run(seed, profile):
-        return run_rtp_attack(seed, fake_domain=fake_domain, detector_profile=profile)
+        return run_rtp_attack(seed, fake_domain=fake_domain, detector_profile=profile,
+                              relay_link=relay_link)
 
     return run
 
@@ -58,6 +59,12 @@ ROWS = [
     pytest.param(picture_in_picture, DEFAULT_NOISY_PROFILE, range(2000), 0.0, id="pip-noisy"),
     pytest.param(picture_in_picture, _MISSING, range(2000), _LONE_FAKE_BAR_RATE,
                  id="pip-noisy-miss-0.05"),
+    # A known hole: `POST /login` hands the relaying proxy the short link next
+    # to its cookie, so one click of it passes cookie colocation and no photo
+    # is asked for. Every attack wins. Keeping the link off the login answer
+    # (ROADMAP item 8) moves this row to 0.
+    pytest.param(rtp("rnicrosoft.com", relay_link=True), ORACLE_PROFILE, range(200), 1.0,
+                 id="rtp-relay-link-oracle"),
 ]
 
 

@@ -25,6 +25,7 @@ from photoauth.domain import LABEL_MAX_LEN
 from photoauth.service import (
     App,
     Config,
+    DRAIN_S,
     ENV_PORT,
     MAX_BODY_BYTES,
     MAX_HEADERS,
@@ -1436,6 +1437,42 @@ class TestConnectionProtocol:
             reply = received(peer)
         assert reply.startswith(b"HTTP/1.1 408 ") and reply.endswith(b"\r\n\r\n")
         assert b"Content-Length" not in reply
+
+    def test_drain_answers_what_has_arrived_and_closes_the_rest(self):
+        server = HttpServer(make_app(), "127.0.0.1", 0)
+        clients = [socket.create_connection(("127.0.0.1", server.port), timeout=5)
+                   for _ in range(3)]
+        try:
+            for _ in clients:
+                server._accept(selectors.EVENT_READ)
+            clients[0].sendall(b"GET /nope HTTP/1.1\r\n\r\n" * 2)
+            clients[1].sendall(b"GET /nope HTTP/1.1\r\n")  # an unfinished head
+            start = time.monotonic()
+            server.drain()
+            assert time.monotonic() - start < DRAIN_S
+            assert not server.connections
+            replies = [b"".join(iter(lambda c=c: c.recv(65536), b"")) for c in clients]
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", server.port)).close()
+        finally:
+            server.close()
+            for c in clients:
+                c.close()
+        answered = split_replies(replies[0])
+        assert len(answered) == 2 and all(r.startswith(b"HTTP/1.1 404 ") for r in answered)
+        assert replies[1:] == [b"", b""]
+
+    def test_drain_gives_a_reader_that_takes_nothing_up_to_its_bound(self, monkeypatch):
+        monkeypatch.setattr("photoauth.service.DRAIN_S", 0.2)
+        with socketpair_connection() as (conn, peer):
+            server = conn.server
+            fill(conn.sock)  # the peer has not read: its window is full
+            feed(conn, peer, b"GET /nope HTTP/1.1\r\n\r\n")
+            assert conn.out
+            start = time.monotonic()
+            server.drain()
+            assert 0.2 <= time.monotonic() - start < 5
+            assert conn.out and conn in server.connections  # left for `close` to drop
 
 
 # Request heads: arbitrary bytes, and lines built from the parts a parser branches on.

@@ -27,7 +27,6 @@ from photoauth.simulator import (
     run_scenario,
     run_token_bruteforce,
 )
-from photoauth.cli import _ATTACK_PRESETS
 from photoauth.service import App, Config, WireRequest
 from photoauth.synth import (
     DEFAULT_NOISY_PROFILE,
@@ -375,10 +374,6 @@ def _golden_reports():
         yield f"otp-baseline/{seed}", run_otp_baseline(seed)
     for name in sorted(os.listdir(SCENARIO_DIR)):
         yield f"scenario/{name}", run_scenario(load_scenario(os.path.join(SCENARIO_DIR, name)))
-    for preset, (kind, params, expected) in sorted(_ATTACK_PRESETS.items()):
-        scenario = Scenario(name=preset, kind=kind, seed=0, params=params,
-                            expected=Outcome(OutcomeKind(expected)))
-        yield f"preset/{preset}", run_scenario(scenario)
     for label, profile in (("noisy", DEFAULT_NOISY_PROFILE), ("harsh", HARSH_PROFILE)):
         for seed in NOISE_SEEDS:
             yield f"{label}/rtp/{seed}", run_rtp_attack(seed, detector_profile=profile)
