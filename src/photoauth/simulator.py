@@ -1,15 +1,15 @@
 """Deterministic actor simulation of logins and phishing attempts.
 
-Actors: the user's PC browser, the user's phone, the authentication
-server, and optionally a reverse-proxy phishing site that relays
-traffic between victim and server while rewriting domain names.
+Actors: the authentication server and browsers. The user's PC browser
+and phone are browsers, and so is the reverse-proxy phishing site that
+relays traffic between victim and server while rewriting domain names.
 
 Two link classes exist. The channel between server and phone (where the
 short link and any one-time code travel) is safe; everything the PC
 browser touches is unsafe and readable by the adversary when a proxy is
-in the path. The proxy object is wired only to the unsafe side, so
-leaking the safe channel to it is a type error in the script, not a
-runtime check.
+in the path. Only the phone's inbox receives notifications, and only
+the phone's link click is labelled safe and owned by the user; any
+other browser's click is unsafe and the adversary's.
 
 Every run is single-threaded over a logical clock with all randomness
 drawn from one seed, so a scenario's message log is byte-identical
@@ -92,27 +92,6 @@ class Browser(NamedTuple):
     name: str
     source: str
     jar: dict[str, str]
-
-
-class RtpProxy:
-    """Reverse proxy serving `fake_domain` while relaying to the real site.
-
-    Content is rewritten in both directions so the victim sees a working
-    copy of the real site under the fake name. Cookie values pass through
-    unchanged; the victim's browser files them under the fake origin.
-    """
-
-    def __init__(self, fake_domain: str, upstream_domain: str, source: str):
-        self.fake_domain = fake_domain
-        self.upstream_domain = upstream_domain
-        self.source = source
-        self.jar: dict[str, str] = {}
-
-    def rewrite_inbound(self, text: str) -> str:
-        return text.replace(self.fake_domain, self.upstream_domain)
-
-    def rewrite_outbound(self, text: str) -> str:
-        return text.replace(self.upstream_domain, self.fake_domain)
 
 
 class Scenario(NamedTuple):
@@ -269,15 +248,22 @@ class World:
         self.deliver_notifications()
         return self.record(decision, "user")
 
-    def login_via_proxy(self, proxy: RtpProxy, browser: Browser) -> AuthDecision:
-        """Credentials typed into the phishing site and relayed upstream."""
+    def login_via_proxy(self, proxy: Browser, fake: str, browser: Browser) -> AuthDecision:
+        """Credentials typed into the phishing site at `fake` and relayed upstream.
+
+        The proxy serves a copy of the real site under the canonical name
+        `fake`, rewriting names both ways. Cookie values pass through
+        unchanged: the server's lands in the proxy's jar under the real
+        origin, then gets replayed to the victim, whose browser files it
+        under the fake origin.
+        """
         self.send(
-            browser.name, PROXY, UNSAFE, "login",
+            browser.name, proxy.name, UNSAFE, "login",
             {"username": self.username, "cookie_attached": False},
         )
         self.send(
-            PROXY, SERVER, UNSAFE, "login-relayed",
-            {"username": self.username, "page": proxy.rewrite_inbound(f"POST {proxy.fake_domain}/login")},
+            proxy.name, SERVER, UNSAFE, "login-relayed",
+            {"username": self.username, "page": f"POST {self.server_name}/login"},
         )
         decision = self.engine.handle_auth_request(
             AuthRequest(self.username, proxy.jar.get(self.server_name),
@@ -286,31 +272,17 @@ class World:
         if decision.session_id:
             self.owners.setdefault(decision.session_id, ADVERSARY)
             if decision.kind is DecisionKind.LINK_SENT:
-                # The server's cookie lands in the proxy's jar under the real
-                # origin, then gets replayed to the victim who stores it under
-                # the fake origin.
                 proxy.jar[self.server_name] = decision.cookie
                 self.send(
-                    SERVER, PROXY, UNSAFE, "set-cookie",
+                    SERVER, proxy.name, UNSAFE, "set-cookie",
                     {"origin": self.server_name},
                 )
-                browser.jar[proxy.fake_domain] = decision.cookie
+                browser.jar[fake] = decision.cookie
                 self.send(
-                    PROXY, browser.name, UNSAFE, "set-cookie",
-                    {"origin": proxy.fake_domain,
-                     "page": proxy.rewrite_outbound(f"Welcome to {self.server_name}")},
+                    proxy.name, browser.name, UNSAFE, "set-cookie",
+                    {"origin": fake, "page": f"Welcome to {fake}"},
                 )
         self.deliver_notifications()
-        return self.record(decision, ADVERSARY)
-
-    def click_relayed_link(self, proxy: RtpProxy, digits: str) -> AuthDecision:
-        """The proxy opens the short link the login answer handed it, with its own cookie."""
-        cookie = proxy.jar.get(self.server_name)
-        self.send(
-            PROXY, SERVER, UNSAFE, "link-click",
-            {"token": digits, "cookie_attached": cookie is not None},
-        )
-        decision = self.engine.handle_link_click(LinkClick(digits, cookie, proxy.source))
         return self.record(decision, ADVERSARY)
 
     def newest_link_digits(self) -> str:
@@ -319,18 +291,20 @@ class World:
             raise RuntimeError("no short link on the phone")
         return self.inbox[-1].link.rsplit("/", 1)[-1]
 
-    def click_link(self) -> AuthDecision:
-        """The phone opens the newest short link in its own browser."""
-        digits = self.newest_link_digits()
-        cookie = self.phone.jar.get(self.server_name)
+    def click(self, browser: Browser, digits: str) -> AuthDecision:
+        """`browser` opens the short link of token `digits` with its cookie for the real site.
+
+        The phone's click travels the safe channel and is the user's; any
+        other browser's click is unsafe and the adversary's.
+        """
+        phone = browser is self.phone
+        cookie = browser.jar.get(self.server_name)
         self.send(
-            PHONE, SERVER, SAFE, "link-click",
+            browser.name, SERVER, SAFE if phone else UNSAFE, "link-click",
             {"token": digits, "cookie_attached": cookie is not None},
         )
-        decision = self.engine.handle_link_click(
-            LinkClick(digits, cookie, self.phone.source)
-        )
-        return self.record(decision, "user")
+        decision = self.engine.handle_link_click(LinkClick(digits, cookie, browser.source))
+        return self.record(decision, "user" if phone else ADVERSARY)
 
     def take_photo(self, display_domain: str, **layout_args) -> AuthDecision:
         """Photograph the PC screen and upload the analysis.
@@ -354,73 +328,69 @@ class World:
 
     def photo_flow(self, display_domain: str, **layout_args) -> AuthDecision:
         """Keep photographing until the server stops asking for retakes."""
-        cap = DEFAULT_RETAKE_CAP + 2
-        decision = self.take_photo(display_domain, **layout_args)
-        attempts = 1
-        while decision.kind is DecisionKind.REQUEST_RETAKE and attempts < cap:
+        for _ in range(DEFAULT_RETAKE_CAP + 2):
             decision = self.take_photo(display_domain, **layout_args)
-            attempts += 1
+            if decision.kind is not DecisionKind.REQUEST_RETAKE:
+                break
         return decision
 
 
-# How a proxy attack that authorized nobody ends; None when it authorized the adversary.
-_Ending = Optional[tuple[OutcomeKind, Optional[str]]]
+# How a proxy attack ends when it authorizes the adversary.
+_ADVERSARY_WON = (OutcomeKind.AUTHORIZED, ADVERSARY)
 
 
 def _proxy_attack(
-    world: World, fake_domain: str, upstream: str, victim: Callable[[RtpProxy], _Ending],
+    world: World,
+    fake_domain: str,
+    victim: Callable[[str], tuple[OutcomeKind, Optional[str]]],
     relay_link: bool = False,
 ) -> ScenarioReport:
     """Relay the victim's login through a phishing proxy, then let `victim` play the rest.
 
-    With `relay_link` the proxy first clicks the short link that the
-    login answer carries (`AuthDecision.token_digits`, the `link` of
+    `victim` is called with the fake site's canonical name. With
+    `relay_link` the proxy first clicks the short link that the login
+    answer carries (`AuthDecision.token_digits`, the `link` of
     `POST /login`), as a proxy on the wire can.
     """
-    proxy = RtpProxy(str(extract_hostname(fake_domain)), upstream, source=PROXY_SOURCE)
-    decision = world.login_via_proxy(proxy, world.user_pc)
+    proxy = Browser(PROXY, PROXY_SOURCE, {})
+    fake = str(extract_hostname(fake_domain))
+    decision = world.login_via_proxy(proxy, fake, world.user_pc)
     if decision.kind is not DecisionKind.LINK_SENT:
         return world.finish(OutcomeKind.ATTACK_BLOCKED, decision.reason)
-    if (relay_link and world.click_relayed_link(proxy, decision.token_digits).kind
-            is DecisionKind.AUTHORIZE):
-        return world.finish(OutcomeKind.AUTHORIZED, ADVERSARY)
-    ending = victim(proxy)
-    if ending is None:
-        return world.finish(OutcomeKind.AUTHORIZED, ADVERSARY)
-    return world.finish(*ending)
+    if relay_link and world.click(proxy, decision.token_digits).kind is DecisionKind.AUTHORIZE:
+        return world.finish(*_ADVERSARY_WON)
+    return world.finish(*victim(fake))
 
 
 def _photograph_fake_site(
-    world: World, proxy: RtpProxy, placement: InjectionPlacement | LayoutVariant | None
-) -> _Ending:
+    world: World, fake: str, placement: InjectionPlacement | LayoutVariant | None
+) -> tuple[OutcomeKind, Optional[str]]:
     """The victim clicks the link on the phone and photographs the fake site.
 
     With a `placement` the page also carries the real domain as decoy
     text. A picture-in-picture page gets exactly one photo: its second
     bar is the attack, so the run ends on that photo's decision.
     """
-    if world.click_link().kind is DecisionKind.AUTHORIZE:
-        return None
+    if world.click(world.phone, world.newest_link_digits()).kind is DecisionKind.AUTHORIZE:
+        return _ADVERSARY_WON
     if placement is LayoutVariant.PICTURE_IN_PICTURE:
-        decision = world.take_photo(
-            proxy.fake_domain, variant=placement, injected_text=world.server_name
-        )
+        decision = world.take_photo(fake, variant=placement, injected_text=world.server_name)
         if decision.kind is DecisionKind.AUTHORIZE:
-            return None
+            return _ADVERSARY_WON
         return OutcomeKind.ATTACK_BLOCKED, decision.reason or "multiple-addrbars"
     decision = world.photo_flow(
-        proxy.fake_domain,
+        fake,
         injected_text=world.server_name if placement is not None else None,
         injected_placement=placement,
     )
     if decision.kind is DecisionKind.AUTHORIZE:
-        return None
+        return _ADVERSARY_WON
     if decision.kind is DecisionKind.DENY:
         return OutcomeKind.ATTACK_DETECTED, decision.reason
     return OutcomeKind.ATTACK_BLOCKED, "retake-cap"
 
 
-def _redirect_and_resume(world: World) -> _Ending:
+def _redirect_and_resume(world: World) -> tuple[OutcomeKind, Optional[str]]:
     """The proxy bounces the victim to the real site, where the browser tries to resume."""
     world.send(PROXY, USER, UNSAFE, "redirect", {"to": world.server_name})
     attached = world.user_pc.jar.get(world.server_name)
@@ -433,7 +403,7 @@ def _redirect_and_resume(world: World) -> _Ending:
     )
     world.record(resume, "user")
     if resume.kind is DecisionKind.AUTHORIZE:
-        return None
+        return _ADVERSARY_WON
     return OutcomeKind.ATTACK_BLOCKED, "no-valid-cookie"
 
 
@@ -474,7 +444,7 @@ def run_benign_login(
             return world.finish(OutcomeKind.AUTHORIZED, "user")
         if decision.kind is not DecisionKind.LINK_SENT:
             break
-        decision = world.click_link()
+        decision = world.click(world.phone, world.newest_link_digits())
         if decision.kind is DecisionKind.AUTHORIZE:
             return world.finish(OutcomeKind.AUTHORIZED, "user")
         if decision.kind is not DecisionKind.REQUIRE_PHOTO:
@@ -508,8 +478,7 @@ def run_rtp_attack(
         "rtp-attack", seed, server_domain=upstream, profile=detector_profile, theme=theme
     )
     return _proxy_attack(
-        world, fake_domain, upstream, lambda proxy: _photograph_fake_site(world, proxy, None),
-        relay_link,
+        world, fake_domain, lambda fake: _photograph_fake_site(world, fake, None), relay_link
     )
 
 
@@ -526,14 +495,12 @@ def run_redirection_attack(
     pending session cannot be continued from the victim's side.
     """
     world = World("redirection-attack", seed, server_domain=upstream)
-    return _proxy_attack(
-        world, fake_domain, upstream, lambda proxy: _redirect_and_resume(world)
-    )
+    return _proxy_attack(world, fake_domain, lambda fake: _redirect_and_resume(world))
 
 
 def run_injection_attack(
     seed: int,
-    placement: InjectionPlacement | LayoutVariant | str = "title",
+    placement: str = "title",
     *,
     fake_domain: str = "rnicrosoft.com",
     upstream: str = "microsoft.com",
@@ -546,11 +513,13 @@ def run_injection_attack(
     still exposes the fake domain. "picture-in-picture" draws a second
     address bar, which trips the multiple-bars rejection instead.
     """
-    if isinstance(placement, str):
-        placement = _PLACEMENTS[placement]
+    if placement not in _PLACEMENTS:
+        raise ValueError(
+            f"unknown placement {placement!r}: use one of {', '.join(map(repr, _PLACEMENTS))}"
+        )
     world = World("injection-attack", seed, server_domain=upstream, profile=detector_profile)
     return _proxy_attack(
-        world, fake_domain, upstream, lambda proxy: _photograph_fake_site(world, proxy, placement)
+        world, fake_domain, lambda fake: _photograph_fake_site(world, fake, _PLACEMENTS[placement])
     )
 
 

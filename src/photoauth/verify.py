@@ -162,16 +162,14 @@ def extract_domain(analysis: PhotoAnalysis, cfg: VerifyConfig = VerifyConfig()) 
     threshold, bar_box = cfg.cr_threshold, bar.box
     # A text wholly above or below the bar fails the rows test that
     # `intersection_area` makes with the same sums, so it would score 0.0,
-    # which only a positive threshold refuses.
-    skip_off_rows = threshold > 0.0
+    # which the threshold, always positive, refuses.
     bar_top = bar_box.y
     bar_bottom = bar_top + bar_box.height
     for region in analysis.texts:
         box = region.box
-        if skip_off_rows:
-            y = box.y
-            if y + box.height <= bar_top or bar_bottom <= y:
-                continue
+        y = box.y
+        if y + box.height <= bar_top or bar_bottom <= y:
+            continue
         cr = cover_rate(box, bar_box)
         if cr >= threshold:
             candidates.append((cr, region))

@@ -88,6 +88,7 @@ class TestSimulate:
         [
             {"kind": "teleport"},
             {"kind": "inject", "params": {"placement": "footer"}},
+            {"kind": "inject", "params": {"placement": "default"}},
             {"kind": "rtp", "params": {"bogus": 1}},
             {"kind": "rtp", "params": {"fake_domain": "a_b.com"}},
             {"kind": "rtp", "params": {"seed": 4}},
@@ -101,6 +102,7 @@ class TestSimulate:
         ids=[
             "unknown-kind",
             "unknown-placement",
+            "layout-variant-as-placement",
             "unexpected-param",
             "invalid-domain",
             "seed-as-param",

@@ -12,7 +12,6 @@ from photoauth.simulator import (
     Outcome,
     OutcomeKind,
     PHONE,
-    RtpProxy,
     SAFE,
     SERVER,
     Scenario,
@@ -55,10 +54,17 @@ def adversary_authorized(report):
 
 
 class TestCookieJar:
-    def test_proxy_rewrites_domains_both_ways(self):
-        proxy = RtpProxy("rnicrosoft.com", "microsoft.com", source="192.0.2.66")
-        assert proxy.rewrite_inbound("GET rnicrosoft.com/login") == "GET microsoft.com/login"
-        assert proxy.rewrite_outbound("Welcome to microsoft.com") == "Welcome to rnicrosoft.com"
+    def test_victim_page_names_the_fake_domain(self):
+        # A real name given in capitals is still rewritten: the proxy
+        # works with canonical names on both sides.
+        report = run_rtp_attack(0, upstream="Microsoft.com")
+        relayed = [e["data"]["page"] for e in report.log if e["kind"] == "login-relayed"]
+        assert relayed == ["POST microsoft.com/login"]
+        pages = [
+            e["data"]["page"] for e in report.log
+            if e["kind"] == "set-cookie" and e["to"] == "user-pc"
+        ]
+        assert pages == ["Welcome to rnicrosoft.com"]
 
 
 class TestBenignLogin:
@@ -160,6 +166,18 @@ class TestRedirectionAttack:
 
 
 class TestInjectionAttack:
+    @pytest.fixture
+    def photographed(self, monkeypatch):
+        """The layouts the victim's phone photographs, in order."""
+        layouts = []
+
+        def spy(*args, **kwargs):
+            layouts.append(generate_layout(*args, **kwargs))
+            return layouts[-1]
+
+        monkeypatch.setattr(simulator, "generate_layout", spy)
+        return layouts
+
     @pytest.mark.parametrize("placement", ["title", "page-content"])
     @pytest.mark.parametrize("seed", range(10))
     def test_decoy_text_detected(self, seed, placement):
@@ -178,8 +196,38 @@ class TestInjectionAttack:
         assert report.photos_taken == 1
 
     def test_unknown_placement_rejected(self):
-        with pytest.raises(KeyError):
-            run_injection_attack(0, "footer")
+        # "default" is a layout variant, and it places no decoy.
+        for placement in ("footer", "default"):
+            with pytest.raises(ValueError) as info:
+                run_injection_attack(0, placement)
+            for name in PLACEMENTS:
+                assert repr(name) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "placement, decoy",
+        [
+            ("title", lambda layout: layout.title_boxes[0].text),
+            ("page-content", lambda layout: layout.content_boxes[0].text),
+            ("picture-in-picture", lambda layout: layout.bars[1].url_string),
+        ],
+        ids=["title", "page-content", "picture-in-picture"],
+    )
+    def test_the_decoy_reaches_the_photo(self, photographed, placement, decoy):
+        """The real domain is drawn where the placement says, and the
+        genuine bar still shows the fake one."""
+        run_injection_attack(0, placement)
+        assert photographed
+        for layout in photographed:
+            assert decoy(layout) == "microsoft.com"
+            assert layout.bars[0].url_string == "rnicrosoft.com"
+
+    def test_a_plain_proxy_page_carries_no_decoy(self, photographed):
+        run_rtp_attack(0)
+        assert photographed
+        for layout in photographed:
+            texts = [r.text for r in layout.title_boxes + layout.content_boxes]
+            assert "microsoft.com" not in texts
+            assert [bar.url_string for bar in layout.bars] == ["rnicrosoft.com"]
 
 
 class TestTokenBruteforce:
