@@ -50,6 +50,11 @@ SAME_BROWSER_HINT = "open the link in the browser used to sign in"
 # Nothing in the engine delivers notifications; it keeps the latest few.
 NOTIFICATION_BACKLOG = 256
 
+# The shortest `ColocationPolicy.prefix_len`. Under `same-network` a shorter
+# prefix counts a relay anywhere in a large network as colocated, and /0
+# counts every address.
+MIN_PREFIX_LEN = 24
+
 
 class UnknownUser(Exception):
     """Raised for login attempts with an unregistered username."""
@@ -73,8 +78,9 @@ class ColocationPolicy(_PolicyFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not 0 <= self.prefix_len <= 128:
-            raise ValueError(f"prefix_len must be in [0, 128], got {self.prefix_len}")
+        if not MIN_PREFIX_LEN <= self.prefix_len <= 128:
+            raise ValueError(
+                f"prefix_len must be in [{MIN_PREFIX_LEN}, 128], got {self.prefix_len}")
         return self
 
 
@@ -143,11 +149,15 @@ _UNKNOWN_TOKEN = AuthDecision(DecisionKind.DENY, reason=REASON_UNKNOWN_TOKEN)
 
 
 def _same_network(a: str, b: str, prefix_len: int) -> bool:
-    # A prefix longer than an address is cut to its length: /64 compares
-    # IPv4 addresses whole and IPv6 addresses by their first 64 bits.
+    # IPv4 addresses compare by the prefix, cut to 32 bits. IPv6 addresses
+    # compare by at least their first 64 bits, one link's subnet (RFC 7421),
+    # so no prefix spans more than one IPv6 link.
     try:
         net_a, net_b = (
-            ipaddress.ip_network((ip, min(prefix_len, ip.max_prefixlen)), strict=False)
+            ipaddress.ip_network(
+                (ip, min(prefix_len, 32) if ip.version == 4 else max(prefix_len, 64)),
+                strict=False,
+            )
             for ip in map(ipaddress.ip_address, (a, b))
         )
     except ValueError:

@@ -45,24 +45,6 @@ class BoundingBox(_BoxFields):
             raise ValueError(f"box size must be positive, got {width}x{height}")
         return _new(cls, (x, y, width, height))
 
-    @property
-    def right(self) -> float:
-        return self.x + self.width
-
-    @property
-    def bottom(self) -> float:
-        return self.y + self.height
-
-    def contains(self, other: "BoundingBox") -> bool:
-        """True when `other` lies entirely inside this box."""
-        x, y, ox, oy = self.x, self.y, other.x, other.y
-        return (
-            ox >= x
-            and oy >= y
-            and ox + other.width <= x + self.width
-            and oy + other.height <= y + self.height
-        )
-
 
 class _ResolutionFields(NamedTuple):
     width: int
@@ -70,26 +52,20 @@ class _ResolutionFields(NamedTuple):
 
 
 class Resolution(_ResolutionFields):
-    """Image size in whole pixels.
+    """Image size in whole pixels."""
 
-    Unlike the other validated records it keeps a `__dict__`, to hold the
-    bounds box built once here: every photo and layout checks its boxes
-    against it.
-    """
+    __slots__ = ()
 
     def __new__(cls, width: int, height: int):
         if width <= 0 or height <= 0:
             raise ValueError(f"resolution must be positive, got {width}x{height}")
         try:
-            bounds = BoundingBox(0, 0, float(width), float(height))
-        except (OverflowError, ValueError) as exc:
+            fits = 0.0 < float(width) < inf and 0.0 < float(height) < inf
+        except OverflowError as exc:
             raise ValueError("resolution must be finite and fit a float") from exc
-        self = tuple.__new__(cls, (width, height))
-        self._bounds = bounds
-        return self
-
-    def bounds(self) -> BoundingBox:
-        return self._bounds
+        if not fits:
+            raise ValueError("resolution must be finite and fit a float")
+        return _new(cls, (width, height))
 
 
 def area(box: BoundingBox) -> float:

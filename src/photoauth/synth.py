@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
+from math import inf
 from typing import NamedTuple
 
 from .domain import DomainName, confusable_mutate, extract_hostname
@@ -56,7 +57,7 @@ class BarTruth(_BarFields):
     __slots__ = ()
 
     def __new__(cls, box: BoundingBox, url_text_box: BoundingBox, url_string: str):
-        # box.contains(url_text_box) written out.
+        # The URL text must lie inside the bar, edge by edge.
         x, y, ox, oy = box.x, box.y, url_text_box.x, url_text_box.y
         if not (ox >= x and oy >= y and ox + url_text_box.width <= x + box.width
                 and oy + url_text_box.height <= y + box.height):
@@ -92,22 +93,22 @@ class BrowserLayout(_LayoutFields):
     ):
         if not bars:
             raise ValueError("layout needs at least one address bar")
-        # bounds.contains(box) written out, with the bounds' edges read once.
-        left, top, width, height = resolution.bounds()
-        right, bottom = left + width, top + height
+        # Each box must lie inside the screen from (0, 0) to its far corner,
+        # whose sides are read as floats once.
+        right, bottom = float(resolution.width), float(resolution.height)
         genuine = bars[0].box
         bar_top, bar_bottom = genuine.y, genuine.y + genuine.height
         for bar in bars:
             box = bar.box
             x, y = box.x, box.y
-            if not (x >= left and y >= top and x + box.width <= right
+            if not (x >= 0.0 and y >= 0.0 and x + box.width <= right
                     and y + box.height <= bottom):
                 raise ValueError("address bar outside the screenshot")
         for region in title_boxes + content_boxes:
             box = region.box
             x, y = box.x, box.y
             y_end = y + box.height
-            if not (x >= left and y >= top and x + box.width <= right and y_end <= bottom):
+            if not (x >= 0.0 and y >= 0.0 and x + box.width <= right and y_end <= bottom):
                 raise ValueError("text region outside the screenshot")
             # A region wholly above or below the bar has no overlap to measure.
             if bar_top < y_end and y < bar_bottom and intersection_area(box, genuine) > 0:
@@ -162,8 +163,8 @@ class AddrbarModel(_AddrbarFields):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.jitter_px < 0:
-            raise ValueError("jitter_px must be non-negative")
+        if not 0 <= self.jitter_px < inf:
+            raise ValueError(f"jitter_px must be finite and non-negative, got {self.jitter_px}")
         for p in (self.cutoff_prob, self.miss_prob, self.spurious_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability must be in [0, 1], got {p}")

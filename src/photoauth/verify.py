@@ -75,19 +75,19 @@ class PhotoAnalysis(_AnalysisFields):
         texts: tuple[TextRegion, ...],
         addrbars: tuple[AddressBarPrediction, ...],
     ):
-        # bounds.contains(box) written out, with the bounds' edges read once.
-        left, top, width, height = resolution.bounds()
-        right, bottom = left + width, top + height
+        # Each box must lie inside the screen from (0, 0) to its far corner,
+        # whose sides are read as floats once.
+        right, bottom = float(resolution.width), float(resolution.height)
         for region in texts:
             box = region.box
             x, y = box.x, box.y
-            if not (x >= left and y >= top and x + box.width <= right
+            if not (x >= 0.0 and y >= 0.0 and x + box.width <= right
                     and y + box.height <= bottom):
                 raise ValueError(f"text box outside {resolution}: {box}")
         for pred in addrbars:
             box = pred.box
             x, y = box.x, box.y
-            if not (x >= left and y >= top and x + box.width <= right
+            if not (x >= 0.0 and y >= 0.0 and x + box.width <= right
                     and y + box.height <= bottom):
                 raise ValueError(f"address-bar box outside {resolution}: {box}")
         return _new(cls, (resolution, texts, addrbars))

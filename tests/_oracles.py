@@ -17,7 +17,7 @@ and equal fields giving the same `repr` and `hash`.
 
 import dataclasses
 import random
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
@@ -83,14 +83,14 @@ def plain_contains(outer, inner):
     return (
         inner.x >= outer.x
         and inner.y >= outer.y
-        and inner.right <= outer.right
-        and inner.bottom <= outer.bottom
+        and inner.x + inner.width <= outer.x + outer.width
+        and inner.y + inner.height <= outer.y + outer.height
     )
 
 
 def plain_intersection_area(a, b):
-    dx = min(a.right, b.right) - max(a.x, b.x)
-    dy = min(a.bottom, b.bottom) - max(a.y, b.y)
+    dx = min(a.x + a.width, b.x + b.width) - max(a.x, b.x)
+    dy = min(a.y + a.height, b.y + b.height) - max(a.y, b.y)
     if dx <= 0 or dy <= 0:
         return 0.0
     return dx * dy
@@ -151,7 +151,7 @@ def plain_generate_layout(
         char_w = rng.uniform(9, 14)
         h = rng.uniform(0.45, 0.62) * bar_box.height
         x = bar_box.x + min(icon_strip + pad, bar_box.width * 0.4)
-        w = min(len(text) * char_w, (bar_box.right - x) * 0.9)
+        w = min(len(text) * char_w, (bar_box.x + bar_box.width - x) * 0.9)
         w = max(w, 8.0)
         y = bar_box.y + (bar_box.height - h) / 2.0
         return BoundingBox(x, y, w, h)
@@ -167,7 +167,7 @@ def plain_generate_layout(
     title_x = rng.uniform(60, width * 0.4)
     titles = [TextRegion(plain_clamp_box(title_x, title_y, title_w, title_h, resolution),
                          title_text)]
-    if titles[0].box.bottom > bar.y:
+    if titles[0].box.y + titles[0].box.height > bar.y:
         titles = [
             TextRegion(
                 BoundingBox(titles[0].box.x, 2.0, titles[0].box.width, max(bar.y - 4.0, 2.0)),
@@ -175,7 +175,7 @@ def plain_generate_layout(
             )
         ]
 
-    content_top = bar.bottom + rng.uniform(30, 80)
+    content_top = bar.y + bar.height + rng.uniform(30, 80)
     contents = []
     content_lines = ["Welcome back", "Use your account to continue", "Forgot password?"]
     if injected_placement is InjectionPlacement.PAGE_CONTENT and injected_text is not None:
@@ -228,7 +228,7 @@ def plain_detect_bar(bar, model, res, rng):
     if u_cut < model.cutoff_prob:
         text = bar.url_text_box
         new_top = text.y + text.height * (1.0 - cut_frac)
-        new_bottom = max(box.bottom, new_top + 2.0)
+        new_bottom = max(box.y + box.height, new_top + 2.0)
         box = plain_clamp_box(box.x, new_top, box.width, new_bottom - new_top, res)
     return AddressBarPrediction(box, conf)
 
@@ -344,31 +344,36 @@ def check_address_bar_prediction(self):
         raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
 
 
+def screen_box(resolution):
+    """The whole screen of a resolution, as a box from (0, 0)."""
+    return BoundingBox(0, 0, float(resolution.width), float(resolution.height))
+
+
 def check_photo_analysis(self):
-    bounds = self.resolution.bounds()
+    screen = screen_box(self.resolution)
     for region in self.texts:
-        if not bounds.contains(region.box):
+        if not plain_contains(screen, region.box):
             raise ValueError(f"text box outside {self.resolution}: {region.box}")
     for pred in self.addrbars:
-        if not bounds.contains(pred.box):
+        if not plain_contains(screen, pred.box):
             raise ValueError(f"address-bar box outside {self.resolution}: {pred.box}")
 
 
 def check_bar_truth(self):
-    if not self.box.contains(self.url_text_box):
+    if not plain_contains(self.box, self.url_text_box):
         raise ValueError("URL text must sit inside its address bar")
 
 
 def check_browser_layout(self):
     if not self.bars:
         raise ValueError("layout needs at least one address bar")
-    bounds = self.resolution.bounds()
+    screen = screen_box(self.resolution)
     genuine = self.bars[0].box
     for bar in self.bars:
-        if not bounds.contains(bar.box):
+        if not plain_contains(screen, bar.box):
             raise ValueError("address bar outside the screenshot")
     for region in self.title_boxes + self.content_boxes:
-        if not bounds.contains(region.box):
+        if not plain_contains(screen, region.box):
             raise ValueError("text region outside the screenshot")
         if intersection_area(region.box, genuine) > 0:
             raise ValueError("title/content text may not overlap the genuine bar")
@@ -380,8 +385,7 @@ def _frozen(name, fields, check=None, **namespace):
     return dataclasses.make_dataclass(name, fields, frozen=True, namespace=namespace)
 
 
-OldBoundingBox = _frozen("BoundingBox", ["x", "y", "width", "height"], check_bounding_box,
-                         contains=BoundingBox.contains)
+OldBoundingBox = _frozen("BoundingBox", ["x", "y", "width", "height"], check_bounding_box)
 OldTextRegion = _frozen("TextRegion", ["box", "text"], check_text_region)
 OldAddressBarPrediction = _frozen("AddressBarPrediction", ["box", "confidence"],
                                   check_address_bar_prediction)
@@ -421,10 +425,9 @@ def check_resolution(self):
     if self.width <= 0 or self.height <= 0:
         raise ValueError(f"resolution must be positive, got {self.width}x{self.height}")
     try:
-        bounds = BoundingBox(0, 0, float(self.width), float(self.height))
+        screen_box(self)
     except (OverflowError, ValueError) as exc:
         raise ValueError("resolution must be finite and fit a float") from exc
-    object.__setattr__(self, "_bounds", bounds)
 
 
 def check_verify_config(self):
@@ -433,8 +436,8 @@ def check_verify_config(self):
 
 
 def check_colocation_policy(self):
-    if not 0 <= self.prefix_len <= 128:
-        raise ValueError(f"prefix_len must be in [0, 128], got {self.prefix_len}")
+    if not 24 <= self.prefix_len <= 128:
+        raise ValueError(f"prefix_len must be in [24, 128], got {self.prefix_len}")
 
 
 def check_config(self):
@@ -460,8 +463,8 @@ def check_ocr_model(self):
 
 
 def check_addrbar_model(self):
-    if self.jitter_px < 0:
-        raise ValueError("jitter_px must be non-negative")
+    if not 0 <= self.jitter_px < inf:
+        raise ValueError(f"jitter_px must be finite and non-negative, got {self.jitter_px}")
     for p in (self.cutoff_prob, self.miss_prob, self.spurious_prob):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {p}")
@@ -486,8 +489,7 @@ def _fresh(name, factory):
 
 OldDomainName = _frozen("DomainName", ["labels"], check_domain_name,
                         __str__=lambda self: ".".join(self.labels))
-OldResolution = _frozen("Resolution", ["width", "height"], check_resolution,
-                        bounds=lambda self: self._bounds)
+OldResolution = _frozen("Resolution", ["width", "height"], check_resolution)
 OldVerifyConfig = _frozen("VerifyConfig", [("cr_threshold", float, 0.8)], check_verify_config)
 OldColocationPolicy = _frozen(
     "ColocationPolicy",

@@ -431,6 +431,10 @@ _MALFORMED_INPUTS = {
     "config-nan-ttl": ("serve", '{"session_ttl_s": NaN}', "cannot load config"),
     "config-port-range": ("serve", '{"port": 70000}', "cannot load config"),
     "config-prefix-len": ("serve", '{"colocation_prefix_len": 500}', "cannot load config"),
+    "config-prefix-zero": (
+        "serve", '{"colocation_mode": "same-network", "colocation_prefix_len": 0}',
+        "cannot load config",
+    ),
     "scenario-string-int": (
         "simulate",
         json.dumps({"kind": "bruteforce", "params": {"guesses": "many"}}),

@@ -122,6 +122,8 @@ class TestConfig:
             {"port": 70000},
             {"port": -1},
             {"colocation_prefix_len": 500},
+            {"colocation_mode": "same-network", "colocation_prefix_len": 0},
+            {"colocation_mode": "same-network", "colocation_prefix_len": 23},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -337,6 +339,21 @@ class TestClickEndpoint:
             )
         status = app.handle(WireRequest("GET", f"/session/{first.body['session_id']}/status"))
         assert status.body["status"] != SessionState.AUTHORIZED.value
+
+    # A relay logs in and the victim's phone clicks with no cookie. IPv6
+    # compares by at least one /64 link, and a longer prefix stays exact.
+    @pytest.mark.parametrize("prefix_len, login_source, click_source, status", [
+        (24, "2601:640:8000::66", "2601:6ff:1234::7", "photo-required"),
+        (64, "2601:640:8000::66", "2601:6ff:1234::7", "photo-required"),
+        (24, "2601:640:8000:1::66", "2601:640:8000:1::7", "authorized"),
+        (128, "2601:640:8000:1::66", "2601:640:8000:1::7", "photo-required"),
+    ])
+    def test_same_network_click(self, prefix_len, login_source, click_source, status):
+        app = make_app(seed=1, colocation_mode="same-network", colocation_prefix_len=prefix_len)
+        digits = login(app, source=login_source).body["link"].rsplit("/", 1)[-1]
+        response = click(app, digits, source=click_source)
+        assert response.status == 200
+        assert response.body["status"] == status
 
     def test_phone_browser_login_hint(self):
         app = make_app()

@@ -45,9 +45,11 @@ from photoauth.verify import (
 
 from _oracles import (
     plain_clamp_box,
+    plain_contains,
     plain_generate_layout,
     plain_ocr_noise,
     plain_simulate_detection,
+    screen_box,
 )
 
 CFG = VerifyConfig()
@@ -64,14 +66,14 @@ class TestLayoutGeneration:
     def test_invariants_over_many_seeds(self, theme, variant):
         for seed in range(150):
             layout = generate_layout("microsoft.com", theme=theme, variant=variant, seed=seed)
-            bounds = layout.resolution.bounds()
+            screen = screen_box(layout.resolution)
             expected_bars = 2 if variant is LayoutVariant.PICTURE_IN_PICTURE else 1
             assert len(layout.bars) == expected_bars
             for bar in layout.bars:
-                assert bounds.contains(bar.box)
-                assert bar.box.contains(bar.url_text_box)
+                assert plain_contains(screen, bar.box)
+                assert plain_contains(bar.box, bar.url_text_box)
             for region in layout.title_boxes + layout.content_boxes:
-                assert bounds.contains(region.box)
+                assert plain_contains(screen, region.box)
                 assert intersection_area(region.box, layout.bars[0].box) == 0.0
             assert layout.bars[0].url_string == "microsoft.com"
 
@@ -216,6 +218,12 @@ class TestOcrChannel:
             AddrbarModel(miss_prob=-0.1)
         with pytest.raises(ValueError):
             AddrbarModel(jitter_px=-1.0)
+
+    @pytest.mark.parametrize("jitter", [math.nan, math.inf])
+    def test_jitter_must_be_finite(self, jitter):
+        # A NaN or infinite jitter would first fail inside `_clamp_box`, mid-draw.
+        with pytest.raises(ValueError, match="jitter_px must be finite"):
+            AddrbarModel(oracle=False, jitter_px=jitter)
 
 
 _rate = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))

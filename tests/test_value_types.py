@@ -6,9 +6,12 @@ message, and an accepted value must have the same `repr` and `hash`.
 """
 
 import copy
+import importlib
+import inspect
 import math
 import os
 import pickle
+import pkgutil
 import re
 import types
 
@@ -28,6 +31,7 @@ from photoauth.decision import (
 )
 from photoauth.domain import DomainName, extract_hostname
 from photoauth.geometry import BoundingBox, Resolution
+from photoauth.jsonread import is_record
 from photoauth.service import Config, WireRequest, WireResponse
 from photoauth.session import Channel, Cookie, Preference, Session, SessionState
 from photoauth.simulator import Outcome, OutcomeKind, Scenario
@@ -243,7 +247,8 @@ RECORDS = {
     "VerifyConfig": (lambda T, cr: T.VerifyConfig(cr), st.tuples(RATES)),
     "ColocationPolicy": (
         lambda T, mode, n: T.ColocationPolicy(mode, n),
-        st.tuples(st.sampled_from(ColocationMode), st.sampled_from([-1, 0, 24, 128, 129, None])),
+        st.tuples(st.sampled_from(ColocationMode),
+                  st.sampled_from([-1, 0, 23, 24, 128, 129, None])),
     ),
     "AuthRequest": (
         lambda T, *fields: T.AuthRequest(*fields),
@@ -274,7 +279,7 @@ RECORDS = {
         st.tuples(
             st.lists(HOSTS, max_size=2).map(tuple), MAPPINGS,
             st.sampled_from(["cookie", "ip", "same-network", "telepathy"]),
-            st.sampled_from([-1, 0, 24, 128, 129]), RATES | st.just(300.0),
+            st.sampled_from([-1, 0, 23, 24, 128, 129]), RATES | st.just(300.0),
             st.sampled_from([-1, 0, 8443, 65535, 65536]), st.none() | st.integers(0, 9),
         ),
     ),
@@ -399,7 +404,7 @@ class TestNamedTupleSemantics:
 
     def test_keywords_name_the_fields(self):
         box = BoundingBox(x=1, y=2, width=3, height=4)
-        assert (box.right, box.bottom) == (4, 6)
+        assert (box.x, box.y, box.width, box.height) == (1, 2, 3, 4)
         assert TextRegion(box=box, text="a").text == "a"
 
     def test_copy_and_pickle_round_trip(self):
@@ -419,3 +424,14 @@ class TestNamedTupleSemantics:
                              if re.search(r"\._(make|replace)\(", line)]
         assert uses == [("session.py", "updated = session._replace(**changes)")]
         assert Session.__new__.__code__.co_filename == "<string>"
+
+    def test_no_record_carries_a_dict(self):
+        # A record is its fields: a subclass that leaves out `__slots__ = ()`
+        # gives every value a `__dict__`.
+        records = []
+        for info in pkgutil.iter_modules([SRC], "photoauth."):
+            module = importlib.import_module(info.name)
+            records += [cls for _, cls in inspect.getmembers(module, is_record)
+                        if cls.__module__ == module.__name__]
+        assert Resolution in records and BoundingBox in records
+        assert [cls for cls in records if cls.__dictoffset__ != 0] == []
