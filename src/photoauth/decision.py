@@ -4,6 +4,7 @@ Implements the full login flow:
 
   request with the cookie of an authorized session  -> authorize
   request with a malformed cookie                   -> bad request
+  request for an unregistered username              -> deny
   request without a usable cookie                   -> create session,
         send a short link to the user's phone (SMS, push or email all
         carry the same link)
@@ -42,6 +43,7 @@ from .verify import (
 )
 
 REASON_UNKNOWN_TOKEN = "unknown-token"
+REASON_UNKNOWN_USER = "unknown-user"
 REASON_PHISHING = "phishing-detected"
 REASON_SESSION_DENIED = "session-denied"
 
@@ -54,10 +56,6 @@ NOTIFICATION_BACKLOG = 256
 # prefix counts a relay anywhere in a large network as colocated, and /0
 # counts every address.
 MIN_PREFIX_LEN = 24
-
-
-class UnknownUser(Exception):
-    """Raised for login attempts with an unregistered username."""
 
 
 class ColocationMode(Enum):
@@ -146,6 +144,7 @@ class Notification(NamedTuple):
 # the session was looked up gets it too: under the engine lock nothing but
 # the clock moves a session, so its link expired in between.
 _UNKNOWN_TOKEN = AuthDecision(DecisionKind.DENY, reason=REASON_UNKNOWN_TOKEN)
+_UNKNOWN_USER = AuthDecision(DecisionKind.DENY, reason=REASON_UNKNOWN_USER)
 
 
 def _same_network(a: str, b: str, prefix_len: int) -> bool:
@@ -217,7 +216,7 @@ class AuthEngine:
                 return AuthDecision(DecisionKind.BAD_REQUEST, reason="missing-username")
             preference = self.users.get(request.username)
             if preference is None:
-                raise UnknownUser(request.username)
+                return _UNKNOWN_USER
 
             session = self.store.create_session(
                 request.username, source=request.source_address, channel=request.channel

@@ -22,7 +22,7 @@ import time
 from collections.abc import Mapping
 from http import HTTPStatus
 from types import MappingProxyType
-from typing import Callable, NamedTuple, Optional, TextIO
+from typing import Callable, NamedTuple, Optional
 
 from .decision import (
     AuthDecision,
@@ -34,7 +34,6 @@ from .decision import (
     LinkClick,
     REASON_PHISHING,
     REASON_SESSION_DENIED,
-    UnknownUser,
 )
 from .domain import extract_hostname
 from .jsonread import from_json
@@ -126,6 +125,8 @@ class WireResponse(NamedTuple):
     status: int
     body: dict
     headers: Mapping[str, str] = _NO_HEADERS
+    # The route template `App.handle` matched, for the access line; never sent.
+    route: Optional[str] = None
 
     def to_bytes(self) -> bytes:
         return _BODY_ENCODER.encode(self.body).encode()
@@ -133,8 +134,6 @@ class WireResponse(NamedTuple):
 
 # Built once: `json.dumps` with any option builds a new encoder per call.
 _BODY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-# The access line is what `json.dumps(line, sort_keys=True)` gives.
-_ACCESS_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 _COOKIE_MORSEL = re.compile(r"(?:^|;\s*)auth=([^;]*)")
@@ -152,14 +151,6 @@ def _cookie_from_headers(headers: Mapping[str, str]) -> Optional[str]:
     # A Cookie header that does not carry our morsel is malformed for us:
     # report it rather than silently starting a new session.
     return m.group(1) if m else ""
-
-
-def _write(stream: TextIO, text: str) -> None:
-    """Write `text` in one call; a closed or failing stream drops it."""
-    try:
-        stream.write(text)
-    except (OSError, ValueError):
-        pass
 
 
 def _error(status: int, reason: str) -> WireResponse:
@@ -197,14 +188,9 @@ def _answer(decision: AuthDecision, digits: str) -> WireResponse:
 
 
 class App:
-    """One service instance: store, engine and routing.
-
-    With `access_log` set to a text stream, `handle` writes one JSON line
-    to it per request; a line the stream refuses is dropped.
-    """
+    """One service instance: store, engine and routing. It does no I/O."""
 
     def __init__(self, config: Config, clock: Callable[[], float] | None = None):
-        self.access_log: Optional[TextIO] = None
         rng = random.Random(config.seed) if config.seed is not None else None
         names = [extract_hostname(d) for d in config.server_domains]
         self.store = SessionStore(names[0], rng=rng, clock=clock, ttl_s=config.session_ttl_s)
@@ -226,16 +212,15 @@ class App:
             return _error(400, "bad-username")
         channel = Channel.PHONE_BROWSER if body.get("channel") == "phone-browser" else Channel.PC_BROWSER
         cookie = _cookie_from_headers(req.headers)
-        try:
-            decision = self.engine.handle_auth_request(
-                AuthRequest(username, cookie, req.source_address, channel)
-            )
-        except UnknownUser:
-            return WireResponse(403, {"status": "denied", "reason": "unknown-user"})
+        decision = self.engine.handle_auth_request(
+            AuthRequest(username, cookie, req.source_address, channel)
+        )
         if decision.kind is DecisionKind.AUTHORIZE:
             return WireResponse(200, {"status": "authorized", "session_id": decision.session_id})
         if decision.kind is DecisionKind.BAD_REQUEST:
             return _error(400, decision.reason)
+        if decision.kind is DecisionKind.DENY:  # an unregistered username
+            return WireResponse(403, {"status": "denied", "reason": decision.reason})
         assert decision.kind is DecisionKind.LINK_SENT
         return WireResponse(
             200,
@@ -283,20 +268,14 @@ class App:
         return WireResponse(200, {"status": state.value})
 
     def handle(self, req: WireRequest) -> WireResponse:
-        # The route template, never the raw path: that carries live tokens.
-        route, response = self._route(req)
-        if self.access_log is not None:
-            line = _ACCESS_ENCODER.encode({
-                "method": req.method,
-                "path": route,
-                "status": response.status,
-                "body_status": response.body.get("status"),
-            })
-            _write(self.access_log, line + "\n")
-        return response
+        """The answer to `req`, carrying the route template it matched (None if none).
+
+        The template, never the raw path, names the route: that carries live tokens.
+        """
+        route, (status, body, headers, _) = self._route(req)
+        return WireResponse(status, body, headers, route)
 
     def _route(self, req: WireRequest) -> tuple[Optional[str], WireResponse]:
-        """The matched route template (None if none matched) and the response."""
         if req.method == "POST" and req.path == "/login":
             return "/login", self._login(req)
         m = _TOKEN_PATH.fullmatch(req.path)
@@ -337,6 +316,16 @@ _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
            "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 _CONTINUE = b"HTTP/1.1 100 Continue\r\n\r\n"
+# The access line is what `json.dumps(line, sort_keys=True)` gives.
+_ACCESS_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _write(text: str) -> None:
+    """Write `text` to stderr in one call; a closed or failing stream drops it."""
+    try:
+        sys.stderr.write(text)
+    except (OSError, ValueError):
+        pass
 
 
 class Head(NamedTuple):
@@ -559,7 +548,7 @@ class _Connection:
                 return
             body = buf[:head.length]
             del buf[:head.length]
-            self.write(self._respond(head, body), close=not head.keep_alive)
+            self._respond(head, body)
             self.head = None
             self.deadline = time.monotonic() + (REQUEST_DEADLINE_S if buf else IDLE_TIMEOUT_S)
 
@@ -593,22 +582,35 @@ class _Connection:
             start = end + 2
             end = buf.find(b"\r\n", start)
 
-    def _respond(self, head: Head, body: bytearray) -> WireResponse:
+    def _respond(self, head: Head, body: bytearray) -> None:
+        """Answer one request; after an answer from the app, write its access line.
+
+        The line follows the answer to the socket, so it never delays it.
+        """
+        close = not head.keep_alive
         parsed = None
         if body:
             try:
                 parsed = json.loads(body)
             except (ValueError, RecursionError):
-                return _error(400, "bad-json")
+                self.write(_error(400, "bad-json"), close)
+                return
         req = WireRequest(head.method, head.path, head.headers, parsed, self.peer)
         try:
-            return self.server.app.handle(req)
+            response = self.server.app.handle(req)
         except Exception:
             import traceback  # loaded on the first failure, not at every start
 
-            _write(sys.stderr, f"unhandled error in {head.method} request\n"
-                               + traceback.format_exc())
-            return _error(500, "internal-error")
+            _write(f"unhandled error in {head.method} request\n" + traceback.format_exc())
+            self.write(_error(500, "internal-error"), close)
+            return
+        self.write(response, close)
+        _write(_ACCESS_ENCODER.encode({
+            "method": head.method,
+            "path": response.route,
+            "status": response.status,
+            "body_status": response.body.get("status"),
+        }) + "\n")
 
     def write(self, response: WireResponse, close: bool) -> None:
         """Answer the request being read in one write; with `close`, then close.
@@ -686,11 +688,10 @@ def serve(config: Config) -> None:
     `&` leaves it). Until it returns, their handlers raise nothing: they
     wake the loop through a socket pair. In any thread it stops on
     `KeyboardInterrupt`. Writes to stderr a `listening` line, one access
-    line per request, the traceback of any request that fails and, once
-    closed, a `stopped` line.
+    line per answer from the app, the traceback of any request that fails
+    and, once closed, a `stopped` line.
     """
     app = App(config)
-    app.access_log = sys.stderr
     server = HttpServer(app, "0.0.0.0", config.port)
     wake, waker = socket.socketpair()
     waker.setblocking(False)
@@ -707,9 +708,8 @@ def serve(config: Config) -> None:
             for signum in (signal.SIGINT, signal.SIGTERM):
                 replaced[signum] = signal.signal(signum, on_signal)
             server.selector.register(wake, selectors.EVENT_READ, _interrupt)
-        _write(sys.stderr, json.dumps({"event": "listening", "port": server.port,
-                                       "domain": str(app.store.server_domain)},
-                                      sort_keys=True) + "\n")
+        _write(json.dumps({"event": "listening", "port": server.port,
+                           "domain": str(app.store.server_domain)}, sort_keys=True) + "\n")
         try:
             server.run()
         except KeyboardInterrupt:
@@ -723,4 +723,4 @@ def serve(config: Config) -> None:
             signal.signal(signum, handler)
         wake.close()
         waker.close()
-    _write(sys.stderr, '{"event": "stopped"}\n')
+    _write('{"event": "stopped"}\n')

@@ -524,7 +524,8 @@ OldConfig = _frozen(
 OldWireRequest = _frozen("WireRequest", ["method", "path", _fresh("headers", dict),
                                          ("body", object, None),
                                          ("source_address", str, "0.0.0.0")])
-OldWireResponse = _frozen("WireResponse", ["status", "body", _fresh("headers", dict)])
+OldWireResponse = _frozen("WireResponse", ["status", "body", _fresh("headers", dict),
+                                           ("route", object, None)])
 OldOcrModel = _frozen(
     "OcrModel",
     [("oracle", bool, True), ("sub_rate", float, 0.0), ("dot_drop_rate_dark", float, 0.0),

@@ -14,7 +14,6 @@ from photoauth.decision import (
     REASON_SESSION_DENIED,
     REASON_UNKNOWN_TOKEN,
     SAME_BROWSER_HINT,
-    UnknownUser,
 )
 from photoauth.domain import extract_hostname
 from photoauth.geometry import BoundingBox, Resolution
@@ -159,12 +158,13 @@ class TestAuthRequest:
         assert decision.kind is DecisionKind.BAD_REQUEST
         assert decision.reason == "missing-username"
 
-    def test_unregistered_username_raises(self):
+    def test_unregistered_username_is_denied(self):
         engine = make_engine()
-        with pytest.raises(UnknownUser):
-            engine.handle_auth_request(
-                AuthRequest(username="mallory", presented_cookie=None, source_address=PC)
-            )
+        decision = engine.handle_auth_request(
+            AuthRequest(username="mallory", presented_cookie=None, source_address=PC)
+        )
+        assert decision == AuthDecision(DecisionKind.DENY, reason="unknown-user")
+        assert engine.store.live_count() == 0 and not engine.outbox
 
 
 class TestLinkClick:

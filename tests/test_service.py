@@ -843,15 +843,7 @@ class TestMisc:
         response = app.handle(WireRequest("GET", "/session/deadbeef/status"))
         assert response.status == 403
 
-    def test_handle_logs_one_json_line(self):
-        app = make_app()
-        app.access_log = io.StringIO()
-        login(app)
-        lines = app.access_log.getvalue().splitlines()
-        assert lines == ['{"body_status": "link-sent", "method": "POST", "path": "/login", '
-                         '"status": 200}']
-
-    def test_log_line_is_built_only_when_a_stream_is_set(self, monkeypatch):
+    def test_handle_encodes_and_writes_nothing(self, monkeypatch, capsys):
         encoded = []
 
         class CountingEncoder(json.JSONEncoder):
@@ -860,29 +852,21 @@ class TestMisc:
                 return super().encode(obj)
 
         monkeypatch.setattr("photoauth.service._ACCESS_ENCODER", CountingEncoder(sort_keys=True))
+        monkeypatch.setattr("photoauth.service._BODY_ENCODER", CountingEncoder())
         app = make_app()
-        app.handle(WireRequest("GET", "/nope"))
-        assert encoded == []
-        app.access_log = io.StringIO()
-        app.handle(WireRequest("GET", "/nope"))
-        assert len(encoded) == 1
-        assert app.access_log.getvalue() == json.dumps(
-            {"method": "GET", "path": None, "status": 404, "body_status": "error"},
-            sort_keys=True,
-        ) + "\n"
-
-    def test_logs_route_templates(self):
-        app = make_app()
-        app.access_log = io.StringIO()
         first = login(app)
         digits = first.body["link"].rsplit("/", 1)[-1]
-        click(app, digits)
-        submit_photo(app, digits, photo_dict("microsoft.com"))
-        app.handle(WireRequest("GET", f"/session/{first.body['session_id']}/status"))
-        app.handle(WireRequest("POST", f"/c/{digits}"))
-        paths = [json.loads(line)["path"] for line in app.access_log.getvalue().splitlines()]
-        assert paths == ["/login", "/c/{token}", "/c/{token}/photo",
-                         "/session/{id}/status", None]
+        answers = [
+            first,
+            click(app, digits),
+            submit_photo(app, digits, photo_dict("microsoft.com")),
+            app.handle(WireRequest("GET", f"/session/{first.body['session_id']}/status")),
+            app.handle(WireRequest("POST", f"/c/{digits}")),
+        ]
+        assert encoded == [] and capsys.readouterr() == ("", "")
+        # The route template comes back with the answer, for the shell's access line.
+        assert [a.route for a in answers] == ["/login", "/c/{token}", "/c/{token}/photo",
+                                              "/session/{id}/status", None]
 
     def test_failing_access_log_leaves_every_answer_unchanged(self):
         class Refusing(io.StringIO):
@@ -896,21 +880,14 @@ class TestMisc:
                 raise self.exc
 
         def drive(stream):
-            app = make_app(seed=21)
-            app.access_log = stream
-            first = login(app)
-            digits = first.body["link"].rsplit("/", 1)[-1]
-            answers = [first]
-            answers += [
-                click(app, digits),
-                submit_photo(app, digits, unreadable_dict()),
-                submit_photo(app, digits, photo_dict("microsoft.com")),
-                app.handle(WireRequest("GET", f"/session/{first.body['session_id']}/status")),
-                app.handle(WireRequest("GET", "/nope")),
-            ]
-            return [(r.status, r.to_bytes(), r.headers) for r in answers]
+            """The shell's replies to one flow with `stream` as stderr, Date lines left out."""
+            with contextlib.redirect_stderr(stream), socketpair_connection() as (conn, peer):
+                replies = flow_replies(conn, peer, [unreadable_dict(), photo_dict("microsoft.com")])
+            return [re.sub(rb"\r\nDate: [^\r]*", b"", reply) for reply in replies]
 
-        expected = drive(None)
+        working = io.StringIO()
+        expected = drive(working)
+        assert len(working.getvalue().splitlines()) == len(expected)
         closed = io.StringIO()
         closed.close()  # its write raises ValueError
         for stream in (Refusing(OSError("disk full")), Refusing(BrokenPipeError()), closed):
@@ -952,7 +929,19 @@ class TestReplayDeterminism:
 
 class TestHttpShell:
     @pytest.fixture()
-    def http(self):
+    def written(self, monkeypatch):
+        """The server's stderr writes, in order.
+
+        Kept in a list: the loop thread writes an access line after its
+        answer, so it could write while pytest has its capture paused
+        between a test's phases.
+        """
+        writes = []
+        monkeypatch.setattr("photoauth.service._write", writes.append)
+        return writes
+
+    @pytest.fixture()
+    def http(self, written):
         """The HTTP server `serve` runs, its loop on a thread until interrupted."""
         server = HttpServer(make_app(seed=33), "127.0.0.1", 0)
         wake, waker = socket.socketpair()
@@ -1133,9 +1122,17 @@ class TestHttpShell:
         status, _, _ = self.exchange(conn, "GET", "/nope")
         assert status == 404
 
-    def test_no_token_or_session_id_reaches_the_log(self, live, conn, capsys):
-        app, _ = live
-        app.access_log = sys.stderr  # as `serve` sets it
+    @classmethod
+    def sync(cls, conn):
+        """One more exchange, a bad-JSON 400 that gets no access line.
+
+        The line for an answer is written before the next request is
+        read, so once this is answered every earlier line is written.
+        """
+        assert cls.exchange(conn, "POST", "/login", "{")[:2] == (
+            400, {"status": "error", "reason": "bad-json"})
+
+    def test_no_token_or_session_id_reaches_the_log(self, conn, written):
         secrets = []
         for _ in range(3):
             _, body, _ = self.exchange(conn, "POST", "/login", json.dumps({"username": "bob"}))
@@ -1146,12 +1143,13 @@ class TestHttpShell:
                           json.dumps(photo_dict("microsoft.com")))
             self.exchange(conn, "GET", f"/session/{body['session_id']}/status")
             self.exchange(conn, "GET", f"/c/{digits}/nope")
-        lines = capsys.readouterr().err.splitlines()
+        self.sync(conn)
+        lines = "".join(written).splitlines()
         assert len(lines) == 15
         assert any("/c/{token}" in line for line in lines)
         assert not [line for line in lines for secret in secrets if secret in line]
 
-    def test_an_unhandled_error_writes_one_record_and_its_traceback(self, live, conn, capsys,
+    def test_an_unhandled_error_writes_one_record_and_its_traceback(self, live, conn, written,
                                                                      monkeypatch):
         app, _ = live
 
@@ -1162,12 +1160,15 @@ class TestHttpShell:
         status, body, response = self.exchange(conn, "GET", "/c/1234567890")
         assert (status, body) == (500, {"status": "error", "reason": "internal-error"})
         assert response.getheader("Connection") is None  # the connection stays open
-        err = capsys.readouterr().err
+        assert len(written) == 1  # in one write
+        err = written[0]
         assert err.startswith("unhandled error in GET request\nTraceback (most recent call last):\n")
         assert err.endswith("\nRuntimeError: boom\n")
         assert err.count("unhandled error") == 1 and err.count("Traceback") == 1
         assert self.exchange(conn, "GET", "/nope")[0] == 404
-        assert capsys.readouterr().err == ""
+        self.sync(conn)
+        assert written[1:] == [
+            '{"body_status": "error", "method": "GET", "path": null, "status": 404}\n']
 
     @staticmethod
     def read_response(rfile) -> tuple[bytes, dict]:
@@ -1354,6 +1355,33 @@ def feed(conn, peer, data):
     conn.on_ready(selectors.EVENT_READ)
 
 
+def http_request(method, path, body=None) -> bytes:
+    """A kept-alive HTTP/1.1 request, its body `body` as JSON."""
+    data = b"" if body is None else json.dumps(body).encode()
+    return f"{method} {path} HTTP/1.1\r\nContent-Length: {len(data)}\r\n\r\n".encode() + data
+
+
+def ask(conn, peer, data) -> bytes:
+    """The connection's reply to the peer's request `data`."""
+    feed(conn, peer, data)
+    return received(peer)
+
+
+def flow_replies(conn, peer, photos) -> list[bytes]:
+    """The replies to a login, a click on its link, `photos`, a status poll and a 404."""
+    replies = [ask(conn, peer, http_request("POST", "/login", {"username": "bob"}))]
+    first = json.loads(replies[0].partition(b"\r\n\r\n")[2])
+    digits = first["link"].rsplit("/", 1)[-1]
+    for data in (
+        http_request("GET", f"/c/{digits}"),
+        *[http_request("POST", f"/c/{digits}/photo", photo) for photo in photos],
+        http_request("GET", f"/session/{first['session_id']}/status"),
+        http_request("POST", f"/c/{digits}"),
+    ):
+        replies.append(ask(conn, peer, data))
+    return replies
+
+
 def shell_replies(data: bytes, piece: int | None = None) -> list[bytes]:
     """The replies to `data`, sent whole or in pieces of `piece` bytes.
 
@@ -1408,6 +1436,35 @@ def watched_for(conn) -> int:
 
 
 class TestConnectionProtocol:
+    def test_each_access_line_follows_its_answer(self):
+        class Peeking:
+            """A stderr that records each write with what the peer has received and not read."""
+
+            def __init__(self, peer):
+                self.peer = peer
+                self.writes = []
+
+            def write(self, text):
+                ready = select.select([self.peer], [], [], 0)[0]
+                self.writes.append((text, self.peer.recv(65536, socket.MSG_PEEK) if ready else b""))
+
+        with socketpair_connection() as (conn, peer):
+            stderr = Peeking(peer)
+            with contextlib.redirect_stderr(stderr):
+                replies = flow_replies(conn, peer, [photo_dict("microsoft.com")])
+        # Each line is written once its whole answer has reached the peer.
+        assert [waiting for _, waiting in stderr.writes] == replies
+        assert "".join(text for text, _ in stderr.writes) == (
+            '{"body_status": "link-sent", "method": "POST", "path": "/login", "status": 200}\n'
+            '{"body_status": "photo-required", "method": "GET", "path": "/c/{token}", '
+            '"status": 200}\n'
+            '{"body_status": "authorized", "method": "POST", "path": "/c/{token}/photo", '
+            '"status": 200}\n'
+            '{"body_status": "authorized", "method": "GET", "path": "/session/{id}/status", '
+            '"status": 200}\n'
+            '{"body_status": "error", "method": "POST", "path": null, "status": 404}\n'
+        )
+
     def test_a_paused_writer_pauses_reading(self):
         with socketpair_connection() as (conn, peer):
             filled = fill(conn.sock)  # the peer has not read: its window is full

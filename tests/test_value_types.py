@@ -290,7 +290,8 @@ RECORDS = {
     ),
     "WireResponse": (
         lambda T, *fields: T.WireResponse(*fields),
-        st.tuples(st.sampled_from([200, 403]), MAPPINGS, MAPPINGS),
+        st.tuples(st.sampled_from([200, 403]), MAPPINGS, MAPPINGS,
+                  st.sampled_from([None, "/login", "/c/{token}"])),
     ),
     "OcrModel": (lambda T, *fields: T.OcrModel(*fields), OCR),
     "AddrbarModel": (lambda T, *fields: T.AddrbarModel(*fields), ADDRBAR),
