@@ -868,6 +868,22 @@ class TestMisc:
         assert [a.route for a in answers] == ["/login", "/c/{token}", "/c/{token}/photo",
                                               "/session/{id}/status", None]
 
+    def test_handle_logs_one_json_line(self):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), socketpair_connection() as (conn, peer):
+            ask(conn, peer, http_request("POST", "/login", {"username": "bob"}))
+        lines = stderr.getvalue().splitlines()
+        assert lines == ['{"body_status": "link-sent", "method": "POST", "path": "/login", '
+                         '"status": 200}']
+
+    def test_logs_route_templates(self):
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), socketpair_connection() as (conn, peer):
+            flow_replies(conn, peer, [photo_dict("microsoft.com")])
+        paths = [json.loads(line)["path"] for line in stderr.getvalue().splitlines()]
+        assert paths == ["/login", "/c/{token}", "/c/{token}/photo",
+                         "/session/{id}/status", None]
+
     def test_failing_access_log_leaves_every_answer_unchanged(self):
         class Refusing(io.StringIO):
             def __init__(self, exc):
