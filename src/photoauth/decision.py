@@ -221,7 +221,6 @@ class AuthEngine:
             session = self.store.create_session(
                 request.username, source=request.source_address, channel=request.channel
             )
-            session = self.store.issue_short_link(session.id)
             self.outbox.append(
                 Notification(
                     username=session.username,

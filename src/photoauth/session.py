@@ -12,7 +12,7 @@ import re
 import time
 from collections import OrderedDict
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 from .domain import DomainName
 
@@ -48,7 +48,6 @@ class Channel(Enum):
 
 
 class SessionState(Enum):
-    CREDENTIALS_OK = "credentials-ok"
     LINK_SENT = "link-sent"
     AWAITING_PHOTO = "awaiting-photo"
     AUTHORIZED = "authorized"
@@ -59,7 +58,6 @@ class SessionState(Enum):
 # The lifecycle: each store operation and the states it may start from.
 # Terminal states (authorized, denied, fallback-offered) start none.
 _STARTS: dict[str, frozenset[SessionState]] = {
-    "issue_short_link": frozenset({SessionState.CREDENTIALS_OK}),
     "mark_awaiting_photo": frozenset({SessionState.LINK_SENT, SessionState.AWAITING_PHOTO}),
     "authorize": frozenset({SessionState.LINK_SENT, SessionState.AWAITING_PHOTO}),
     "deny": frozenset({SessionState.AWAITING_PHOTO}),
@@ -91,7 +89,7 @@ class Session(NamedTuple):
     id: str
     username: str
     cookie: Cookie
-    token: Optional[str]
+    token: str
     state: SessionState
     retakes: int
     created_at: float
@@ -173,8 +171,7 @@ class SessionStore:
             if now - s.created_at <= self.ttl_s:
                 break
             sessions.popitem(last=False)
-            if s.token is not None:
-                self._token_index.pop(s.token, None)
+            self._token_index.pop(s.token, None)
             self._cookie_index.pop(s.cookie.value, None)
         return now
 
@@ -223,12 +220,13 @@ class SessionStore:
             cookie_value = draw_cookie_value(self._rng)
             if cookie_value not in self._cookie_index:
                 break
+        digits = self.issue_short_link()
         session = Session(
             id=sid,
             username=username,
             cookie=Cookie(value=cookie_value),
-            token=None,
-            state=SessionState.CREDENTIALS_OK,
+            token=digits,
+            state=SessionState.LINK_SENT,
             retakes=0,
             created_at=now,
             login_source=source,
@@ -236,21 +234,19 @@ class SessionStore:
         )
         self._sessions[sid] = session
         self._cookie_index[cookie_value] = sid
+        self._token_index[digits] = sid
         return session
 
-    def issue_short_link(self, session_id: str) -> Session:
-        """Attach a fresh token, moving the session to LINK_SENT.
+    def issue_short_link(self) -> str:
+        """Draw the digits of a new short link; `create_session` is the caller.
 
         The token is unique among live sessions; a collision with one is
         redrawn, never reused.
         """
-        session = self._live("issue_short_link", session_id)
         while True:
             digits = draw_token_digits(DEFAULT_TOKEN_LENGTH, self._rng)
             if digits not in self._token_index:
-                break
-        self._token_index[digits] = session_id
-        return self._put(session, token=digits, state=SessionState.LINK_SENT)
+                return digits
 
     def resolve_token(self, digits: str, *, source: str | None = None) -> Session | None:
         """Look up the live session behind a token, rate limited per source."""

@@ -39,7 +39,7 @@ from photoauth.service import (
     load_config,
     parse_head,
 )
-from photoauth.session import DEFAULT_RETAKE_CAP, SessionState
+from photoauth.session import DEFAULT_RETAKE_CAP, LOOKUP_RATE_LIMIT, SessionState
 from photoauth.synth import ORACLE_PROFILE, generate_layout, simulate_detection
 from photoauth.verify import analysis_to_dict
 
@@ -342,11 +342,16 @@ class TestClickEndpoint:
 
     # A relay logs in and the victim's phone clicks with no cookie. IPv6
     # compares by at least one /64 link, and a longer prefix stays exact.
+    # A source that is no IP address is never colocated, not even with itself.
     @pytest.mark.parametrize("prefix_len, login_source, click_source, status", [
         (24, "2601:640:8000::66", "2601:6ff:1234::7", "photo-required"),
         (64, "2601:640:8000::66", "2601:6ff:1234::7", "photo-required"),
         (24, "2601:640:8000:1::66", "2601:640:8000:1::7", "authorized"),
         (128, "2601:640:8000:1::66", "2601:640:8000:1::7", "photo-required"),
+        (24, "unix-socket", "unix-socket", "photo-required"),
+        (24, "unix-socket", PC, "photo-required"),
+        (24, PC, "unix-socket", "photo-required"),
+        (24, "", "", "photo-required"),
     ])
     def test_same_network_click(self, prefix_len, login_source, click_source, status):
         app = make_app(seed=1, colocation_mode="same-network", colocation_prefix_len=prefix_len)
@@ -451,6 +456,22 @@ class TestPhotoEndpoint:
             "warning": False,
             "retakes_left": 4,
         }
+
+    def test_upload_past_the_lookup_limit_is_refused_until_the_window_ends(self):
+        clock = FakeClock(step=0.0)  # frozen clock: one lookup window
+        app = make_app(clock=clock)
+        first = login(app)
+        digits = first.body["link"].rsplit("/", 1)[-1]
+        for _ in range(LOOKUP_RATE_LIMIT):
+            assert click(app, digits).body["status"] == "photo-required"
+        response = submit_photo(app, digits, photo_dict("microsoft.com"))
+        assert response.status == 429
+        assert response.body == {"reason": "rate-limited", "status": "error"}
+        status = app.handle(WireRequest("GET", f"/session/{first.body['session_id']}/status"))
+        assert status.body == {"status": SessionState.AWAITING_PHOTO.value}
+        clock.advance(1.0)
+        response = submit_photo(app, digits, photo_dict("microsoft.com"))
+        assert response.body == {"status": "authorized"}
 
     def test_retakes_exhaust_to_fallback(self):
         app = make_app()

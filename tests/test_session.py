@@ -1,6 +1,5 @@
 import itertools
 import random
-from unittest.mock import ANY
 
 import pytest
 from hypothesis import settings
@@ -45,9 +44,8 @@ def make_store(**kwargs):
 
 
 def token_index_is_one_to_one(store):
-    """True when the token index maps exactly the stored tokened sessions, 1:1."""
-    tokened = {s.token: sid for sid, s in store._sessions.items() if s.token}
-    return tokened == store._token_index
+    """True when the token index maps exactly the stored sessions' tokens, 1:1."""
+    return {s.token: sid for sid, s in store._sessions.items()} == store._token_index
 
 
 class TestValues:
@@ -65,7 +63,7 @@ class TestValues:
 
     def test_token_digits_length_and_charset(self):
         store = make_store()
-        linked = store.issue_short_link(store.create_session("bob", **LOGIN).id)
+        linked = store.create_session("bob", **LOGIN)
         for length, digits in [(6, draw_token_digits(6, random.Random(3))),
                                (12, draw_token_digits(12, random.Random(3))),
                                (10, linked.token)]:
@@ -86,29 +84,19 @@ class TestValues:
 
 
 class TestLifecycle:
-    def test_create_starts_at_credentials_ok(self):
+    def test_create_starts_at_link_sent(self):
         store = make_store()
         s = store.create_session("bob", source="1.2.3.4", channel=Channel.PHONE_BROWSER)
-        assert s.state is SessionState.CREDENTIALS_OK
-        assert s.token is None
+        assert s.state is SessionState.LINK_SENT
+        assert store.resolve_token(s.token) == s
         assert s.retakes == 0
         assert not s.phishing_warned
         assert s.login_source == "1.2.3.4"
         assert s.login_channel is Channel.PHONE_BROWSER
 
-    def test_issue_link_then_resolve(self):
-        store = make_store()
-        s = store.create_session("bob", **LOGIN)
-        s = store.issue_short_link(s.id)
-        assert s.state is SessionState.LINK_SENT
-        assert s.token is not None
-        found = store.resolve_token(s.token)
-        assert found is not None and found.id == s.id
-
     def test_happy_path_to_authorized(self):
         store = make_store()
         s = store.create_session("bob", **LOGIN)
-        s = store.issue_short_link(s.id)
         s = store.mark_awaiting_photo(s.id)
         assert s.state is SessionState.AWAITING_PHOTO
         s = store.authorize(s.id)
@@ -117,20 +105,17 @@ class TestLifecycle:
     def test_direct_authorize_from_link_sent(self):
         store = make_store()
         s = store.create_session("bob", **LOGIN)
-        s = store.issue_short_link(s.id)
         assert store.authorize(s.id).state is SessionState.AUTHORIZED
 
     def test_transition_matrix(self):
         """Every illegal (state, operation) pair raises InvalidState."""
         ops = {
-            "link": lambda st, sid: st.issue_short_link(sid),
             "await": lambda st, sid: st.mark_awaiting_photo(sid),
             "authorize": lambda st, sid: st.authorize(sid),
             "deny": lambda st, sid: st.deny(sid),
             "retake": lambda st, sid: st.record_retake(sid, False),
         }
         allowed = {
-            SessionState.CREDENTIALS_OK: {"link"},
             SessionState.LINK_SENT: {"await", "authorize"},
             SessionState.AWAITING_PHOTO: {"await", "authorize", "deny", "retake"},
             SessionState.AUTHORIZED: set(),
@@ -140,9 +125,6 @@ class TestLifecycle:
 
         def put_in_state(store, target):
             s = store.create_session("bob", **LOGIN)
-            if target is SessionState.CREDENTIALS_OK:
-                return s
-            s = store.issue_short_link(s.id)
             if target is SessionState.LINK_SENT:
                 return s
             if target is SessionState.AUTHORIZED:
@@ -170,7 +152,6 @@ class TestLifecycle:
     def test_mark_awaiting_is_idempotent(self):
         store = make_store()
         s = store.create_session("bob", **LOGIN)
-        store.issue_short_link(s.id)
         store.mark_awaiting_photo(s.id)
         assert store.mark_awaiting_photo(s.id).state is SessionState.AWAITING_PHOTO
 
@@ -183,7 +164,6 @@ class TestRetakes:
     def test_fallback_exactly_past_cap(self):
         store = make_store()
         s = store.create_session("bob", **LOGIN)
-        store.issue_short_link(s.id)
         store.mark_awaiting_photo(s.id)
         for i in range(1, 6):
             s = store.record_retake(s.id, False)
@@ -196,7 +176,6 @@ class TestRetakes:
     def test_multiple_addrbars_sets_phishing_flag(self):
         store = make_store()
         s = store.create_session("bob", **LOGIN)
-        store.issue_short_link(s.id)
         store.mark_awaiting_photo(s.id)
         s = store.record_retake(s.id, True)
         assert s.phishing_warned
@@ -207,7 +186,6 @@ class TestRetakes:
     def test_plain_retake_does_not_warn(self):
         store = make_store()
         s = store.create_session("bob", **LOGIN)
-        store.issue_short_link(s.id)
         store.mark_awaiting_photo(s.id)
         assert not store.record_retake(s.id, False).phishing_warned
 
@@ -217,7 +195,6 @@ class TestExpiry:
         clock = FakeClock()
         store = make_store(clock=clock, ttl_s=300.0)
         s = store.create_session("bob", **LOGIN)
-        s = store.issue_short_link(s.id)
         clock.advance(301.0)
         assert store.get(s.id) is None
         assert store.resolve_token(s.token) is None
@@ -237,13 +214,12 @@ class TestExpiry:
         s = store.create_session("bob", **LOGIN)
         clock.advance(11.0)
         with pytest.raises(InvalidState):
-            store.issue_short_link(s.id)
+            store.mark_awaiting_photo(s.id)
 
     def test_expired_token_frees_digits_for_reuse(self):
         clock = FakeClock()
         store = make_store(clock=clock, ttl_s=10.0)
         s = store.create_session("bob", **LOGIN)
-        s = store.issue_short_link(s.id)
         clock.advance(11.0)
         assert store.resolve_token(s.token) is None
         assert token_index_is_one_to_one(store)
@@ -259,9 +235,9 @@ class TestExpiry:
     def test_expiry_order_survives_state_changes(self):
         clock = FakeClock()
         store = make_store(clock=clock, ttl_s=10.0)
-        a = store.issue_short_link(store.create_session("alice", **LOGIN).id)
+        a = store.create_session("alice", **LOGIN)
         clock.advance(5.0)
-        b = store.issue_short_link(store.create_session("bob", **LOGIN).id)
+        b = store.create_session("bob", **LOGIN)
         store.authorize(a.id)  # rewrites A after B was created
         clock.advance(6.0)  # A is 11 s old, B 6 s
         assert store.get(a.id) is None
@@ -278,10 +254,7 @@ class TestExpiry:
         store = make_store(clock=clock, ttl_s=10_000.0)
         created = []
         for i in range(10_000):
-            s = store.create_session(f"user{i}", **LOGIN)
-            if i % 2:
-                s = store.issue_short_link(s.id)
-            created.append(s)
+            created.append(store.create_session(f"user{i}", **LOGIN))
             clock.advance(1.0)
         # Now 11000 + 2500.5: sessions created before 3500.5 (i <= 2500) are dead.
         clock.advance(2500.5)
@@ -390,8 +363,6 @@ class TestUniqueness:
         store = SessionStore(SERVER, rng=RiggedRandom(), clock=FakeClock(), ttl_s=1e9)
         a = store.create_session("a", **LOGIN)
         b = store.create_session("b", **LOGIN)
-        a = store.issue_short_link(a.id)
-        b = store.issue_short_link(b.id)
         assert a.token != b.token
         assert token_index_is_one_to_one(store)
 
@@ -400,7 +371,6 @@ MODEL_TTL_S = 10.0
 MODEL_RETAKE_CAP = DEFAULT_RETAKE_CAP
 # The lifecycle as the model knows it: store operation -> states it may start from.
 MODEL_STARTS = {
-    "issue_short_link": {SessionState.CREDENTIALS_OK},
     "mark_awaiting_photo": {SessionState.LINK_SENT, SessionState.AWAITING_PHOTO},
     "authorize": {SessionState.LINK_SENT, SessionState.AWAITING_PHOTO},
     "deny": {SessionState.AWAITING_PHOTO},
@@ -447,26 +417,19 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(target=sessions, username=st.sampled_from(["alice", "bob"]))
     def create(self, username):
         s = self.store.create_session(username, **LOGIN)
-        assert s.state is SessionState.CREDENTIALS_OK and s.created_at == self.clock.t
+        assert s.state is SessionState.LINK_SENT and s.created_at == self.clock.t
         self._expire()
         self.model[s.id] = s
         self.cookies[s.id] = s.cookie.value
+        self.digits[s.id] = s.token
         return s.id
 
     @rule(sid=sessions)
-    def issue(self, sid):
-        s = self._mutate(
-            "issue_short_link", sid, step=lambda _: {"token": ANY, "state": SessionState.LINK_SENT}
-        )
-        if s is not None:
-            self.digits[sid] = s.token
-
-    @rule(sid=sessions)
     def resolve(self, sid):
-        digits = self.digits.get(sid, "0" * 10)
+        digits = self.digits[sid]
         found = self.store.resolve_token(digits)
         self._expire()
-        live = [s for s in self.model.values() if s.token and s.token == digits]
+        live = [s for s in self.model.values() if s.token == digits]
         assert found == (live[0] if live else None)
 
     @rule(sid=sessions)
@@ -523,11 +486,11 @@ class StoreMachine(RuleBasedStateMachine):
         assert self.store.live_count() == len(self.model)
 
     @invariant()
-    def token_index_maps_the_live_tokened_sessions(self):
+    def token_index_maps_the_live_sessions(self):
         self._expire()
         assert token_index_is_one_to_one(self.store)
         index = self.store._token_index
-        live = {s.token: sid for sid, s in self.model.items() if s.token}
+        live = {s.token: sid for sid, s in self.model.items()}
         assert live.items() <= index.items()
         # The rest are sessions that expired since the store last looked.
         for digits in index.keys() - live.keys():

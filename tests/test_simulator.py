@@ -45,6 +45,7 @@ CUTOFF_PROFILE = DetectorProfile(
     addrbar=AddrbarModel(oracle=False, cutoff_prob=0.5, jitter_px=4.0),
 )
 DOT_DROP_PROFILE = DetectorProfile(ocr=OcrModel(oracle=False, dot_drop_rate_dark=1.0))
+MISS_PROFILE = DetectorProfile(addrbar=AddrbarModel(oracle=False, miss_prob=1.0))
 
 
 def adversary_authorized(report):
@@ -108,6 +109,18 @@ class TestBenignLogin:
         kinds = [d["kind"] for d in report.trail]
         assert kinds == ["link-sent", "require-photo", "deny"] * 3
         assert len({d["session"] for d in report.trail}) == 3  # one per login attempt
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bar_never_found_falls_back(self, seed):
+        """Retakes past the cap end in the fallback, within one session: no
+        fresh login follows."""
+        report = run_benign_login(seed, detector_profile=MISS_PROFILE)
+        assert report.outcome == Outcome(OutcomeKind.FALLBACK)
+        assert report.photos_taken == 6
+        kinds = [d["kind"] for d in report.trail]
+        assert kinds == ["link-sent", "require-photo"] + ["request-retake"] * 5 + ["fallback"]
+        assert {d["owner"] for d in report.trail} == {"user"}
+        assert len({d["session"] for d in report.trail}) == 1
 
     def test_denied_login_retries_and_succeeds_in_light_theme(self):
         report = run_benign_login(
