@@ -64,8 +64,7 @@ def _cmd_serve(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         print(f"cannot load config: {exc}", file=sys.stderr)
         return 2
-    serve(config)
-    return 0
+    return serve(config)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,8 @@ Implements the full login flow:
   photo matches an accepted domain                  -> authorize
   photo shows another domain                        -> deny, phishing
   photo unreadable or showing two address bars      -> retake, capped
+  photo for a session not awaiting one              -> bad request, not-awaiting-photo
+  click or photo past its source's lookup limit     -> bad request, rate-limited
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .session import (
     DEFAULT_RETAKE_CAP,
     InvalidState,
     Preference,
+    RateLimited,
     Session,
     SessionState,
     SessionStore,
@@ -46,6 +49,8 @@ REASON_UNKNOWN_TOKEN = "unknown-token"
 REASON_UNKNOWN_USER = "unknown-user"
 REASON_PHISHING = "phishing-detected"
 REASON_SESSION_DENIED = "session-denied"
+REASON_RATE_LIMITED = "rate-limited"
+REASON_NOT_AWAITING_PHOTO = "not-awaiting-photo"
 
 SAME_BROWSER_HINT = "open the link in the browser used to sign in"
 
@@ -145,6 +150,8 @@ class Notification(NamedTuple):
 # the clock moves a session, so its link expired in between.
 _UNKNOWN_TOKEN = AuthDecision(DecisionKind.DENY, reason=REASON_UNKNOWN_TOKEN)
 _UNKNOWN_USER = AuthDecision(DecisionKind.DENY, reason=REASON_UNKNOWN_USER)
+_RATE_LIMITED = AuthDecision(DecisionKind.BAD_REQUEST, reason=REASON_RATE_LIMITED)
+_NOT_AWAITING_PHOTO = AuthDecision(DecisionKind.BAD_REQUEST, reason=REASON_NOT_AWAITING_PHOTO)
 
 
 def _same_network(a: str, b: str, prefix_len: int) -> bool:
@@ -246,7 +253,10 @@ class AuthEngine:
     def handle_link_click(self, click: LinkClick) -> AuthDecision:
         """Short-link visit: skip the photo when the click is colocated."""
         with self._lock:
-            session = self.store.resolve_token(click.token_digits, source=click.source_address)
+            try:
+                session = self.store.resolve_token(click.token_digits, source=click.source_address)
+            except RateLimited:
+                return _RATE_LIMITED
             if session is None:
                 return _UNKNOWN_TOKEN
             if session.state is SessionState.AUTHORIZED:
@@ -281,19 +291,16 @@ class AuthEngine:
     def handle_photo_submission(
         self, token_digits: str, analysis: PhotoAnalysis, *, source: str | None = None
     ) -> AuthDecision:
-        """Photo upload for a pending session.
-
-        Raises:
-            InvalidState: the session exists but is not awaiting a photo.
-        """
+        """Photo upload for a pending session."""
         with self._lock:
-            session = self.store.resolve_token(token_digits, source=source)
+            try:
+                session = self.store.resolve_token(token_digits, source=source)
+            except RateLimited:
+                return _RATE_LIMITED
             if session is None:
                 return _UNKNOWN_TOKEN
             if session.state is not SessionState.AWAITING_PHOTO:
-                raise InvalidState(
-                    f"photo submitted while session is {session.state.value}"
-                )
+                return _NOT_AWAITING_PHOTO
 
             result = verify_photo(analysis, self.accept_set)
             try:

@@ -32,7 +32,9 @@ from .decision import (
     ColocationPolicy,
     DecisionKind,
     LinkClick,
+    REASON_NOT_AWAITING_PHOTO,
     REASON_PHISHING,
+    REASON_RATE_LIMITED,
     REASON_SESSION_DENIED,
 )
 from .domain import extract_hostname
@@ -40,9 +42,7 @@ from .jsonread import from_json
 from .session import (
     Channel,
     DEFAULT_TTL_S,
-    InvalidState,
     Preference,
-    RateLimited,
     SessionStore,
 )
 from .verify import analysis_from_dict
@@ -157,9 +157,15 @@ def _error(status: int, reason: str) -> WireResponse:
     return WireResponse(status, {"status": "error", "reason": reason})
 
 
-def _answer(decision: AuthDecision, digits: str) -> WireResponse:
-    """The answer to a click or a photo decision, the same on both routes."""
+# The status of each refusal the engine decides; any other is a 400.
+_REFUSAL_STATUS = {REASON_RATE_LIMITED: 429, REASON_NOT_AWAITING_PHOTO: 409}
+
+
+def _answer(decision: AuthDecision, digits: str = "") -> WireResponse:
+    """The answer to a decision on any route; `_login` answers its own LINK_SENT and AUTHORIZE."""
     kind = decision.kind
+    if kind is DecisionKind.BAD_REQUEST:
+        return _error(_REFUSAL_STATUS.get(decision.reason, 400), decision.reason)
     if kind is DecisionKind.AUTHORIZE:
         return WireResponse(200, {"status": "authorized"})
     if kind is DecisionKind.FALLBACK:
@@ -217,11 +223,8 @@ class App:
         )
         if decision.kind is DecisionKind.AUTHORIZE:
             return WireResponse(200, {"status": "authorized", "session_id": decision.session_id})
-        if decision.kind is DecisionKind.BAD_REQUEST:
-            return _error(400, decision.reason)
-        if decision.kind is DecisionKind.DENY:  # an unregistered username
-            return WireResponse(403, {"status": "denied", "reason": decision.reason})
-        assert decision.kind is DecisionKind.LINK_SENT
+        if decision.kind is not DecisionKind.LINK_SENT:
+            return _answer(decision)
         return WireResponse(
             200,
             {
@@ -236,12 +239,7 @@ class App:
         cookie = _cookie_from_headers(req.headers)
         if cookie == "":
             return _error(400, "malformed-cookie")
-        try:
-            decision = self.engine.handle_link_click(
-                LinkClick(digits, cookie, req.source_address)
-            )
-        except RateLimited:
-            return _error(429, "rate-limited")
+        decision = self.engine.handle_link_click(LinkClick(digits, cookie, req.source_address))
         return _answer(decision, digits)
 
     def _photo(self, req: WireRequest, digits: str) -> WireResponse:
@@ -251,14 +249,7 @@ class App:
             analysis = analysis_from_dict(req.body)
         except ValueError as exc:
             return _error(400, f"bad-analysis: {exc}")
-        try:
-            decision = self.engine.handle_photo_submission(
-                digits, analysis, source=req.source_address
-            )
-        except InvalidState:
-            return _error(409, "not-awaiting-photo")
-        except RateLimited:
-            return _error(429, "rate-limited")
+        decision = self.engine.handle_photo_submission(digits, analysis, source=req.source_address)
         return _answer(decision, digits)
 
     def _status(self, session_id: str) -> WireResponse:
@@ -680,7 +671,7 @@ def _interrupt(mask: int) -> None:
     raise KeyboardInterrupt
 
 
-def serve(config: Config) -> None:
+def serve(config: Config) -> int:
     """Run the HTTP server until stopped, then drain it (`HttpServer.drain`) and close it.
 
     Called from the main thread, it stops on SIGTERM and SIGINT, SIGINT
@@ -689,10 +680,15 @@ def serve(config: Config) -> None:
     wake the loop through a socket pair. In any thread it stops on
     `KeyboardInterrupt`. Writes to stderr a `listening` line, one access
     line per answer from the app, the traceback of any request that fails
-    and, once closed, a `stopped` line.
+    and, once closed, a `stopped` line. Returns 0 once stopped; a port it
+    cannot bind is one `cannot listen on port P: <error>` line and 2.
     """
     app = App(config)
-    server = HttpServer(app, "0.0.0.0", config.port)
+    try:
+        server = HttpServer(app, "0.0.0.0", config.port)
+    except OSError as exc:
+        _write(f"cannot listen on port {config.port}: {exc}\n")
+        return 2
     wake, waker = socket.socketpair()
     waker.setblocking(False)
 
@@ -724,3 +720,4 @@ def serve(config: Config) -> None:
         wake.close()
         waker.close()
     _write('{"event": "stopped"}\n')
+    return 0

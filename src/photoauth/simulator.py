@@ -544,7 +544,7 @@ def run_token_bruteforce(
         digits = draw_token_digits(DEFAULT_TOKEN_LENGTH, guess_rng)
         world.t += 1
         result = world.engine.handle_link_click(LinkClick(digits, None, PROXY_SOURCE))
-        if result.kind is not DecisionKind.DENY:
+        if result.session_id is not None:  # the guess found a session
             world.send(ADVERSARY, SERVER, UNSAFE, "token-guess-hit", {"token": digits}, tick=False)
             world.record(result, ADVERSARY)
             hit = True

@@ -332,11 +332,7 @@ def generate_layout(
     title_w = 180 + (420 - 180) * draw()
     hi = width * 0.4
     title_x = 60 + (hi - 60) * draw()
-    title_box = _clamp_box(title_x, title_y, title_w, title_h, rw, rh)
-    # Titles may not dip into the bar.
-    if title_box.y + title_box.height > bar_top:
-        title_box = BoundingBox(title_box.x, 2.0, title_box.width, max(bar_top - 4.0, 2.0))
-    titles = (TextRegion(title_box, title_text),)
+    titles = (TextRegion(_clamp_box(title_x, title_y, title_w, title_h, rw, rh), title_text),)
 
     content_top = bar_bottom + (30 + (80 - 30) * draw())
     contents: list[TextRegion] = []

@@ -3,6 +3,7 @@ import json
 import os
 import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -259,6 +260,20 @@ class TestServe:
         code, _, err = run_cli(capsys, "serve", "--config", str(path))
         assert code == 2
         assert "cannot load config" in err
+
+    def test_a_port_in_use_exits_two_with_one_line(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "serve.json"
+        path.write_text("{}", encoding="utf-8")
+        monkeypatch.setattr(cli, "serve", service.serve)  # it stops before serving
+        with socket.create_server(("0.0.0.0", 0)) as held:
+            port = held.getsockname()[1]
+            monkeypatch.setenv(ENV_PORT, str(port))
+            code, out, err = run_cli(capsys, "serve", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"cannot listen on port {port}: ")
+        assert "in use" in err
 
     @staticmethod
     def spawn(tmp_path, **popen) -> subprocess.Popen:

@@ -20,7 +20,7 @@ from photoauth.geometry import BoundingBox, Resolution
 from photoauth.session import (
     Channel,
     DEFAULT_RETAKE_CAP,
-    InvalidState,
+    LOOKUP_RATE_LIMIT,
     Preference,
     SessionState,
     SessionStore,
@@ -31,6 +31,8 @@ SERVER = extract_hostname("microsoft.com")
 ACCEPT = frozenset({SERVER})
 PC = "198.51.100.23"
 PHONE = "203.0.113.7"
+RATE_LIMITED = AuthDecision(DecisionKind.BAD_REQUEST, reason="rate-limited")
+NOT_AWAITING_PHOTO = AuthDecision(DecisionKind.BAD_REQUEST, reason="not-awaiting-photo")
 
 
 class FakeClock:
@@ -374,12 +376,12 @@ class TestPhotoSubmission:
         assert "rnicrosoft.com" in decision.message
         assert engine.store.get(session_id).state is SessionState.DENIED
 
-    def test_denied_session_never_authorizes_afterwards(self):
+    def test_denied_session_refuses_a_later_photo(self):
         engine = make_engine()
         session_id, token = reach_awaiting_photo(engine)
         engine.handle_photo_submission(token, photo_of("rnicrosoft.com"))
-        with pytest.raises(InvalidState):
-            engine.handle_photo_submission(token, photo_of("microsoft.com"))
+        decision = engine.handle_photo_submission(token, photo_of("microsoft.com"))
+        assert decision == NOT_AWAITING_PHOTO
         assert engine.store.get(session_id).state is SessionState.DENIED
 
     def test_unreadable_photo_requests_retake(self):
@@ -434,15 +436,15 @@ class TestPhotoSubmission:
         assert decision.kind is DecisionKind.DENY
         assert decision.reason == REASON_UNKNOWN_TOKEN
 
-    def test_photo_before_click_raises(self):
+    def test_photo_before_click_is_refused(self):
         engine = make_engine()
         sent = start_login(engine)
         token = engine.outbox[0].link.rsplit("/", 1)[1]
-        with pytest.raises(InvalidState):
-            engine.handle_photo_submission(token, photo_of("microsoft.com"))
+        decision = engine.handle_photo_submission(token, photo_of("microsoft.com"))
+        assert decision == NOT_AWAITING_PHOTO
         assert engine.store.get(sent.session_id).state is SessionState.LINK_SENT
 
-    def test_photo_after_authorize_raises(self):
+    def test_photo_after_authorize_is_refused(self):
         engine = make_engine()
         sent = start_login(engine)
         cookie = engine.store.get(sent.session_id).cookie.value
@@ -450,8 +452,31 @@ class TestPhotoSubmission:
         engine.handle_link_click(
             LinkClick(token_digits=token, presented_cookie=cookie, source_address=PC)
         )
-        with pytest.raises(InvalidState):
-            engine.handle_photo_submission(token, photo_of("microsoft.com"))
+        decision = engine.handle_photo_submission(token, photo_of("microsoft.com"))
+        assert decision == NOT_AWAITING_PHOTO
+        assert engine.store.get(sent.session_id).state is SessionState.AUTHORIZED
+
+
+class TestLookupRateLimit:
+    def test_lookup_past_the_limit_is_refused_until_the_window_ends(self):
+        now = [0.0]
+        store = SessionStore(SERVER, rng=random.Random(42), clock=lambda: now[0], ttl_s=1e9)
+        engine = AuthEngine(store, {"bob": Preference.SMS}, ACCEPT)
+        sent = start_login(engine)
+        for _ in range(LOOKUP_RATE_LIMIT):
+            miss = engine.handle_link_click(LinkClick("9" * 10, None, PHONE))
+            assert miss.reason == REASON_UNKNOWN_TOKEN
+        click = LinkClick(sent.token_digits, None, PHONE)
+        assert engine.handle_link_click(click) == RATE_LIMITED
+        assert engine.handle_photo_submission(
+            sent.token_digits, photo_of("microsoft.com"), source=PHONE) == RATE_LIMITED
+        assert store.get(sent.session_id).state is SessionState.LINK_SENT
+        # Another source is not held back by this one's lookups.
+        other = engine.handle_link_click(LinkClick("9" * 10, None, PC))
+        assert other.reason == REASON_UNKNOWN_TOKEN
+        now[0] += 1.0
+        assert engine.handle_link_click(click).kind is DecisionKind.REQUIRE_PHOTO
+        assert store.get(sent.session_id).state is SessionState.AWAITING_PHOTO
 
 
 class TestDecisionDataclass:

@@ -256,6 +256,34 @@ class TestTokenBruteforce:
         report = run_token_bruteforce(seed, guesses=300)
         assert report.outcome.kind is OutcomeKind.ATTACK_BLOCKED
 
+    def test_a_guess_on_the_live_token_is_a_hit(self, monkeypatch):
+        live, guessed = [], []
+        login_direct = simulator.World.login_direct
+
+        def spy_login(world, *args):
+            decision = login_direct(world, *args)
+            live.append(decision.token_digits)
+            return decision
+
+        def guess(length, rng):
+            guessed.append(length)
+            return live[0] if len(guessed) == 3 else "9" * length
+
+        monkeypatch.setattr(simulator.World, "login_direct", spy_login)
+        monkeypatch.setattr(simulator, "draw_token_digits", guess)
+        report = run_token_bruteforce(6, guesses=5)
+        assert report.outcome == Outcome(OutcomeKind.AUTHORIZED, ADVERSARY)
+        assert len(guessed) == 3
+        kinds = [e["kind"] for e in report.log]
+        at = kinds.index("token-guess-hit")
+        hit, done = report.log[at], report.log[at + 1]
+        # Each guess ticks the clock once; the hit is logged at its guess's tick.
+        assert hit["t"] == report.log[at - 1]["t"] + 3
+        assert hit["data"] == {"token": live[0]}
+        assert done["kind"] == "token-guessing-done"
+        assert done["data"] == {"guesses": 5, "hit": True}
+        assert report.trail[-1]["kind"] == "require-photo"
+
 
 class TestOtpBaseline:
     @pytest.mark.parametrize("seed", range(25))

@@ -77,6 +77,14 @@ class TestLayoutGeneration:
                 assert intersection_area(region.box, layout.bars[0].box) == 0.0
             assert layout.bars[0].url_string == "microsoft.com"
 
+    @pytest.mark.parametrize("size", [(1920, 1080), (1280, 720), (800, 600)])
+    def test_title_ends_at_least_two_pixels_above_the_bar(self, size):
+        resolution = Resolution(*size)
+        for seed in range(2000):
+            layout = generate_layout("microsoft.com", seed=seed, resolution=resolution)
+            title = layout.title_boxes[0].box
+            assert title.y + title.height <= layout.bars[0].box.y - 2, seed
+
     def test_same_seed_same_layout(self):
         a = generate_layout("github.com", seed=99)
         b = generate_layout("github.com", seed=99)
