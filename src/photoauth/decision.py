@@ -113,7 +113,8 @@ class DecisionKind(Enum):
 class AuthDecision(NamedTuple):
     """What the engine decided.
 
-    A `LINK_SENT` decision also carries what the login response needs from
+    `message` is the same-browser hint of a `REQUIRE_PHOTO` decision. A
+    `LINK_SENT` decision also carries what the login response needs from
     the new session: its short-link token digits and cookie value. The
     repr leaves both out.
     """
@@ -309,14 +310,8 @@ class AuthEngine:
                     return AuthDecision(DecisionKind.AUTHORIZE, session_id=session.id)
                 if result.kind is VerdictKind.MISMATCH:
                     self.store.deny(session.id)
-                    found = str(result.found) if result.found else "unknown"
-                    return AuthDecision(
-                        DecisionKind.DENY,
-                        reason=REASON_PHISHING,
-                        session_id=session.id,
-                        message=f"photographed address bar shows {found}",
-                        warning=True,
-                    )
+                    return AuthDecision(DecisionKind.DENY, reason=REASON_PHISHING,
+                                        session_id=session.id, warning=True)
 
                 warned = result.reason == RETAKE_MULTIPLE_ADDRBARS
                 updated = self.store.record_retake(session.id, warned)

@@ -35,7 +35,6 @@ from .decision import (
     REASON_NOT_AWAITING_PHOTO,
     REASON_PHISHING,
     REASON_RATE_LIMITED,
-    REASON_SESSION_DENIED,
 )
 from .domain import extract_hostname
 from .jsonread import from_json
@@ -159,6 +158,8 @@ def _error(status: int, reason: str) -> WireResponse:
 
 # The status of each refusal the engine decides; any other is a 400.
 _REFUSAL_STATUS = {REASON_RATE_LIMITED: 429, REASON_NOT_AWAITING_PHOTO: 409}
+# A status poll for an id with no live session, unknown or expired.
+_UNKNOWN_SESSION = AuthDecision(DecisionKind.DENY, reason="unknown-session")
 
 
 def _answer(decision: AuthDecision, digits: str = "") -> WireResponse:
@@ -183,14 +184,11 @@ def _answer(decision: AuthDecision, digits: str = "") -> WireResponse:
             "retakes_left": decision.retakes_left,
         })
     assert kind is DecisionKind.DENY
-    if decision.reason == REASON_PHISHING:
-        # The photo was read and decided the login; the user is warned.
-        return WireResponse(200, {"status": "denied", "reason": decision.reason, "warning": True})
-    if decision.reason == REASON_SESSION_DENIED:
-        # A click on a session its photo denied repeats that photo's warning.
-        return WireResponse(403, {"status": "denied", "reason": decision.reason,
-                                  "warning": decision.warning})
-    return WireResponse(403, {"status": "denied", "reason": decision.reason})
+    body = {"status": "denied", "reason": decision.reason}
+    if decision.warning:
+        body["warning"] = True
+    # A photo that shows another domain decided the login; every other denial refuses.
+    return WireResponse(200 if decision.reason == REASON_PHISHING else 403, body)
 
 
 class App:
@@ -255,7 +253,7 @@ class App:
     def _status(self, session_id: str) -> WireResponse:
         state = self.engine.session_state(session_id)
         if state is None:
-            return WireResponse(403, {"status": "denied", "reason": "unknown-session"})
+            return _answer(_UNKNOWN_SESSION)
         return WireResponse(200, {"status": state.value})
 
     def handle(self, req: WireRequest) -> WireResponse:

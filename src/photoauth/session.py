@@ -20,8 +20,6 @@ COOKIE_BITS = 128
 _COOKIE_RE = re.compile(r"[0-9a-f]{32}\Z")
 
 DEFAULT_TOKEN_LENGTH = 10
-MIN_TOKEN_LENGTH = 6
-MAX_TOKEN_LENGTH = 12
 
 DEFAULT_TTL_S = 300.0
 DEFAULT_RETAKE_CAP = 5
@@ -58,7 +56,7 @@ class SessionState(Enum):
 # The lifecycle: each store operation and the states it may start from.
 # Terminal states (authorized, denied, fallback-offered) start none.
 _STARTS: dict[str, frozenset[SessionState]] = {
-    "mark_awaiting_photo": frozenset({SessionState.LINK_SENT, SessionState.AWAITING_PHOTO}),
+    "mark_awaiting_photo": frozenset({SessionState.LINK_SENT}),
     "authorize": frozenset({SessionState.LINK_SENT, SessionState.AWAITING_PHOTO}),
     "deny": frozenset({SessionState.AWAITING_PHOTO}),
     "record_retake": frozenset({SessionState.AWAITING_PHOTO}),
@@ -113,8 +111,6 @@ def draw_cookie_value(rng: random.Random | None = None) -> str:
 
 def draw_token_digits(length: int, rng: random.Random | None = None) -> str:
     """Uniform decimal token of exactly `length` digits (leading zeros allowed)."""
-    if not MIN_TOKEN_LENGTH <= length <= MAX_TOKEN_LENGTH:
-        raise ValueError(f"token length must be in [{MIN_TOKEN_LENGTH}, {MAX_TOKEN_LENGTH}]")
     bound = 10**length
     n = (rng or _SYSTEM_RANDOM).randrange(bound)
     return f"{n:0{length}d}"

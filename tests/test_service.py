@@ -10,6 +10,7 @@ import re
 import select
 import selectors
 import socket
+import struct
 import sys
 import threading
 import time
@@ -1584,6 +1585,56 @@ class TestConnectionProtocol:
             server.drain()
             assert 0.2 <= time.monotonic() - start < 5
             assert conn.out and conn in server.connections  # left for `close` to drop
+
+    def test_drain_waits_for_a_slow_reader_and_then_closes(self, monkeypatch):
+        monkeypatch.setattr("photoauth.service.DRAIN_S", 3.0)
+        got = []
+
+        def read_late(peer):
+            time.sleep(0.2)
+            got.append(b"".join(iter(lambda: peer.recv(65536), b"")))
+
+        with socketpair_connection() as (conn, peer):
+            server = conn.server
+            filled = fill(conn.sock)  # the peer has not read: its window is full
+            feed(conn, peer, b"GET /nope HTTP/1.1\r\n\r\n")
+            assert conn.out
+            reader = threading.Thread(target=read_late, args=(peer,))
+            reader.start()
+            start = time.monotonic()
+            server.drain()
+            took = time.monotonic() - start
+            reader.join(5)
+            assert took < 2.0
+            assert conn not in server.connections
+        [data] = got
+        assert data[:filled] == bytes(filled)
+        [reply] = split_replies(data[filled:])
+        assert reply.startswith(b"HTTP/1.1 404 ")
+        assert reply.endswith(b'{"reason":"no-such-endpoint","status":"error"}')
+
+    def test_a_reset_by_the_peer_closes_the_connection(self):
+        server = HttpServer(make_app(), "127.0.0.1", 0)
+        client = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+        try:
+            server._accept(selectors.EVENT_READ)
+            [conn] = server.connections
+            # Closing with a zero linger sends a reset, not a FIN.
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            client.close()
+            assert select.select([conn.sock], [], [], 5)[0]
+            conn.on_ready(selectors.EVENT_READ)
+            assert not server.connections
+        finally:
+            server.close()
+            client.close()
+
+    def test_a_peer_gone_before_its_answer_closes_the_connection(self):
+        with socketpair_connection() as (conn, peer):
+            peer.sendall(b"GET /nope HTTP/1.1\r\n\r\n")
+            peer.close()
+            conn.on_ready(selectors.EVENT_READ)  # the answer's send fails
+            assert conn not in conn.server.connections
 
 
 # Request heads: arbitrary bytes, and lines built from the parts a parser branches on.

@@ -70,11 +70,6 @@ class TestValues:
             assert len(digits) == length
             assert digits.isdigit()
 
-    @pytest.mark.parametrize("length", [0, 5, 13])
-    def test_token_length_bounds(self, length):
-        with pytest.raises(ValueError):
-            draw_token_digits(length)
-
     def test_token_leading_zeros_kept(self):
         rng = random.Random(3)
         draws = [draw_token_digits(10, rng) for _ in range(100)]
@@ -117,7 +112,7 @@ class TestLifecycle:
         }
         allowed = {
             SessionState.LINK_SENT: {"await", "authorize"},
-            SessionState.AWAITING_PHOTO: {"await", "authorize", "deny", "retake"},
+            SessionState.AWAITING_PHOTO: {"authorize", "deny", "retake"},
             SessionState.AUTHORIZED: set(),
             SessionState.DENIED: set(),
             SessionState.FALLBACK_OFFERED: set(),
@@ -148,12 +143,6 @@ class TestLifecycle:
             else:
                 with pytest.raises(InvalidState):
                     ops[op_name](store, s.id)
-
-    def test_mark_awaiting_is_idempotent(self):
-        store = make_store()
-        s = store.create_session("bob", **LOGIN)
-        store.mark_awaiting_photo(s.id)
-        assert store.mark_awaiting_photo(s.id).state is SessionState.AWAITING_PHOTO
 
     def test_empty_username_rejected(self):
         with pytest.raises(ValueError):
@@ -371,7 +360,7 @@ MODEL_TTL_S = 10.0
 MODEL_RETAKE_CAP = DEFAULT_RETAKE_CAP
 # The lifecycle as the model knows it: store operation -> states it may start from.
 MODEL_STARTS = {
-    "mark_awaiting_photo": {SessionState.LINK_SENT, SessionState.AWAITING_PHOTO},
+    "mark_awaiting_photo": {SessionState.LINK_SENT},
     "authorize": {SessionState.LINK_SENT, SessionState.AWAITING_PHOTO},
     "deny": {SessionState.AWAITING_PHOTO},
     "record_retake": {SessionState.AWAITING_PHOTO},
